@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage, 3 validation, 4 numeric/degeneracy.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import os
 import sys
@@ -238,12 +239,14 @@ def cmd_tune(args) -> int:
     config = _solver_config(args)
     result = tune(dataset, args.q, args.phi_grid, args.rho_grid, config)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "grid.csv"), "w") as fh:
-        fh.write("phi,rho,bic,iterations,converged\n")
+    with open(os.path.join(args.out, "grid.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["phi", "rho", "bic", "iterations", "converged", "error"])
         for cell in result.grid:
             bic_txt = "" if cell.error is not None else f"{cell.bic:.17g}"
-            fh.write(f"{cell.phi:.17g},{cell.rho:.17g},{bic_txt},"
-                     f"{cell.iterations},{str(cell.converged).lower()}\n")
+            writer.writerow([f"{cell.phi:.17g}", f"{cell.rho:.17g}", bic_txt,
+                             cell.iterations, str(cell.converged).lower(),
+                             cell.error or ""])
     best_cell = next(c for c in result.grid
                      if (c.phi, c.rho) == result.best)
     with open(os.path.join(args.out, "best"), "w") as fh:

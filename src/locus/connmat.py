@@ -10,6 +10,7 @@ messages use 1-based labels.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -22,6 +23,16 @@ SYMMETRY_RTOL = 1e-10
 
 def edge_count(node_count: int) -> int:
     return node_count * (node_count - 1) // 2
+
+
+@functools.lru_cache(maxsize=32)
+def triu_indices(node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the upper triangle (diagonal excluded) in
+    edge enumeration order.  Cached and shared, so returned read-only."""
+    rows, cols = np.triu_indices(node_count, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def nodes_from_edge_count(p: int) -> int:
@@ -46,7 +57,7 @@ class EdgeIndexMap:
                                  f"need at least 2 nodes, got {node_count}")
         self.node_count = node_count
         self.edge_count = edge_count(node_count)
-        self._rows, self._cols = np.triu_indices(node_count, k=1)
+        self._rows, self._cols = triu_indices(node_count)
         # k-index of edge {u, v} for every ordered pair, -1 on the diagonal
         lookup = np.full((node_count, node_count), -1, dtype=np.int64)
         lookup[self._rows, self._cols] = np.arange(self.edge_count)
@@ -106,7 +117,7 @@ def vectorize(m: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     if m.shape[0] < 2:
         raise DimensionError("dimension_mismatch", "need at least 2 nodes")
     m = _check_symmetric(m, rtol)
-    r, c = np.triu_indices(m.shape[0], k=1)
+    r, c = triu_indices(m.shape[0])
     return m[r, c]
 
 
@@ -119,7 +130,7 @@ def unvectorize(s: np.ndarray, node_count: int) -> np.ndarray:
             f"edge vector of length {s.shape} does not match V={node_count} "
             f"(expected {edge_count(node_count)})")
     m = np.zeros((node_count, node_count))
-    r, c = np.triu_indices(node_count, k=1)
+    r, c = triu_indices(node_count)
     m[r, c] = s
     m[c, r] = s
     return m
@@ -186,7 +197,7 @@ class ConnectivityDataset:
 
 def edge_labels(node_count: int) -> list[str]:
     """1-based "u_v" labels in enumeration order, e.g. ["1_2", "1_3", "2_3"]."""
-    r, c = np.triu_indices(node_count, k=1)
+    r, c = triu_indices(node_count)
     return [f"{u + 1}_{v + 1}" for u, v in zip(r, c)]
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .connmat import ConnectivityDataset
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, LocusError, ValidationError
 
 SIMILARITIES = ("pearson", "jaccard")
 DEFAULT_TOP_FRACTION = 0.01
@@ -208,7 +208,8 @@ def bootstrap_replicates(dataset: ConnectivityDataset, fit_fn, b: int,
 
     ``fit_fn(dataset, seed) -> (q, p) array`` runs one decomposition; its
     per-replicate seeds derive deterministically from the master seed.
-    Failures are recorded and skipped rather than aborting the run.
+    Replicates whose fit raises a package error or a LinAlgError are
+    recorded in ``failures`` and skipped; any other exception propagates.
     """
     if b < 2:
         raise ValidationError("bad_config", f"need B >= 2 replicates, got {b}")
@@ -226,7 +227,7 @@ def bootstrap_replicates(dataset: ConnectivityDataset, fit_fn, b: int,
         try:
             estimates.append(np.asarray(fit_fn(resampled, int(child_seeds[rep])),
                                         dtype=float))
-        except Exception as err:
+        except (LocusError, np.linalg.LinAlgError) as err:
             failures.append((rep, f"{type(err).__name__}: {err}"))
     return BootstrapResult(estimates=np.array(estimates), indices=indices,
                            failures=tuple(failures))

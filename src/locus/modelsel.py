@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .connmat import ConnectivityDataset, nodes_from_edge_count, unvectorize
-from .errors import DegeneracyError, ValidationError
+from .errors import DegeneracyError, LocusError, ValidationError
 from .solver import LocusModel, LowRankSource, SolverConfig, fit
 
 DEFAULT_ZERO_TOL = 1e-3
@@ -59,14 +59,32 @@ class TuningResult:
     best: tuple[float, float]
 
 
+def truncation_ratios(eigvals: np.ndarray, eigvecs: np.ndarray,
+                      norm2: float) -> np.ndarray:
+    """Edge-space residual ratios |s_hat_r - s_star|^2 / |s_star|^2 of the
+    eigen-truncations r = 1..len(eigvals), in closed form.
+
+    With M the unvectorized source (zero diagonal, |M|_F^2 = 2 norm2) and
+    T_r = sum_{i<=r} lambda_i u_i u_i' its truncation, the edge residual is
+    half the matrix residual minus the diagonal of T_r:
+
+        ratio_r = (2 norm2 - sum_{i<=r} lambda_i^2 - |diag(T_r)|^2)
+                  / (2 norm2),   diag(T_r) = sum_{i<=r} lambda_i u_i^2.
+    """
+    diag_t = np.cumsum(eigvecs ** 2 * eigvals, axis=1)
+    return ((2.0 * norm2 - np.cumsum(eigvals ** 2)
+             - np.sum(diag_t ** 2, axis=0)) / (2.0 * norm2))
+
+
 def select_rank(s_star: np.ndarray, rho: float, r_max: int) -> tuple[int, LowRankSource]:
     """Smallest rank whose eigen-truncation reconstructs the unstructured
     source to the requested closeness.
 
     The residual ratio |s_hat_r - s_star|^2 / |s_star|^2 is evaluated on
-    edge vectors (the diagonal is dropped by the vectorization, so
-    eigenvalue sums alone do not give the ratio).  Returns the rank and the
-    truncated eigen-factor; hitting the cap emits a RankCapWarning.
+    edge vectors, where the vectorization drops the diagonal, so eigenvalue
+    sums alone do not give it (see :func:`truncation_ratios`).  Returns the
+    rank and the truncated eigen-factor; hitting the cap emits a
+    RankCapWarning.
     """
     s_star = np.asarray(s_star, dtype=float)
     if not 0 < rho < 1:
@@ -80,23 +98,16 @@ def select_rank(s_star: np.ndarray, rho: float, r_max: int) -> tuple[int, LowRan
 
     m = unvectorize(s_star, node_count)
     eigvals, eigvecs = np.linalg.eigh(m)
-    order = np.argsort(-np.abs(eigvals))
+    order = np.argsort(-np.abs(eigvals))[:r_max]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
 
-    r_idx, c_idx = np.triu_indices(node_count, k=1)
-    recon = np.zeros_like(s_star)
-    rank = r_max
-    capped = True
-    for r in range(1, r_max + 1):
-        vec = eigvecs[:, r - 1]
-        recon = recon + eigvals[r - 1] * vec[r_idx] * vec[c_idx]
-        ratio = float(np.sum((recon - s_star) ** 2)) / norm2
-        if ratio <= 1.0 - rho:
-            rank = r
-            capped = False
-            break
-    if capped:
+    ratios = truncation_ratios(eigvals, eigvecs, norm2)
+    reached = np.flatnonzero(ratios <= 1.0 - rho)
+    if reached.size:
+        rank = int(reached[0]) + 1
+    else:
+        rank = r_max
         warnings.warn(
             f"rank cap {r_max} hit before reaching closeness {rho}",
             RankCapWarning)
@@ -148,7 +159,9 @@ def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
     baseline initialization; returns all BICs and the argmin cell.
 
     Ties break toward larger phi, then larger rho (the sparser model).
-    Failed cells are recorded and excluded; all cells failing is an error.
+    Cells whose fit raises a package error or a LinAlgError are recorded
+    with that error and excluded; all cells failing is an error.  Any other
+    exception is a programming error and propagates.
     """
     from . import baselines
     from .preprocess import whiten
@@ -162,7 +175,7 @@ def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
     ica = None
     try:
         ica = baselines.fastica(whitened, q, seed=config.seed)
-    except Exception:
+    except (LocusError, np.linalg.LinAlgError):
         ica = None  # every cell falls back to the seeded random start
 
     cells_in = [(phi, rho) for phi in phi_grid for rho in rho_grid]
@@ -177,7 +190,7 @@ def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
                               iterations=model.iterations,
                               converged=model.converged,
                               ranks=tuple(model.ranks))
-        except Exception as err:
+        except (LocusError, np.linalg.LinAlgError) as err:
             return TuningCell(phi=float(phi), rho=float(rho), bic=math.nan,
                               error=f"{type(err).__name__}: {err}")
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .solver import (LowRankSource, REGULARIZERS, _node_row, _solve_gram,
-                     soft_threshold)
+from .solver import (LowRankSource, REGULARIZERS, _solve_gram, node_targets,
+                     soft_threshold, sweep_nodes)
 
 ORTHO_GRAM_TOL = 1e-3
 
@@ -77,10 +77,10 @@ def prox_step(kind: RegularizerKind, target: np.ndarray,
     if "node" in context:
         x, d, v = context["x"], context["d"], context["node"]
         if kind.variant == "uniform_l1":
-            return _node_row(x, d, v, soft_threshold(target, t))
-        if kind.variant == "vector_l1":
-            return soft_threshold(_node_row(x, d, v, target), t)
-        return _node_row(x, d, v, target)
+            target = soft_threshold(target, t)
+        shrink = t if kind.variant == "vector_l1" else 0.0
+        return sweep_nodes([(x, d)], node_targets(target, v), shrink,
+                           nodes=(v,))[0][v]
 
     if "z" in context:
         z = context["z"]

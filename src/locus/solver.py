@@ -1,17 +1,19 @@
 """Iterative node-rotation solver for sparse low-rank source separation.
 
 Each latent source is a symmetric low-rank factorization X diag(d) X' whose
-upper-triangle vector lives in edge space.  One outer iteration updates, for
-every source: the latent node coordinates one node at a time (conditioning
-on all other nodes, Gauss-Seidel), then the diagonal weights, and finally
-re-estimates the reduced mixing matrix and orthogonalizes it.  Both block
-updates share the same two-stage scheme: soft-threshold the projected data
-in edge space, then least-squares project onto the current low-rank span.
+upper-triangle vector lives in edge space.  One outer iteration updates the
+latent node coordinates one node at a time (conditioning on all other
+nodes, Gauss-Seidel), then the diagonal weights of every source, and
+finally re-estimates the reduced mixing matrix and orthogonalizes it.  The
+targets are fixed while the sources update, so the sources' node blocks are
+independent: one sweep over the nodes updates node v of every source at
+once (:func:`sweep_nodes`).  Both block updates share the same two-stage
+scheme: soft-threshold the projected data in edge space, then least-squares
+project onto the current low-rank span.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import os
 import warnings
@@ -19,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connmat import EdgeIndexMap, nodes_from_edge_count, unvectorize
-from .errors import DegeneracyError, DimensionError, NumericError, ValidationError
+from .connmat import nodes_from_edge_count, triu_indices, unvectorize
+from .errors import (DegeneracyError, DimensionError, LocusError, NumericError,
+                     ValidationError)
 from .preprocess import WhitenedData, unmix_to_subject_space
 
 logger = logging.getLogger(__name__)
@@ -33,11 +36,6 @@ REGULARIZERS = ("uniform_l1", "vector_l1", "nuclear")
 
 class DegenerateSourceWarning(UserWarning):
     """A source collapsed to zero during thresholding and was re-seeded."""
-
-
-@functools.lru_cache(maxsize=32)
-def _triu(node_count: int):
-    return np.triu_indices(node_count, k=1)
 
 
 def _polar_orthogonalize(m: np.ndarray) -> np.ndarray:
@@ -95,9 +93,16 @@ class LowRankSource:
         return (self.x * self.d) @ self.x.T
 
     def edge_vector(self) -> np.ndarray:
-        """Upper-triangle vector of the reconstruction (diagonal dropped)."""
-        r, c = _triu(self.node_count)
-        return np.einsum("ij,ij->i", self.x[r] * self.d, self.x[c])
+        """Upper-triangle vector of the reconstruction (diagonal dropped).
+
+        Computed once per instance and returned read-only."""
+        vec = self.__dict__.get("_edge_vector")
+        if vec is None:
+            r, c = triu_indices(self.node_count)
+            vec = np.einsum("ij,ij->i", self.x[r] * self.d, self.x[c])
+            vec.setflags(write=False)
+            object.__setattr__(self, "_edge_vector", vec)
+        return vec
 
 
 @dataclass(frozen=True)
@@ -182,22 +187,83 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, rhs)
 
 
-def _node_row(x: np.ndarray, d: np.ndarray, v: int, bhat: np.ndarray) -> np.ndarray:
-    """Project the thresholded edge values at node v onto the span of the
-    remaining rows: D^(-1) (X(-v)' X(-v))^(-1) X(-v)' bhat.
+def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
+                nodes=None) -> list[np.ndarray]:
+    """One Gauss-Seidel pass over the nodes, updating node v of every source
+    together.
 
-    Weights below PRUNE_RTOL * max|d| are dead components; their
-    coordinates are returned as zero instead of dividing by them.
+    ``factors`` holds one (x, d) pair per source, x (V, R_l) and d (R_l,);
+    ``targets`` is (q, V, V) whose row v holds the (thresholded) edge values
+    at node v, with a zero diagonal.  Each node's new coordinates are the
+    projection D^(-1) (X(-v)' X(-v))^+ X(-v)' b_v against the freshest rows
+    of the other nodes, soft-thresholded at ``shrink`` afterwards.  Visits
+    ``nodes`` in order (default: all) and returns the updated x arrays.
+
+    X(-v)' X(-v) is the rank-1 downdate X'X - x_v x_v' of a Gram kept current
+    by rank-1 updates; X(-v)' b_v is X' b_v since b_v has no diagonal entry.
+    Ranks are padded to a common R with zero columns whose Gram block is
+    maxdiag(G) I; that value lies inside G's spectrum, so s_min and s_max
+    are unchanged.  One batched eigh per node gives both the singular test
+    and the solve: when s_min <= PINV_RTOL * s_max (2-norm) the
+    pseudo-inverse at that relative tolerance is used.  Weights below PRUNE_RTOL * max|d| are dead
+    components; their coordinates come back as zero instead of dividing by
+    them.
     """
-    x_minus = np.delete(x, v, axis=0)
-    coef = _solve_gram(x_minus.T @ x_minus, x_minus.T @ bhat)
-    keep = np.abs(d) > PRUNE_RTOL * np.max(np.abs(d), initial=0.0)
-    row = np.zeros_like(d)
-    row[keep] = coef[keep] / d[keep]
-    if not keep.all():
-        logger.debug("node %d: %d near-zero weights skipped in projection",
-                     v, int((~keep).sum()))
-    return row
+    q = len(factors)
+    node_count = targets.shape[1]
+    ranks = [np.shape(x)[1] for x, _ in factors]
+    width = max(ranks)
+    x = np.zeros((q, node_count, width))
+    d = np.zeros((q, width))
+    pad = np.ones((q, width), dtype=bool)
+    for ell, ((x_l, d_l), rank) in enumerate(zip(factors, ranks)):
+        x[ell, :, :rank] = x_l
+        d[ell, :rank] = d_l
+        pad[ell, :rank] = False
+    keep = np.abs(d) > PRUNE_RTOL * np.max(np.abs(d), axis=1, keepdims=True)
+    inv_d = (keep / np.where(keep, d, 1.0))[:, None, :]
+    pad_eye = pad[:, :, None] * np.eye(width) if pad.any() else None
+    debug = logger.isEnabledFor(logging.DEBUG)
+    if debug and not keep[~pad].all():
+        logger.debug("%d near-zero weights skipped in the node projection",
+                     int((~keep[~pad]).sum()))
+
+    gram_all = np.matmul(x.transpose(0, 2, 1), x)
+    singular = 0
+    for v in (range(node_count) if nodes is None else nodes):
+        x_v = x[:, v, None, :]
+        gram = gram_all - x_v.transpose(0, 2, 1) * x_v
+        rhs = np.matmul(targets[:, v, None, :], x)
+        padded = gram
+        if pad_eye is not None:
+            top = np.diagonal(gram, axis1=1, axis2=2).max(axis=1)
+            padded = gram + pad_eye * top[:, None, None]
+        eigvals, eigvecs = np.linalg.eigh(padded)
+        # ascending eigenvalues: the largest magnitude sits at one end
+        svals = np.abs(eigvals)
+        large = svals > PINV_RTOL * np.maximum(svals[:, :1], svals[:, -1:])
+        if debug:
+            singular += int(q - np.count_nonzero(large.all(axis=1)))
+        inv = (large / np.where(large, eigvals, 1.0))[:, None, :]
+        coef = np.matmul(np.matmul(rhs, eigvecs) * inv, eigvecs.transpose(0, 2, 1))
+        row = coef * inv_d
+        if shrink:
+            row = soft_threshold(row, shrink)
+        gram_all = gram + row.transpose(0, 2, 1) * row
+        x[:, v, None, :] = row
+    if singular:
+        logger.debug("%d rank-deficient Gram matrices, used the pseudo-inverse",
+                     singular)
+    return [x[ell, :, :rank] for ell, rank in enumerate(ranks)]
+
+
+def node_targets(values: np.ndarray, v: int) -> np.ndarray:
+    """(1, V, V) target for :func:`sweep_nodes` whose row v holds the V-1
+    edge values at node v (ordered by the other endpoint)."""
+    node_count = values.shape[0] + 1
+    targets = np.zeros((1, node_count, node_count))
+    targets[0, v] = np.insert(values, v, 0.0)
+    return targets
 
 
 def update_node(source: LowRankSource, v: int, y_proj: np.ndarray,
@@ -214,12 +280,13 @@ def update_node(source: LowRankSource, v: int, y_proj: np.ndarray,
                              f"expected {source.node_count - 1} projected values, "
                              f"got {y_proj.shape}")
     bhat = soft_threshold(y_proj, phi / 2.0)
-    return _node_row(source.x, source.d, v, bhat)
+    return sweep_nodes([(source.x, source.d)], node_targets(bhat, v),
+                       nodes=(v,))[0][v]
 
 
 def _z_columns(x: np.ndarray) -> np.ndarray:
     """(p, R) matrix whose r-th column is the edge vector of x_r x_r'."""
-    r, c = _triu(x.shape[0])
+    r, c = triu_indices(x.shape[0])
     return x[r] * x[c]
 
 
@@ -317,8 +384,9 @@ def initialize(whitened: WhitenedData, q: int, config: SolverConfig,
     Runs the FastICA baseline on the whitened data, takes its orthogonalized
     mixing matrix, and truncates each unstructured source to the adaptively
     selected rank via its symmetric eigendecomposition.  If the baseline
-    fails, falls back to a seeded random orthogonal mixing matrix and
-    truncates the implied projected sources instead.
+    fails with a package error or a LinAlgError, falls back to a seeded
+    random orthogonal mixing matrix and truncates the implied projected
+    sources instead; any other exception propagates.
     """
     from . import baselines
     from .modelsel import select_rank
@@ -338,8 +406,10 @@ def initialize(whitened: WhitenedData, q: int, config: SolverConfig,
         a_tilde = _polar_orthogonalize(np.asarray(ica.mixing, dtype=float))
         raw = np.asarray(ica.sources, dtype=float)
         if raw.shape != (q, whitened.n_edges) or not np.all(np.isfinite(raw)):
-            raise ValueError("baseline produced unusable sources")
-    except Exception as err:  # fall back to a seeded random start
+            raise DegeneracyError("unusable_baseline",
+                                  "baseline produced unusable sources")
+    except (LocusError, np.linalg.LinAlgError) as err:
+        # fall back to a seeded random start
         logger.warning("baseline initialization failed (%s); using random "
                        "orthogonal start", err)
         a_tilde = _polar_orthogonalize(rng.standard_normal((q, q)))
@@ -390,8 +460,7 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
     regularizer = config.regularizer
     kind = RegularizerKind(regularizer, phi)
     rng = np.random.default_rng(config.seed)
-    edge_map = EdgeIndexMap(node_count)
-    node_idx = [edge_map.node_edges(v) for v in range(node_count)]
+    shrink = phi / 2.0 if regularizer == "vector_l1" else 0.0
 
     if init is None:
         init = initialize(whitened, q, config, ica_model=ica_model)
@@ -419,41 +488,45 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
     for it in range(1, config.max_iter + 1):
         iterations = it
         targets = a_tilde.T @ whitened.y_tilde
+        if regularizer == "uniform_l1":
+            s_star = soft_threshold(targets, phi / 2.0)
+        else:
+            s_star = targets
 
+        # adaptive rank re-selection against the unstructured sources; a
+        # zero source is re-seeded below, in source order
+        starts: dict[int, LowRankSource] = {}
         for ell in range(q):
-            y_src = targets[ell]
-            if regularizer == "uniform_l1":
-                s_star = soft_threshold(y_src, phi / 2.0)
-            else:
-                s_star = y_src
-
-            # adaptive rank re-selection against the unstructured source
             try:
-                new_rank, eig_src = select_rank(s_star, config.rho, r_max)
+                new_rank, eig_src = select_rank(s_star[ell], config.rho, r_max)
             except DegeneracyError:
-                sources[ell] = reseed(ell, y_src, it)
                 continue
-            if new_rank != sources[ell].rank:
-                x = np.array(eig_src.x)
-                d = np.array(eig_src.d)
-            else:
-                x = np.array(sources[ell].x)
-                d = np.array(sources[ell].d)
+            starts[ell] = (eig_src if new_rank != sources[ell].rank
+                           else sources[ell])
 
-            # Step 1: node sweep, freshest coordinates within the sweep
-            ctx = {"x": x, "d": d, "node": 0}
-            for v in range(node_count):
-                ctx["node"] = v
-                x[v] = prox_step(kind, y_src[node_idx[v]], ctx)
-            if not np.all(np.isfinite(x)):
+        # Step 1: node sweep over all sources together, freshest coordinates
+        # within the sweep
+        swept = {}
+        if starts:
+            swept = dict(zip(starts, sweep_nodes(
+                [(src.x, src.d) for src in starts.values()],
+                np.stack([unvectorize(s_star[ell], node_count) for ell in starts]),
+                shrink)))
+            if not all(np.all(np.isfinite(x)) for x in swept.values()):
                 raise NumericError("non_finite",
                                    f"node update overflowed at iteration {it}")
 
-            # renormalize columns, absorbing scale into d
+        for ell in range(q):
+            y_src = targets[ell]
+            if ell not in starts:
+                sources[ell] = reseed(ell, y_src, it)
+                continue
+            x = swept[ell]
+
+            # renormalize columns; the weight step below re-fits d
             norms = np.linalg.norm(x, axis=0)
             alive = norms > 0
             x[:, alive] /= norms[alive]
-            d = d * norms ** 2
 
             # Step 2: diagonal weights against the full-length target
             d = prox_step(kind, y_src, {"z": _z_columns(x)})

@@ -140,11 +140,40 @@ class TestTune:
                     "--max-iter", 40, "--out", out])
         assert code == 0
         lines = (out / "grid.csv").read_text().strip().splitlines()
-        assert lines[0] == "phi,rho,bic,iterations,converged"
+        assert lines[0] == "phi,rho,bic,iterations,converged,error"
         assert len(lines) == 1 + 6
+        assert all(line.endswith(",") for line in lines[1:])
         best = read_meta(out / "best")
         assert float(best["phi"]) in (0.0, 0.01, 0.02)
         assert float(best["rho"]) in (0.8, 0.9)
+
+    def test_failed_cell_reason_in_grid_csv(self, sim_dir, tmp_path,
+                                            monkeypatch):
+        import csv
+
+        import locus.modelsel as modelsel
+        from locus.errors import DegeneracyError
+        real_fit = modelsel.fit
+
+        def flaky_fit(whitened, q, config, **kwargs):
+            if config.phi == 0.02:
+                raise DegeneracyError("singular_sources",
+                                      "sources 0, 2 are linearly dependent")
+            return real_fit(whitened, q, config, **kwargs)
+
+        monkeypatch.setattr(modelsel, "fit", flaky_fit)
+        out = tmp_path / "tune"
+        assert run(["tune", sim_dir / "dataset.csv", "--q", 3,
+                    "--phi-grid", "0,0.02", "--rho-grid", "0.9",
+                    "--max-iter", 40, "--out", out]) == 0
+        with open(out / "grid.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        ok, failed = rows
+        assert ok["bic"] and ok["error"] == ""
+        assert failed["phi"] == "0.02" and failed["bic"] == ""
+        assert failed["error"] == ("DegeneracyError: [singular_sources] "
+                                   "sources 0, 2 are linearly dependent")
 
 
 class TestEvaluate:

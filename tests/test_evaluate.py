@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from locus.connmat import ConnectivityDataset
-from locus.errors import ValidationError
+from locus.errors import DegeneracyError, ValidationError
 from locus.evaluate import (align_estimates, bootstrap_indices,
                             bootstrap_replicates, loading_covariate_correlation,
                             match_sources, reliability_index,
@@ -184,13 +184,24 @@ class TestBootstrap:
         def flaky(d, seed):
             calls["n"] += 1
             if calls["n"] == 2:
-                raise RuntimeError("boom")
+                raise DegeneracyError("singular_sources", "boom")
             return np.zeros((2, ds.n_edges))
 
         result = bootstrap_replicates(ds, flaky, 3, seed=1)
         assert result.n_success == 2
         assert len(result.failures) == 1
         assert result.failures[0][0] == 1
+        assert result.failures[0][1].startswith("DegeneracyError")
+
+    def test_programming_error_propagates(self):
+        rng = np.random.default_rng(10)
+        ds = self.make_dataset(rng)
+
+        def buggy(d, seed):
+            raise TypeError("shape bug")
+
+        with pytest.raises(TypeError):
+            bootstrap_replicates(ds, buggy, 3, seed=1)
 
     def test_b_lower_bound(self):
         rng = np.random.default_rng(11)

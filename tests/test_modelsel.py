@@ -6,7 +6,7 @@ import pytest
 from locus.connmat import ConnectivityDataset, unvectorize, vectorize
 from locus.errors import DegeneracyError, ValidationError
 from locus.modelsel import (RankCapWarning, RankSelection, bic, select_rank,
-                            tune)
+                            truncation_ratios, tune)
 from locus.solver import LocusModel, LowRankSource, SolverConfig
 from locus.synth import SyntheticSpec, generate
 
@@ -51,6 +51,36 @@ class TestSelectRank:
                 break
         rank, _ = select_rank(s_star, rho, node_count - 1)
         assert rank == expected_rank
+
+    def test_closed_form_ratios_match_per_rank_rebuild(self):
+        # reference: rebuild the rank-r edge vector one component at a time
+        # and measure its residual directly
+        rng = np.random.default_rng(4)
+        for node_count in (8, 20, 50):
+            r_max = min(10, node_count - 1)
+            for _ in range(5):
+                a = rng.standard_normal((node_count, node_count))
+                m = a + a.T
+                np.fill_diagonal(m, 0.0)
+                s_star = vectorize(m)
+                norm2 = float(np.sum(s_star ** 2))
+                eigvals, eigvecs = np.linalg.eigh(m)
+                order = np.argsort(-np.abs(eigvals))[:r_max]
+                eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+                r_idx, c_idx = np.triu_indices(node_count, k=1)
+                recon = np.zeros_like(s_star)
+                expected = []
+                for r in range(r_max):
+                    vec = eigvecs[:, r]
+                    recon = recon + eigvals[r] * vec[r_idx] * vec[c_idx]
+                    expected.append(float(np.sum((recon - s_star) ** 2)) / norm2)
+                got = truncation_ratios(eigvals, eigvecs, norm2)
+                assert np.max(np.abs(got - expected)) <= 1e-12
+                for rho in (0.05, 0.1, 0.2, 0.3):
+                    hits = [r for r in range(r_max)
+                            if expected[r] <= 1.0 - rho]
+                    if hits:
+                        assert select_rank(s_star, rho, r_max)[0] == hits[0] + 1
 
     def test_rho_near_one_hits_cap_with_warning(self):
         rng = np.random.default_rng(2)
@@ -228,7 +258,7 @@ class TestTune:
         def flaky_fit(whitened, q, config, **kwargs):
             fitted["n"] += 1
             if config.phi == 0.02:
-                raise RuntimeError("synthetic failure")
+                raise DegeneracyError("singular_sources", "synthetic failure")
             return real_fit(whitened, q, config, **kwargs)
 
         monkeypatch.setattr(modelsel, "fit", flaky_fit)
@@ -244,10 +274,22 @@ class TestTune:
         import locus.modelsel as modelsel
 
         def broken_fit(*args, **kwargs):
-            raise RuntimeError("nope")
+            raise np.linalg.LinAlgError("nope")
 
         monkeypatch.setattr(modelsel, "fit", broken_fit)
         with pytest.raises(DegeneracyError, match="all_cells_failed"):
+            tune(ds, 3, [0.0], [0.9], SolverConfig(seed=0))
+
+    def test_programming_error_in_cell_propagates(self, monkeypatch):
+        ds, _ = generate(SyntheticSpec(node_count=12, q=3, n_subjects=20,
+                                       sigma=0.5, seed=13))
+        import locus.modelsel as modelsel
+
+        def buggy_fit(*args, **kwargs):
+            raise TypeError("shape bug")
+
+        monkeypatch.setattr(modelsel, "fit", buggy_fit)
+        with pytest.raises(TypeError):
             tune(ds, 3, [0.0], [0.9], SolverConfig(seed=0))
 
     def test_workers_do_not_change_result(self, monkeypatch):

@@ -3,7 +3,13 @@ import pytest
 
 from locus.errors import ValidationError
 from locus.regularizers import RegularizerKind, penalty_value, prox_step
-from locus.solver import LowRankSource, _node_row, soft_threshold, update_d, update_node
+from locus.solver import LowRankSource, soft_threshold, update_d, update_node
+
+
+def textbook_row(x, d, v, bhat):
+    """D^(-1) (X(-v)' X(-v))^(-1) X(-v)' bhat with an explicit row delete."""
+    x_minus = np.delete(x, v, axis=0)
+    return np.linalg.solve(x_minus.T @ x_minus, x_minus.T @ bhat) / d
 
 
 def basis_source(node_count, node, weight):
@@ -77,7 +83,7 @@ class TestProxStep:
         y_proj = rng.standard_normal(7)
         ctx = {"x": np.array(src.x), "d": np.array(src.d), "node": 3}
         got = prox_step(RegularizerKind("vector_l1", 0.0), y_proj, ctx)
-        assert np.allclose(got, _node_row(src.x, src.d, 3, y_proj), atol=1e-14)
+        assert np.allclose(got, textbook_row(src.x, src.d, 3, y_proj), atol=1e-14)
 
     def test_uniform_node_path_equals_solver_update(self):
         rng = np.random.default_rng(5)

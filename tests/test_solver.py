@@ -5,11 +5,13 @@ import locus
 from locus.connmat import unvectorize, vectorize
 from locus.errors import DegeneracyError, DimensionError, ValidationError
 from locus.preprocess import WhitenedData, whiten
-from locus.solver import (DegenerateSourceWarning, LocusModel, LowRankSource,
-                          SolverConfig, _polar_orthogonalize, _z_columns,
+from locus.solver import (PINV_RTOL, PRUNE_RTOL, DegenerateSourceWarning,
+                          LocusModel, LowRankSource, SolverConfig,
+                          _polar_orthogonalize, _z_columns,
                           data_domain_objective, fit, initialize,
                           load_decomposition, objective, save_model,
-                          soft_threshold, update_d, update_mixing, update_node)
+                          soft_threshold, sweep_nodes, update_d, update_mixing,
+                          update_node)
 from locus.synth import SyntheticSpec, generate
 
 
@@ -117,6 +119,88 @@ class TestUpdateNode:
         src = random_source(rng, 6, 2)
         with pytest.raises(DimensionError):
             update_node(src, 0, np.zeros(6), 0.0)
+
+
+def reference_sweep(x, d, y_edges, variant, t):
+    """Textbook node-by-node sweep for one source: for each node v in turn,
+    D^(-1) (X(-v)' X(-v))^+ X(-v)' bhat with an explicit row delete, the
+    pseudo-inverse when s_min <= PINV_RTOL * s_max (2-norm), and zero
+    coordinates for weights below PRUNE_RTOL * max|d|.  Uniform-L1
+    thresholds the node's edge values first, vector-L1 the new row after,
+    nuclear neither.  Returns the new x and the number of pinv solves."""
+    x = np.array(x, dtype=float)
+    pinv_solves = 0
+    node_count = x.shape[0]
+    m = unvectorize(y_edges, node_count)
+    keep = np.abs(d) > PRUNE_RTOL * np.max(np.abs(d))
+    for v in range(node_count):
+        bhat = np.delete(m[v], v)
+        if variant == "uniform_l1":
+            bhat = soft_threshold(bhat, t)
+        x_minus = np.delete(x, v, axis=0)
+        gram = x_minus.T @ x_minus
+        svals = np.linalg.svd(gram, compute_uv=False)
+        if svals[-1] <= PINV_RTOL * svals[0]:
+            pinv_solves += 1
+            coef = np.linalg.pinv(gram, rcond=PINV_RTOL) @ (x_minus.T @ bhat)
+        else:
+            coef = np.linalg.solve(gram, x_minus.T @ bhat)
+        row = np.zeros_like(coef)
+        row[keep] = coef[keep] / d[keep]
+        if variant == "vector_l1":
+            row = soft_threshold(row, t)
+        x[v] = row
+    return x, pinv_solves
+
+
+class TestSweepNodes:
+    def test_batched_sweep_matches_node_by_node_reference(self):
+        rng = np.random.default_rng(40)
+        node_count = 12
+        p = node_count * (node_count - 1) // 2
+        # mixed ranks; a duplicated column (equal weights keep it duplicated
+        # through the sweep) makes every Gram rank deficient; a near-zero
+        # weight is pruned from the projection
+        plain = rng.standard_normal((node_count, 3))
+        dup = rng.standard_normal((node_count, 3))
+        dup[:, 2] = dup[:, 1]
+        factors = [
+            (rng.standard_normal((node_count, 1)), np.array([1.7])),
+            (plain, np.array([2.0, -1.3, 0.8])),
+            (dup, np.array([1.1, 0.9, 0.9])),
+            (rng.standard_normal((node_count, 4)),
+             np.array([1.5, 1e-13, -2.2, 0.7])),
+        ]
+        y = rng.standard_normal((len(factors), p))
+        t = 0.3
+        for variant in ("uniform_l1", "vector_l1", "nuclear"):
+            expected, pinv_solves = zip(*[
+                reference_sweep(x, d, y[ell], variant, t)
+                for ell, (x, d) in enumerate(factors)])
+            # every node of the duplicated source, and the last node of the
+            # pruned one, whose dead column is all zero by then
+            assert pinv_solves == (0, 0, node_count, 1)
+            edges = soft_threshold(y, t) if variant == "uniform_l1" else y
+            targets = np.stack([unvectorize(row, node_count) for row in edges])
+            got = sweep_nodes(factors, targets,
+                              t if variant == "vector_l1" else 0.0)
+            for ell, (g, e) in enumerate(zip(got, expected)):
+                assert g.shape == factors[ell][0].shape
+                scale = max(1.0, float(np.max(np.abs(e))))
+                assert np.max(np.abs(g - e)) <= 1e-10 * scale, (variant, ell)
+            assert not got[3][:, 1].any()  # pruned weight's coordinates
+
+    def test_single_node_visit_leaves_other_rows(self):
+        rng = np.random.default_rng(41)
+        src = random_source(rng, 9, 2)
+        y_proj = rng.standard_normal(8)
+        targets = np.zeros((1, 9, 9))
+        targets[0, 4] = np.insert(y_proj, 4, 0.0)
+        (x,) = sweep_nodes([(src.x, src.d)], targets, nodes=(4,))
+        assert np.array_equal(np.delete(x, 4, axis=0), np.delete(src.x, 4, axis=0))
+        design = np.delete(src.x, 4, axis=0) * src.d
+        expected, *_ = np.linalg.lstsq(design, y_proj, rcond=None)
+        assert np.allclose(x[4], expected, atol=1e-10)
 
 
 class TestUpdateD:
@@ -430,7 +514,7 @@ class TestInitialize:
         ds, gt, w = scenario_whitened(1.0, 35)
 
         def broken(*args, **kwargs):
-            raise RuntimeError("no convergence")
+            raise DegeneracyError("singular_unmixing", "no convergence")
 
         import locus.baselines
         monkeypatch.setattr(locus.baselines, "fastica", broken)
@@ -439,6 +523,17 @@ class TestInitialize:
         assert np.linalg.norm(model.a_tilde.T @ model.a_tilde - np.eye(3)) < 1e-10
         again = initialize(w, 3, SolverConfig(seed=2))
         assert np.array_equal(model.a_tilde, again.a_tilde)
+
+    def test_baseline_programming_error_propagates(self, monkeypatch):
+        ds, gt, w = scenario_whitened(1.0, 35)
+
+        def buggy(*args, **kwargs):
+            raise TypeError("bad argument")
+
+        import locus.baselines
+        monkeypatch.setattr(locus.baselines, "fastica", buggy)
+        with pytest.raises(TypeError):
+            initialize(w, 3, SolverConfig(seed=2))
 
     def test_truncation_keeps_largest_magnitude_eigenvalues(self):
         # mixed-sign spectrum: magnitude ordering must keep the large
