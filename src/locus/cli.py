@@ -21,13 +21,13 @@ import numpy as np
 
 from . import __version__
 from .baselines import fastica
-from .connmat import load_dataset, save_dataset, unvectorize, vectorize
-from .errors import DegeneracyError, LocusError, NumericError, ValidationError
+from .connmat import load_dataset, save_dataset, unvectorize
+from .errors import DegeneracyError, LocusError, ValidationError
 from .evaluate import bootstrap_replicates, match_sources, reliability_report
 from .modelsel import tune
 from .preprocess import unmix_to_subject_space, whiten
 from .solver import (SolverConfig, fit, load_decomposition, read_meta,
-                     save_decomposition, save_model)
+                     read_sources, save_decomposition, save_model)
 from .synth import SyntheticSpec, generate
 
 SCENARIOS = {"I": "blocks_cross", "II": "triangle_circle_square",
@@ -35,6 +35,9 @@ SCENARIOS = {"I": "blocks_cross", "II": "triangle_circle_square",
              "triangle_circle_square": "triangle_circle_square"}
 REGULARIZERS = {"uniform": "uniform_l1", "vector": "vector_l1",
                 "nuclear": "nuclear"}
+# allowed values of the choice options, on the command line and in config files
+CHOICES = {"scenario": sorted(SCENARIOS), "regularizer": sorted(REGULARIZERS),
+           "method": ["locus", "fastica"], "format": ["square", "edge"]}
 
 # option value parsers for key=value config files (flags win on conflict)
 CONFIG_TYPES = {
@@ -114,10 +117,15 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
                 continue
             caster = CONFIG_TYPES.get(dest, str)
             try:
-                setattr(args, dest, caster(value))
+                value = caster(value)
             except ValueError as err:
                 raise ValidationError("bad_config",
                                       f"config key {key!r}: {err}") from err
+            if dest in CHOICES and value not in CHOICES[dest]:
+                raise ValidationError("bad_config",
+                                      f"config key {key!r}: {value!r} is not "
+                                      f"one of {CHOICES[dest]}")
+            setattr(args, dest, value)
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
@@ -140,7 +148,7 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--eps2", type=float, default=1e-4,
                      help="source-matrix stopping tolerance")
     sub.add_argument("--max-iter", type=int, default=1000, dest="max_iter")
-    sub.add_argument("--regularizer", choices=sorted(REGULARIZERS),
+    sub.add_argument("--regularizer", choices=CHOICES["regularizer"],
                      default="uniform")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--config", help="key=value file supplying defaults "
@@ -148,7 +156,7 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_data_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=["square", "edge"], default=None,
+    sub.add_argument("--format", choices=CHOICES["format"], default=None,
                      help="input layout (default: inferred)")
     sub.add_argument("--fisher", action="store_true",
                      help="apply the Fisher-Z transform to input correlations")
@@ -267,17 +275,12 @@ def cmd_tune(args) -> int:
 
 def _read_truth(truth_dir: str) -> tuple[np.ndarray, np.ndarray | None]:
     spec = read_meta(os.path.join(truth_dir, "spec"))
-    q = int(spec["q"])
-    rows = []
-    for ell in range(q):
-        m = np.loadtxt(os.path.join(truth_dir, f"S_{ell + 1}.csv"),
-                       delimiter=",", ndmin=2)
-        rows.append(vectorize(m))
+    sources, _ = read_sources(truth_dir, int(spec["q"]))
     loadings_path = os.path.join(truth_dir, "loadings.csv")
     loadings = None
     if os.path.isfile(loadings_path):
         loadings = np.loadtxt(loadings_path, delimiter=",", ndmin=2)
-    return np.vstack(rows), loadings
+    return sources, loadings
 
 
 def _bootstrap_fit_fn(method: str, q: int, args):
@@ -368,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a synthetic dataset")
-    sim.add_argument("--scenario", choices=sorted(SCENARIOS), default="I")
+    sim.add_argument("--scenario", choices=CHOICES["scenario"], default="I")
     sim.add_argument("--V", type=int, default=50)
     sim.add_argument("--q", type=int, default=3)
     sim.add_argument("--N", type=int, default=100)
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decompose", help="fit a decomposition to a dataset")
     dec.add_argument("data", help="edge CSV file or directory of square CSVs")
-    dec.add_argument("--method", choices=["locus", "fastica"], default="locus")
+    dec.add_argument("--method", choices=CHOICES["method"], default="locus")
     dec.add_argument("--q", type=int, required=True)
     dec.add_argument("--out", required=True)
     _add_solver_flags(dec)
@@ -407,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of bootstrap refits for reliability")
     ev.add_argument("--data", help="dataset to resample when bootstrapping")
     ev.add_argument("--method", action="append",
-                    choices=["locus", "fastica"],
+                    choices=CHOICES["method"],
                     help="method(s) to bootstrap (repeatable)")
     ev.add_argument("--top-fraction", type=float, default=0.01,
                     dest="top_fraction",
@@ -429,9 +432,6 @@ def main(argv=None) -> int:
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (DegeneracyError, NumericError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
     except LocusError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,50 +42,6 @@ def nodes_from_edge_count(p: int) -> int:
         raise DimensionError("dimension_mismatch",
                              f"edge count {p} does not equal V(V-1)/2 for any integer V")
     return v
-
-
-class EdgeIndexMap:
-    """Bijection between node pairs (u, v), u < v, and linear edge indices.
-
-    The enumeration is row-major over the upper triangle, matching the
-    header order of edge CSV files.
-    """
-
-    def __init__(self, node_count: int):
-        if node_count < 2:
-            raise DimensionError("dimension_mismatch",
-                                 f"need at least 2 nodes, got {node_count}")
-        self.node_count = node_count
-        self.edge_count = edge_count(node_count)
-        self._rows, self._cols = triu_indices(node_count)
-        # k-index of edge {u, v} for every ordered pair, -1 on the diagonal
-        lookup = np.full((node_count, node_count), -1, dtype=np.int64)
-        lookup[self._rows, self._cols] = np.arange(self.edge_count)
-        lookup[self._cols, self._rows] = np.arange(self.edge_count)
-        self._lookup = lookup
-
-    def forward(self, u: int, v: int) -> int:
-        """Linear index of edge (u, v); order of endpoints does not matter."""
-        if u == v:
-            raise ValidationError("diagonal_edge", f"({u}, {v}) is not an edge")
-        return int(self._lookup[u, v])
-
-    def inverse(self, k: int) -> tuple[int, int]:
-        return int(self._rows[k]), int(self._cols[k])
-
-    def node_edges(self, v: int) -> np.ndarray:
-        """Linear indices of the V-1 edges involving node v, ordered by the
-        other endpoint (ascending, skipping v itself)."""
-        others = np.concatenate([np.arange(v), np.arange(v + 1, self.node_count)])
-        return self._lookup[v, others]
-
-    @property
-    def row_indices(self) -> np.ndarray:
-        return self._rows
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        return self._cols
 
 
 def _check_symmetric(m: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
@@ -158,9 +114,11 @@ class ConnectivityDataset:
     data: np.ndarray
     node_count: int
     subject_ids: list[str] | None = None
-    edge_map: EdgeIndexMap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.node_count < 2:
+            raise DimensionError("dimension_mismatch",
+                                 f"need at least 2 nodes, got {self.node_count}")
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 2:
             raise DimensionError("dimension_mismatch",
@@ -180,7 +138,6 @@ class ConnectivityDataset:
         data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "edge_map", EdgeIndexMap(self.node_count))
 
     @property
     def n_subjects(self) -> int:
@@ -189,10 +146,6 @@ class ConnectivityDataset:
     @property
     def n_edges(self) -> int:
         return self.data.shape[1]
-
-    def subject_matrix(self, i: int) -> np.ndarray:
-        """Subject i's connectivity as a symmetric V x V matrix."""
-        return unvectorize(self.data[i], self.node_count)
 
 
 def edge_labels(node_count: int) -> list[str]:

@@ -231,16 +231,3 @@ def bootstrap_replicates(dataset: ConnectivityDataset, fit_fn, b: int,
             failures.append((rep, f"{type(err).__name__}: {err}"))
     return BootstrapResult(estimates=np.array(estimates), indices=indices,
                            failures=tuple(failures))
-
-
-def loading_covariate_correlation(loadings: np.ndarray,
-                                  covariate: np.ndarray) -> np.ndarray:
-    """Plain Pearson correlation of each loading column with a covariate."""
-    loadings = np.asarray(loadings, dtype=float)
-    covariate = np.asarray(covariate, dtype=float)
-    if loadings.shape[0] != covariate.shape[0]:
-        raise DimensionError("dimension_mismatch",
-                             f"{loadings.shape[0]} subjects vs {covariate.shape[0]} "
-                             "covariate values")
-    return np.array([_pearson(loadings[:, ell], covariate)
-                     for ell in range(loadings.shape[1])])

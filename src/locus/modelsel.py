@@ -29,20 +29,6 @@ class RankCapWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class RankSelection:
-    """Record of the adaptive rank choices for one fit."""
-
-    rho: float
-    r_max: int
-    chosen_ranks: tuple[int, ...]
-
-    def __post_init__(self):
-        if not all(1 <= r <= self.r_max for r in self.chosen_ranks):
-            raise ValidationError("bad_rank",
-                                  f"ranks {self.chosen_ranks} outside [1, {self.r_max}]")
-
-
-@dataclass(frozen=True)
 class TuningCell:
     phi: float
     rho: float

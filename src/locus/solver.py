@@ -7,9 +7,22 @@ nodes, Gauss-Seidel), then the diagonal weights of every source, and
 finally re-estimates the reduced mixing matrix and orthogonalizes it.  The
 targets are fixed while the sources update, so the sources' node blocks are
 independent: one sweep over the nodes updates node v of every source at
-once (:func:`sweep_nodes`).  Both block updates share the same two-stage
-scheme: soft-threshold the projected data in edge space, then least-squares
-project onto the current low-rank span.
+once (:func:`sweep_nodes`).
+
+The three regularizers share this loop.  Both block updates least-squares
+project onto the current low-rank span; the variants differ only in the
+penalty term (:func:`penalty`) and in where one soft-threshold at phi/2
+lands:
+
+* ``uniform_l1`` (default): element-wise L1 on the reconstructed source's
+  edges.  :func:`fit` thresholds the projected targets' edges before both
+  block updates.
+* ``vector_l1``: L1 on the entries of the coordinate matrices X.  Each node
+  row is thresholded after its unpenalized least-squares step (the
+  ``shrink`` of :func:`sweep_nodes`).
+* ``nuclear``: nuclear norm of the reconstructed source.
+  :func:`update_d` shrinks the diagonal weights (valid while X stays
+  near-orthonormal).
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connmat import nodes_from_edge_count, triu_indices, unvectorize
+from .connmat import nodes_from_edge_count, triu_indices, unvectorize, vectorize
 from .errors import (DegeneracyError, DimensionError, LocusError, NumericError,
                      ValidationError)
 from .preprocess import WhitenedData, unmix_to_subject_space
@@ -30,8 +43,18 @@ logger = logging.getLogger(__name__)
 
 PINV_RTOL = 1e-10
 PRUNE_RTOL = 1e-10
+ORTHO_GRAM_TOL = 1e-3
 
 REGULARIZERS = ("uniform_l1", "vector_l1", "nuclear")
+
+
+def _check_penalty(phi: float, regularizer: str) -> None:
+    if phi < 0:
+        raise ValidationError("bad_config", f"phi must be >= 0, got {phi}")
+    if regularizer not in REGULARIZERS:
+        raise ValidationError("bad_config",
+                              f"unknown regularizer {regularizer!r}, "
+                              f"expected one of {REGULARIZERS}")
 
 
 class DegenerateSourceWarning(UserWarning):
@@ -109,7 +132,9 @@ class LowRankSource:
 class SolverConfig:
     """Solver settings.
 
-    phi : sparsity weight (threshold phi/2 in the edge-space prox step)
+    phi : sparsity weight; the phi/2 soft-threshold lands on the targets'
+        edges (uniform_l1), on each new node row (vector_l1) or on the
+        diagonal weights (nuclear)
     rho : rank-closeness level in (0, 1); larger keeps more energy
     r_max : per-source rank cap (effective cap is min(r_max, V-1))
     eps1, eps2 : relative-change stopping tolerances for the mixing matrix
@@ -127,8 +152,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.phi < 0:
-            raise ValidationError("bad_config", f"phi must be >= 0, got {self.phi}")
+        _check_penalty(self.phi, self.regularizer)
         if not 0 < self.rho < 1:
             raise ValidationError("bad_config", f"rho must lie in (0, 1), got {self.rho}")
         if self.eps1 <= 0 or self.eps2 <= 0:
@@ -137,10 +161,6 @@ class SolverConfig:
             raise ValidationError("bad_config", "max_iter must be >= 1")
         if self.r_max < 1:
             raise ValidationError("bad_config", "r_max must be >= 1")
-        if self.regularizer not in REGULARIZERS:
-            raise ValidationError("bad_config",
-                                  f"unknown regularizer {self.regularizer!r}, "
-                                  f"expected one of {REGULARIZERS}")
 
 
 @dataclass
@@ -210,7 +230,11 @@ def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
     them.
     """
     q = len(factors)
-    node_count = targets.shape[1]
+    node_count = np.shape(factors[0][0])[0]
+    if targets.shape != (q, node_count, node_count):
+        raise DimensionError("dimension_mismatch",
+                             f"targets of shape {targets.shape}, expected "
+                             f"{(q, node_count, node_count)}")
     ranks = [np.shape(x)[1] for x, _ in factors]
     width = max(ranks)
     x = np.zeros((q, node_count, width))
@@ -257,57 +281,32 @@ def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
     return [x[ell, :, :rank] for ell, rank in enumerate(ranks)]
 
 
-def node_targets(values: np.ndarray, v: int) -> np.ndarray:
-    """(1, V, V) target for :func:`sweep_nodes` whose row v holds the V-1
-    edge values at node v (ordered by the other endpoint)."""
-    node_count = values.shape[0] + 1
-    targets = np.zeros((1, node_count, node_count))
-    targets[0, v] = np.insert(values, v, 0.0)
-    return targets
-
-
-def update_node(source: LowRankSource, v: int, y_proj: np.ndarray,
-                phi: float) -> np.ndarray:
-    """Two-stage update of node v's latent coordinates.
-
-    y_proj holds the V-1 projected edge values involving node v, ordered by
-    the other endpoint.  Stage one soft-thresholds them at phi/2; stage two
-    projects the result onto the span of the other nodes' coordinates.
-    """
-    y_proj = np.asarray(y_proj, dtype=float)
-    if y_proj.shape != (source.node_count - 1,):
-        raise DimensionError("dimension_mismatch",
-                             f"expected {source.node_count - 1} projected values, "
-                             f"got {y_proj.shape}")
-    bhat = soft_threshold(y_proj, phi / 2.0)
-    return sweep_nodes([(source.x, source.d)], node_targets(bhat, v),
-                       nodes=(v,))[0][v]
-
-
 def _z_columns(x: np.ndarray) -> np.ndarray:
     """(p, R) matrix whose r-th column is the edge vector of x_r x_r'."""
     r, c = triu_indices(x.shape[0])
     return x[r] * x[c]
 
 
-def update_d(source: LowRankSource, y_src: np.ndarray, phi: float) -> np.ndarray:
-    """Two-stage update of the diagonal weights.
+def update_d(x: np.ndarray, target: np.ndarray, phi: float,
+             regularizer: str) -> np.ndarray:
+    """Diagonal-weights step for the node coordinates ``x`` (V, R).
 
-    Thresholds the full-length projected source at phi/2, then projects
-    onto the span of the per-component edge vectors Z.  Weights that come
-    back below PRUNE_RTOL * max|d| are zeroed (rank reduction happens in
-    the caller).
+    Projects the length-p ``target`` (for uniform_l1, already thresholded
+    by the caller) onto the span of the per-component edge vectors Z; for
+    nuclear the weights are then soft-thresholded at phi/2.  Weights below
+    PRUNE_RTOL * max|d| are zeroed (rank reduction happens in the caller).
     """
-    z = _z_columns(source.x)
-    y_src = np.asarray(y_src, dtype=float)
-    if y_src.shape != (z.shape[0],):
+    z = _z_columns(x)
+    target = np.asarray(target, dtype=float)
+    if target.shape != (z.shape[0],):
         raise DimensionError("dimension_mismatch",
-                             f"expected {z.shape[0]} edge values, got {y_src.shape}")
-    s_star = soft_threshold(y_src, phi / 2.0)
-    d = _solve_gram(z.T @ z, z.T @ s_star)
+                             f"expected {z.shape[0]} edge values, got {target.shape}")
+    d = _solve_gram(z.T @ z, z.T @ target)
+    if regularizer == "nuclear":
+        d = soft_threshold(d, phi / 2.0)
     scale = np.max(np.abs(d), initial=0.0)
     small = np.abs(d) < PRUNE_RTOL * scale
-    if small.any() and scale > 0:
+    if small.any():
         logger.debug("zeroing %d near-zero diagonal weights", int(small.sum()))
         d = np.where(small, 0.0, d)
     return d
@@ -336,9 +335,29 @@ def update_mixing(whitened: WhitenedData, sources: list[LowRankSource]) -> np.nd
     return _polar_orthogonalize(a_raw)
 
 
-def _penalty(sources: list[LowRankSource], phi: float, regularizer: str) -> float:
-    from .regularizers import RegularizerKind, penalty_value
-    return penalty_value(RegularizerKind(regularizer, phi), sources)
+def _nuclear_norm(source: LowRankSource) -> float:
+    """Nuclear norm of the reconstructed V x V matrix.  With orthonormal
+    columns this is sum |d_r|; otherwise fall back to singular values."""
+    gram = source.x.T @ source.x
+    if np.linalg.norm(gram - np.eye(source.rank)) <= ORTHO_GRAM_TOL:
+        return float(np.sum(np.abs(source.d)))
+    return float(np.sum(np.linalg.svd(source.matrix(), compute_uv=False)))
+
+
+def penalty(sources: list[LowRankSource], phi: float, regularizer: str) -> float:
+    """Penalty term of the objective: phi times the L1 norm of the sources'
+    edges (uniform_l1) or of their coordinates X (vector_l1), or phi times
+    their nuclear norms (nuclear)."""
+    _check_penalty(phi, regularizer)
+    if phi == 0:
+        return 0.0
+    if regularizer == "uniform_l1":
+        total = sum(float(np.sum(np.abs(s.edge_vector()))) for s in sources)
+    elif regularizer == "vector_l1":
+        total = sum(float(np.sum(np.abs(s.x))) for s in sources)
+    else:
+        total = sum(_nuclear_norm(s) for s in sources)
+    return phi * total
 
 
 def objective(whitened: WhitenedData, model: LocusModel, phi: float,
@@ -351,7 +370,7 @@ def objective(whitened: WhitenedData, model: LocusModel, phi: float,
     targets = model.a_tilde.T @ whitened.y_tilde
     s = model.source_matrix()
     fidelity = float(np.sum((targets - s) ** 2))
-    return fidelity + _penalty(model.sources, phi, regularizer)
+    return fidelity + penalty(model.sources, phi, regularizer)
 
 
 def data_domain_objective(whitened: WhitenedData, model: LocusModel, phi: float,
@@ -360,7 +379,7 @@ def data_domain_objective(whitened: WhitenedData, model: LocusModel, phi: float,
     the penalty.  Agrees with :func:`objective` for orthogonal mixing."""
     s = model.source_matrix()
     resid = whitened.y_tilde - model.a_tilde @ s
-    return float(np.sum(resid ** 2)) + _penalty(model.sources, phi, regularizer)
+    return float(np.sum(resid ** 2)) + penalty(model.sources, phi, regularizer)
 
 
 def _reseed_source(y_src: np.ndarray, node_count: int,
@@ -449,7 +468,6 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
     sources.
     """
     from .modelsel import select_rank
-    from .regularizers import RegularizerKind, prox_step
 
     if q != whitened.q:
         raise DimensionError("dimension_mismatch",
@@ -458,7 +476,6 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
     r_max = min(config.r_max, node_count - 1)
     phi = config.phi
     regularizer = config.regularizer
-    kind = RegularizerKind(regularizer, phi)
     rng = np.random.default_rng(config.seed)
     shrink = phi / 2.0 if regularizer == "vector_l1" else 0.0
 
@@ -529,13 +546,13 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
             x[:, alive] /= norms[alive]
 
             # Step 2: diagonal weights against the full-length target
-            d = prox_step(kind, y_src, {"z": _z_columns(x)})
+            d = update_d(x, s_star[ell], phi, regularizer)
             if not np.all(np.isfinite(d)):
                 raise NumericError("non_finite",
                                    f"weight update overflowed at iteration {it}")
 
-            keep = np.abs(d) >= PRUNE_RTOL * np.max(np.abs(d), initial=0.0)
-            if np.max(np.abs(d), initial=0.0) == 0 or not keep.any():
+            keep = d != 0
+            if not keep.any():
                 sources[ell] = reseed(ell, y_src, it)
                 continue
             if not keep.all():
@@ -588,6 +605,14 @@ def read_meta(path: str) -> dict:
     return meta
 
 
+def read_sources(path: str, q: int) -> tuple[np.ndarray, int]:
+    """Read S_1.csv .. S_<q>.csv (V x V symmetric) from a fit or truth
+    directory.  Returns their (q, p) edge vectors and V."""
+    matrices = [np.loadtxt(os.path.join(path, f"S_{ell + 1}.csv"),
+                           delimiter=",", ndmin=2) for ell in range(q)]
+    return np.vstack([vectorize(m) for m in matrices]), matrices[0].shape[0]
+
+
 def save_decomposition(path: str, sources: np.ndarray, node_count: int,
                        a: np.ndarray, a_tilde: np.ndarray, meta: dict,
                        factors: list[LowRankSource] | None = None) -> None:
@@ -637,16 +662,8 @@ def load_decomposition(path: str) -> dict:
     "node_count".
     """
     meta = read_meta(os.path.join(path, "meta"))
-    q = int(meta["q"])
-    from .connmat import vectorize
-    rows = []
-    for ell in range(q):
-        m = np.loadtxt(os.path.join(path, f"S_{ell + 1}.csv"),
-                       delimiter=",", ndmin=2)
-        rows.append(vectorize(m))
-    sources = np.vstack(rows)
+    sources, node_count = read_sources(path, int(meta["q"]))
     a = np.loadtxt(os.path.join(path, "A.csv"), delimiter=",", ndmin=2)
     a_tilde = np.loadtxt(os.path.join(path, "A_tilde.csv"), delimiter=",", ndmin=2)
-    node_count = int(round((1 + np.sqrt(1 + 8 * sources.shape[1])) / 2))
     return {"sources": sources, "a": a, "a_tilde": a_tilde, "meta": meta,
             "node_count": node_count}

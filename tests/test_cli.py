@@ -131,6 +131,28 @@ class TestDecompose:
                     "--config", cfg, "--phi", 0.07, "--out", out2]) == 0
         assert read_meta(out2 / "manifest")["phi"] == "0.07"
 
+    @pytest.mark.parametrize("line", ["regularizer=uniform_l1", "method=pca"])
+    def test_config_value_outside_choices_exit_3(self, sim_dir, tmp_path,
+                                                 capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x"
+        assert run(["decompose", sim_dir / "dataset.csv", "--q", 3,
+                    "--config", cfg, "--out", out]) == 3
+        assert "bad_config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_numeric_error_exit_4(self, sim_dir, tmp_path, monkeypatch):
+        import locus.cli as cli
+        from locus.errors import NumericError
+
+        def overflow(*args, **kwargs):
+            raise NumericError("non_finite", "node update overflowed")
+
+        monkeypatch.setattr(cli, "fit", overflow)
+        assert run(["decompose", sim_dir / "dataset.csv", "--q", 3,
+                    "--out", tmp_path / "x"]) == 4
+
 
 class TestTune:
     def test_grid_csv_rows_and_best(self, sim_dir, tmp_path):

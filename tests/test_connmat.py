@@ -1,42 +1,34 @@
 import numpy as np
 import pytest
 
-from locus.connmat import (ConnectivityDataset, EdgeIndexMap, edge_labels,
+from locus.connmat import (ConnectivityDataset, edge_count, edge_labels,
                            fisher_z, load_dataset, nodes_from_edge_count,
-                           save_dataset, unvectorize, vectorize)
+                           save_dataset, triu_indices, unvectorize, vectorize)
 from locus.errors import DimensionError, ValidationError
 
 
 class TestEdgeIndexMap:
+    """The map between edge index k and node pair (u, v) that
+    ``triu_indices`` defines: row-major over the upper triangle."""
+
     def test_enumeration_order_matches_row_major_upper_triangle(self):
-        em = EdgeIndexMap(4)
+        rows, cols = triu_indices(4)
         expected = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        assert [em.inverse(k) for k in range(6)] == expected
+        assert list(zip(rows.tolist(), cols.tolist())) == expected
 
     def test_forward_inverse_identity(self):
-        em = EdgeIndexMap(9)
-        for k in range(em.edge_count):
-            u, v = em.inverse(k)
-            assert em.forward(u, v) == k
-            assert em.forward(v, u) == k
+        # vectorize is the forward map (u, v) -> k, triu_indices the inverse
+        rows, cols = triu_indices(9)
+        for k in range(edge_count(9)):
+            m = np.zeros((9, 9))
+            m[rows[k], cols[k]] = m[cols[k], rows[k]] = 1.0
+            assert np.flatnonzero(vectorize(m)).tolist() == [k]
 
     def test_bijection_hits_every_index_once(self):
-        em = EdgeIndexMap(7)
-        seen = sorted(em.forward(u, v) for u in range(7) for v in range(u + 1, 7))
-        assert seen == list(range(em.edge_count))
-
-    def test_node_edges_cover_all_neighbors(self):
-        em = EdgeIndexMap(6)
-        for v in range(6):
-            idx = em.node_edges(v)
-            assert len(idx) == 5
-            pairs = {em.inverse(int(k)) for k in idx}
-            assert pairs == {(min(u, v), max(u, v)) for u in range(6) if u != v}
-
-    def test_diagonal_rejected(self):
-        em = EdgeIndexMap(3)
-        with pytest.raises(ValidationError):
-            em.forward(1, 1)
+        rows, cols = triu_indices(7)
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+        assert len(pairs) == edge_count(7)
+        assert sorted(pairs) == [(u, v) for u in range(7) for v in range(u + 1, 7)]
 
 
 class TestVectorize:
@@ -52,10 +44,9 @@ class TestVectorize:
         rng = np.random.default_rng(7)
         a = rng.standard_normal((4, 4))
         m = a + a.T
-        em = EdgeIndexMap(4)
+        rows, cols = triu_indices(4)
         s = vectorize(m)
-        for k in range(em.edge_count):
-            u, v = em.inverse(k)
+        for k, (u, v) in enumerate(zip(rows, cols)):
             assert s[k] == m[u, v]
 
     def test_asymmetric_rejected_with_worst_pair_named(self):
@@ -95,6 +86,10 @@ class TestDataset:
     def test_p_v_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             ConnectivityDataset(data=np.zeros((3, 7)), node_count=4)
+
+    def test_fewer_than_two_nodes_rejected(self):
+        with pytest.raises(DimensionError):
+            ConnectivityDataset(data=np.zeros((3, 0)), node_count=1)
 
     def test_non_finite_rejected(self):
         data = np.zeros((2, 6))

@@ -4,9 +4,9 @@ import pytest
 from locus.connmat import ConnectivityDataset
 from locus.errors import DegeneracyError, ValidationError
 from locus.evaluate import (align_estimates, bootstrap_indices,
-                            bootstrap_replicates, loading_covariate_correlation,
-                            match_sources, reliability_index,
-                            reliability_report, top_edge_support)
+                            bootstrap_replicates, match_sources,
+                            reliability_index, reliability_report,
+                            top_edge_support)
 
 
 class TestMatchSources:
@@ -208,14 +208,3 @@ class TestBootstrap:
         ds = self.make_dataset(rng)
         with pytest.raises(ValidationError):
             bootstrap_replicates(ds, lambda d, s: None, 1)
-
-
-class TestLoadingCovariate:
-    def test_plain_pearson_per_column(self):
-        rng = np.random.default_rng(12)
-        cov = rng.standard_normal(30)
-        loadings = np.vstack([cov * 2.0, -cov, rng.standard_normal(30)]).T
-        got = loading_covariate_correlation(loadings, cov)
-        assert got[0] == pytest.approx(1.0, abs=1e-12)
-        assert got[1] == pytest.approx(-1.0, abs=1e-12)
-        assert abs(got[2]) < 0.5

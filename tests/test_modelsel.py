@@ -5,7 +5,7 @@ import pytest
 
 from locus.connmat import ConnectivityDataset, unvectorize, vectorize
 from locus.errors import DegeneracyError, ValidationError
-from locus.modelsel import (RankCapWarning, RankSelection, bic, select_rank,
+from locus.modelsel import (RankCapWarning, bic, select_rank,
                             truncation_ratios, tune)
 from locus.solver import LocusModel, LowRankSource, SolverConfig
 from locus.synth import SyntheticSpec, generate
@@ -107,11 +107,6 @@ class TestSelectRank:
     def test_zero_source_rejected(self):
         with pytest.raises(DegeneracyError):
             select_rank(np.zeros(10), 0.9, 3)
-
-    def test_rank_selection_record_validates(self):
-        RankSelection(rho=0.9, r_max=5, chosen_ranks=(1, 3, 5))
-        with pytest.raises(ValidationError):
-            RankSelection(rho=0.9, r_max=5, chosen_ranks=(0, 3, 5))
 
 
 def toy_model(sources, loadings):

@@ -10,8 +10,7 @@ from locus.solver import (PINV_RTOL, PRUNE_RTOL, DegenerateSourceWarning,
                           _polar_orthogonalize, _z_columns,
                           data_domain_objective, fit, initialize,
                           load_decomposition, objective, save_model,
-                          soft_threshold, sweep_nodes, update_d, update_mixing,
-                          update_node)
+                          soft_threshold, sweep_nodes, update_d, update_mixing)
 from locus.synth import SyntheticSpec, generate
 
 
@@ -81,12 +80,24 @@ def node_objective(x, d, v, y_proj, phi, row):
     return float(np.sum((y_proj - pred) ** 2) + phi * np.sum(np.abs(pred)))
 
 
+def visit_node(src, v, bhat):
+    """Node v's new row from a :func:`sweep_nodes` visit of node v alone,
+    with the V-1 edge values ``bhat`` at node v (ordered by the other
+    endpoint)."""
+    targets = np.zeros((1, src.node_count, src.node_count))
+    targets[0, v] = np.insert(bhat, v, 0.0)
+    return sweep_nodes([(src.x, src.d)], targets, nodes=(v,))[0][v]
+
+
 class TestUpdateNode:
+    """The uniform-L1 node step: threshold node v's edge values at phi/2,
+    then project them onto the span of the other nodes' coordinates."""
+
     def test_phi_zero_is_exact_least_squares(self):
         rng = np.random.default_rng(0)
         src = random_source(rng, 8, 3)
         y_proj = rng.standard_normal(7)
-        row = update_node(src, 2, y_proj, 0.0)
+        row = visit_node(src, 2, y_proj)
         design = np.delete(src.x, 2, axis=0) * src.d
         expected, *_ = np.linalg.lstsq(design, y_proj, rcond=None)
         assert np.allclose(row, expected, atol=1e-10)
@@ -96,7 +107,7 @@ class TestUpdateNode:
         src = random_source(rng, 6, 2)
         y_proj = rng.standard_normal(5)
         phi = 2.0 * np.max(np.abs(y_proj)) + 0.1
-        assert not update_node(src, 0, y_proj, phi).any()
+        assert not visit_node(src, 0, soft_threshold(y_proj, phi / 2.0)).any()
 
     def test_beats_random_candidates_on_node_subproblem(self):
         # random-search oracle for the penalized projection problem; the
@@ -107,7 +118,7 @@ class TestUpdateNode:
         v = 4
         y_proj = rng.standard_normal(9)
         phi = 0.2
-        row = update_node(src, v, y_proj, phi)
+        row = visit_node(src, v, soft_threshold(y_proj, phi / 2.0))
         ours = node_objective(src.x, src.d, v, y_proj, phi, row)
         scale = np.linalg.norm(row) + 1.0
         cands = rng.standard_normal((10_000, 2)) * scale
@@ -118,7 +129,7 @@ class TestUpdateNode:
         rng = np.random.default_rng(3)
         src = random_source(rng, 6, 2)
         with pytest.raises(DimensionError):
-            update_node(src, 0, np.zeros(6), 0.0)
+            sweep_nodes([(src.x, src.d)], np.zeros((1, 6, 7)), nodes=(0,))
 
 
 def reference_sweep(x, d, y_edges, variant, t):
@@ -204,6 +215,9 @@ class TestSweepNodes:
 
 
 class TestUpdateD:
+    """The uniform-L1 weight step: the target arrives thresholded at phi/2
+    and is projected onto the span of the per-component edge vectors."""
+
     def test_phi_zero_orthogonal_design_is_projection(self):
         # rank-1 factors on disjoint node pairs give orthogonal Z columns
         x = np.zeros((6, 2))
@@ -214,7 +228,7 @@ class TestUpdateD:
         assert abs(float(z[:, 0] @ z[:, 1])) < 1e-12
         rng = np.random.default_rng(4)
         y_src = rng.standard_normal(z.shape[0])
-        d = update_d(src, y_src, 0.0)
+        d = update_d(src.x, y_src, 0.0, "uniform_l1")
         expected = np.array([z[:, r] @ y_src / (z[:, r] @ z[:, r]) for r in range(2)])
         assert np.allclose(d, expected, atol=1e-10)
 
@@ -222,7 +236,7 @@ class TestUpdateD:
         rng = np.random.default_rng(5)
         src = random_source(rng, 7, 2)
         y_src = rng.standard_normal(21)
-        d = update_d(src, y_src, 1e6)
+        d = update_d(src.x, soft_threshold(y_src, 5e5), 1e6, "uniform_l1")
         assert not d.any()
 
     def test_beats_random_candidates_on_weight_subproblem(self):
@@ -236,7 +250,8 @@ class TestUpdateD:
             fitv = z @ d
             return float(np.sum((y_src - fitv) ** 2) + phi * np.sum(np.abs(fitv)))
 
-        d_hat = update_d(src, y_src, phi)
+        d_hat = update_d(src.x, soft_threshold(y_src, phi / 2.0), phi,
+                         "uniform_l1")
         ours = value(d_hat)
         scale = np.linalg.norm(d_hat) + 1.0
         cands = rng.standard_normal((10_000, 3)) * scale
@@ -395,6 +410,25 @@ class TestFit:
                                     gt.loadings, model.a)
         assert np.all(match.per_source_corr >= 0.999)
         assert np.all(match.loading_corr >= 0.999)
+
+    @pytest.mark.parametrize("regularizer", ["uniform_l1", "vector_l1", "nuclear"])
+    def test_weight_step_lands_threshold_per_variant(self, regularizer):
+        # after one iteration the weights are least squares on the final
+        # coordinates against the targets, thresholded at phi/2 first for
+        # uniform_l1; nuclear shrinks the weights at phi/2 afterwards
+        _, _, w = scenario_whitened(1.0, 3)
+        config = SolverConfig(phi=0.05, rho=0.9, seed=0, max_iter=1,
+                              regularizer=regularizer)
+        init = initialize(w, 3, config)
+        model = fit(w, 3, config, init=init)
+        targets = init.a_tilde.T @ w.y_tilde
+        if regularizer == "uniform_l1":
+            targets = soft_threshold(targets, config.phi / 2.0)
+        for ell, src in enumerate(model.sources):
+            d, *_ = np.linalg.lstsq(_z_columns(src.x), targets[ell], rcond=None)
+            if regularizer == "nuclear":
+                d = soft_threshold(d, config.phi / 2.0)
+            assert np.allclose(src.d, d, rtol=1e-9, atol=0.0), ell
 
     def test_phi_zero_objective_descends(self):
         ds, gt, w = scenario_whitened(1.0, 22)
