@@ -39,15 +39,6 @@ REGULARIZERS = {"uniform": "uniform_l1", "vector": "vector_l1",
 CHOICES = {"scenario": sorted(SCENARIOS), "regularizer": sorted(REGULARIZERS),
            "method": ["locus", "fastica"], "format": ["square", "edge"]}
 
-# option value parsers for key=value config files (flags win on conflict)
-CONFIG_TYPES = {
-    "q": int, "seed": int, "max_iter": int, "r_max": int,
-    "phi": float, "rho": float, "sigma": float, "eps1": float, "eps2": float,
-    "V": int, "N": int, "bootstrap": int,
-    "method": str, "regularizer": str, "scenario": str, "format": str,
-    "fisher": lambda s: s.lower() in ("1", "true", "yes"),
-}
-
 
 def _sha256_file(path: str) -> str:
     digest = hashlib.sha256()
@@ -95,17 +86,49 @@ def write_pgm(matrix: np.ndarray, path: str) -> None:
         fh.write(pixels.tobytes())
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill unset options from a key=value config file; explicit flags win."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
+def _command_options(parser: argparse.ArgumentParser,
+                     command: str) -> dict[str, argparse.Action]:
+    """The options of one subcommand by dest, without --help and --config."""
+    (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+    return {a.dest: a for a in commands[command]._actions
+            if a.option_strings and a.dest not in ("help", "config")}
+
+
+def _config_value(action: argparse.Action, key: str, text: str):
+    """Parse a config value the way the option's flag would: with its type
+    and choices, as a bool for a switch, and as a list of comma-separated
+    items for a repeatable option."""
+    if action.nargs == 0:
+        return text.lower() in ("1", "true", "yes")
+    repeatable = isinstance(action, argparse._AppendAction)
+    values = []
+    for item in (text.split(",") if repeatable else [text]):
+        item = item.strip()
+        try:
+            value = action.type(item) if action.type else item
+        except (ValueError, argparse.ArgumentTypeError) as err:
+            raise ValidationError("bad_config",
+                                  f"config key {key!r}: {err}") from err
+        if action.choices is not None and value not in action.choices:
+            raise ValidationError("bad_config",
+                                  f"config key {key!r}: {value!r} is not "
+                                  f"one of {list(action.choices)}")
+        values.append(value)
+    return values if repeatable else values[0]
+
+
+def _apply_config(args: argparse.Namespace, argv: list[str],
+                  options: dict[str, argparse.Action]) -> None:
+    """Fill unset options from a key=value config file; explicit flags win.
+
+    Only the subcommand's own ``options`` (by dest) are read; other keys,
+    such as positional arguments or parser internals, are skipped."""
+    path = args.config
     if not os.path.isfile(path):
         raise ValidationError("bad_config", f"config file {path!r} not found")
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
+    given = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
+    explicit = {dest for dest, action in options.items()
+                if given.intersection(action.option_strings)}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -113,19 +136,9 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
                 continue
             key, value = (part.strip() for part in line.split("=", 1))
             dest = key.replace("-", "_")
-            if dest in explicit or not hasattr(args, dest):
+            if dest in explicit or dest not in options:
                 continue
-            caster = CONFIG_TYPES.get(dest, str)
-            try:
-                value = caster(value)
-            except ValueError as err:
-                raise ValidationError("bad_config",
-                                      f"config key {key!r}: {err}") from err
-            if dest in CHOICES and value not in CHOICES[dest]:
-                raise ValidationError("bad_config",
-                                      f"config key {key!r}: {value!r} is not "
-                                      f"one of {CHOICES[dest]}")
-            setattr(args, dest, value)
+            setattr(args, dest, _config_value(options[dest], key, value))
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
@@ -426,8 +439,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "config"):
-            _apply_config(args, argv)
+        if getattr(args, "config", None):
+            _apply_config(args, argv, _command_options(parser, args.command))
         return args.func(args)
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -9,6 +9,16 @@ targets are fixed while the sources update, so the sources' node blocks are
 independent: one sweep over the nodes updates node v of every source at
 once (:func:`sweep_nodes`).
 
+Each node block is a least-squares solve against X(-v)' X(-v), which
+differs from X'X by one rank-1 downdate and, after the node, one rank-1
+update.  The sweep carries (X'X)^(-1) across nodes by Sherman-Morrison
+and solves with it while a running bound certifies cond(X(-v)' X(-v))
+<= CERT, two decades inside the PINV_RTOL singular rule; a node without
+that certificate falls back to an eigendecomposition and applies the rule
+itself.  The weight step reads Z'Z and Z't of the per-component edge
+vectors Z from closed-form moments of X and the (V, V) target
+(:func:`update_d`), so no p x R matrix is built.
+
 The three regularizers share this loop.  Both block updates least-squares
 project onto the current low-rank span; the variants differ only in the
 penalty term (:func:`penalty`) and in where one soft-threshold at phi/2
@@ -42,6 +52,9 @@ from .preprocess import WhitenedData, unmix_to_subject_space
 logger = logging.getLogger(__name__)
 
 PINV_RTOL = 1e-10
+# condition-number bound under which sweep_nodes solves by its
+# Sherman-Morrison inverse: two decades inside the PINV_RTOL rule
+CERT = 1e-2 / PINV_RTOL
 PRUNE_RTOL = 1e-10
 ORTHO_GRAM_TOL = 1e-3
 
@@ -121,8 +134,7 @@ class LowRankSource:
         Computed once per instance and returned read-only."""
         vec = self.__dict__.get("_edge_vector")
         if vec is None:
-            r, c = triu_indices(self.node_count)
-            vec = np.einsum("ij,ij->i", self.x[r] * self.d, self.x[c])
+            vec = self.matrix()[triu_indices(self.node_count)]
             vec.setflags(write=False)
             object.__setattr__(self, "_edge_vector", vec)
         return vec
@@ -218,16 +230,27 @@ def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
     projection D^(-1) (X(-v)' X(-v))^+ X(-v)' b_v against the freshest rows
     of the other nodes, soft-thresholded at ``shrink`` afterwards.  Visits
     ``nodes`` in order (default: all) and returns the updated x arrays.
-
-    X(-v)' X(-v) is the rank-1 downdate X'X - x_v x_v' of a Gram kept current
-    by rank-1 updates; X(-v)' b_v is X' b_v since b_v has no diagonal entry.
-    Ranks are padded to a common R with zero columns whose Gram block is
-    maxdiag(G) I; that value lies inside G's spectrum, so s_min and s_max
-    are unchanged.  One batched eigh per node gives both the singular test
-    and the solve: when s_min <= PINV_RTOL * s_max (2-norm) the
-    pseudo-inverse at that relative tolerance is used.  Weights below PRUNE_RTOL * max|d| are dead
+    X(-v)' b_v is X' b_v since b_v has no diagonal entry.  Ranks are padded
+    to a common R with zero columns whose Gram block is maxdiag(G) I; that
+    value lies inside G's spectrum, so the extreme eigenvalues are those of
+    the sources' own Grams.  Weights below PRUNE_RTOL * max|d| are dead
     components; their coordinates come back as zero instead of dividing by
     them.
+
+    The solve tracks H = G^(-1), G = X'X, by Sherman-Morrison: with
+    w = H x_v and s = 1 - x_v' H x_v, (X(-v)' X(-v))^(-1) = H + w w' / s,
+    and the new row r is added back as a rank-1 update.  A fresh eigh of G
+    gives lo = lambda_min and hi = lambda_max; after each node they stay
+    bounds as lo <- lo s (lambda_min(G - x_v x_v') >= s lambda_min(G)) and
+    hi <- hi + |r|^2.  A node is certified when every source has s > 0 and
+    hi <= CERT lo s: then cond(X(-v)' X(-v)) <= CERT, two decades inside
+    the PINV_RTOL rule, which would also have used the plain solve.  An
+    uncertified node first rebuilds H, lo and hi from a fresh eigh of G;
+    if it is still uncertified it falls back to the exact rule for all
+    sources: one batched eigh of the downdated Gram, and the pseudo-inverse
+    at relative tolerance PINV_RTOL when s_min <= PINV_RTOL * s_max
+    (2-norm).  At DEBUG level each sweep logs its certified solves,
+    restarts and eigh fallbacks.
     """
     q = len(factors)
     node_count = np.shape(factors[0][0])[0]
@@ -247,61 +270,98 @@ def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
     keep = np.abs(d) > PRUNE_RTOL * np.max(np.abs(d), axis=1, keepdims=True)
     inv_d = (keep / np.where(keep, d, 1.0))[:, None, :]
     pad_eye = pad[:, :, None] * np.eye(width) if pad.any() else None
-    debug = logger.isEnabledFor(logging.DEBUG)
-    if debug and not keep[~pad].all():
+    if logger.isEnabledFor(logging.DEBUG) and not keep[~pad].all():
         logger.debug("%d near-zero weights skipped in the node projection",
                      int((~keep[~pad]).sum()))
 
-    gram_all = np.matmul(x.transpose(0, 2, 1), x)
-    singular = 0
-    for v in (range(node_count) if nodes is None else nodes):
-        x_v = x[:, v, None, :]
-        gram = gram_all - x_v.transpose(0, 2, 1) * x_v
-        rhs = np.matmul(targets[:, v, None, :], x)
-        padded = gram
+    def padded_eigh(gram):
         if pad_eye is not None:
             top = np.diagonal(gram, axis1=1, axis2=2).max(axis=1)
-            padded = gram + pad_eye * top[:, None, None]
-        eigvals, eigvecs = np.linalg.eigh(padded)
-        # ascending eigenvalues: the largest magnitude sits at one end
-        svals = np.abs(eigvals)
-        large = svals > PINV_RTOL * np.maximum(svals[:, :1], svals[:, -1:])
-        if debug:
+            gram = gram + pad_eye * top[:, None, None]
+        return np.linalg.eigh(gram)
+
+    def certify(x_v, x_col):
+        # cap = CERT * lo; lo and hi are positive after a restart, so
+        # hi <= cap * s also requires s > 0
+        w = np.matmul(x_v, h)
+        s = 1.0 - np.matmul(w, x_col)
+        return w, s, bool((hi <= cap * s).all())
+
+    h = cap = hi = None
+    certified = restarts = fallbacks = singular = 0
+    for v in (range(node_count) if nodes is None else nodes):
+        x_v = x[:, v, None, :]
+        x_col = x_v.transpose(0, 2, 1)
+        rhs = np.matmul(targets[:, v, None, :], x)
+        ok = False
+        if h is not None:
+            w, s, ok = certify(x_v, x_col)
+        if not ok:
+            restarts += 1
+            gram = np.matmul(x.transpose(0, 2, 1), x)
+            eigvals, eigvecs = padded_eigh(gram)
+            if eigvals[:, 0].min() > 0:
+                cap, hi = CERT * eigvals[:, None, :1], eigvals[:, None, -1:]
+                h = np.matmul(eigvecs / eigvals[:, None, :],
+                              eigvecs.transpose(0, 2, 1))
+                w, s, ok = certify(x_v, x_col)
+        if ok:
+            certified += 1
+            c = np.matmul(rhs, h)
+            row = (c + np.matmul(c, x_col) / s * w) * inv_d
+        else:
+            fallbacks += 1
+            eigvals, eigvecs = padded_eigh(gram - x_col * x_v)
+            # ascending eigenvalues: the largest magnitude sits at one end
+            svals = np.abs(eigvals)
+            large = svals > PINV_RTOL * np.maximum(svals[:, :1], svals[:, -1:])
             singular += int(q - np.count_nonzero(large.all(axis=1)))
-        inv = (large / np.where(large, eigvals, 1.0))[:, None, :]
-        coef = np.matmul(np.matmul(rhs, eigvecs) * inv, eigvecs.transpose(0, 2, 1))
-        row = coef * inv_d
+            inv = (large / np.where(large, eigvals, 1.0))[:, None, :]
+            coef = np.matmul(np.matmul(rhs, eigvecs) * inv,
+                             eigvecs.transpose(0, 2, 1))
+            row = coef * inv_d
         if shrink:
             row = soft_threshold(row, shrink)
-        gram_all = gram + row.transpose(0, 2, 1) * row
         x[:, v, None, :] = row
-    if singular:
-        logger.debug("%d rank-deficient Gram matrices, used the pseudo-inverse",
-                     singular)
+        if ok:
+            # downdate by x_v, then update by the new row
+            h = h + w.transpose(0, 2, 1) * (w / s)
+            u = np.matmul(row, h)
+            row_col = row.transpose(0, 2, 1)
+            h = h - u.transpose(0, 2, 1) * (u / (1.0 + np.matmul(u, row_col)))
+            cap = cap * s
+            hi = hi + np.matmul(row, row_col)
+        else:
+            h = None
+    logger.debug("node sweep: %d certified solves, %d restarts, %d eigh "
+                 "fallbacks (%d pseudo-inverse solves)",
+                 certified, restarts, fallbacks, singular)
     return [x[ell, :, :rank] for ell, rank in enumerate(ranks)]
-
-
-def _z_columns(x: np.ndarray) -> np.ndarray:
-    """(p, R) matrix whose r-th column is the edge vector of x_r x_r'."""
-    r, c = triu_indices(x.shape[0])
-    return x[r] * x[c]
 
 
 def update_d(x: np.ndarray, target: np.ndarray, phi: float,
              regularizer: str) -> np.ndarray:
     """Diagonal-weights step for the node coordinates ``x`` (V, R).
 
-    Projects the length-p ``target`` (for uniform_l1, already thresholded
-    by the caller) onto the span of the per-component edge vectors Z; for
-    nuclear the weights are then soft-thresholded at phi/2.  Weights below
-    PRUNE_RTOL * max|d| are zeroed (rank reduction happens in the caller).
+    Projects the (V, V) ``target`` (symmetric with a zero diagonal; for
+    uniform_l1, already thresholded by the caller) onto the span of the
+    per-component edge vectors Z, whose r-th column holds the edges of
+    x_r x_r'; for nuclear the weights are then soft-thresholded at phi/2.
+    The normal equations come from closed-form moments instead of Z itself:
+    Z'Z = ((X'X) o (X'X) - (X o X)'(X o X)) / 2 and Z't = diag(X' T X) / 2.
+    Weights below PRUNE_RTOL * max|d| are zeroed (rank reduction happens in
+    the caller).
     """
-    z = _z_columns(x)
+    node_count = x.shape[0]
     target = np.asarray(target, dtype=float)
-    if target.shape != (z.shape[0],):
+    if target.shape != (node_count, node_count):
         raise DimensionError("dimension_mismatch",
-                             f"expected {z.shape[0]} edge values, got {target.shape}")
-    d = _solve_gram(z.T @ z, z.T @ target)
+                             f"expected a {node_count} x {node_count} target, "
+                             f"got {target.shape}")
+    gram = x.T @ x
+    squares = x * x
+    d = _solve_gram(0.5 * (gram * gram - squares.T @ squares),
+                    0.5 * np.sum((target @ x) * x, axis=0))
     if regularizer == "nuclear":
         d = soft_threshold(d, phi / 2.0)
     scale = np.max(np.abs(d), initial=0.0)
@@ -524,11 +584,12 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
         # Step 1: node sweep over all sources together, freshest coordinates
         # within the sweep
         swept = {}
+        target_mats = {ell: unvectorize(s_star[ell], node_count)
+                       for ell in starts}
         if starts:
             swept = dict(zip(starts, sweep_nodes(
                 [(src.x, src.d) for src in starts.values()],
-                np.stack([unvectorize(s_star[ell], node_count) for ell in starts]),
-                shrink)))
+                np.stack(list(target_mats.values())), shrink)))
             if not all(np.all(np.isfinite(x)) for x in swept.values()):
                 raise NumericError("non_finite",
                                    f"node update overflowed at iteration {it}")
@@ -545,8 +606,8 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
             alive = norms > 0
             x[:, alive] /= norms[alive]
 
-            # Step 2: diagonal weights against the full-length target
-            d = update_d(x, s_star[ell], phi, regularizer)
+            # Step 2: diagonal weights against the whole target
+            d = update_d(x, target_mats[ell], phi, regularizer)
             if not np.all(np.isfinite(d)):
                 raise NumericError("non_finite",
                                    f"weight update overflowed at iteration {it}")

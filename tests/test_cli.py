@@ -142,6 +142,21 @@ class TestDecompose:
         assert "bad_config" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["func=x", "command=tune",
+                                      "config=missing.cfg", "data=missing.csv"])
+    def test_config_skips_keys_that_are_not_options(self, sim_dir, tmp_path,
+                                                    line):
+        # parser internals and the positional data argument are not options
+        # of decompose, so a config file cannot replace them
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\nmax_iter=5\n")
+        out = tmp_path / "x"
+        assert run(["decompose", sim_dir / "dataset.csv", "--q", 3,
+                    "--config", cfg, "--out", out]) == 0
+        manifest = read_meta(out / "manifest")
+        assert manifest["command"] == "decompose"
+        assert manifest["max_iter"] == "5"
+
     def test_numeric_error_exit_4(self, sim_dir, tmp_path, monkeypatch):
         import locus.cli as cli
         from locus.errors import NumericError
@@ -234,6 +249,23 @@ class TestEvaluate:
         assert len(lines) == 1 + 6  # q rows per method
         assert sum(line.startswith("locus,") for line in lines[1:]) == 3
         assert sum(line.startswith("fastica,") for line in lines[1:]) == 3
+
+    def test_config_method_is_a_list_of_choices(self, sim_dir, tmp_path,
+                                                capsys):
+        # --method is repeatable: its config value is a comma-separated list
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("method=fastica\ntop_fraction=0.05\n")
+        out = tmp_path / "eval_cfg"
+        assert run(["evaluate", "--truth", sim_dir / "truth",
+                    "--data", sim_dir / "dataset.csv", "--bootstrap", 3,
+                    "--max-iter", 40, "--config", cfg, "--out", out]) == 0
+        lines = (out / "reliability.csv").read_text().strip().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["fastica"] * 3
+        cfg.write_text("method=fastica,pca\n")
+        assert run(["evaluate", "--truth", sim_dir / "truth",
+                    "--data", sim_dir / "dataset.csv", "--bootstrap", 3,
+                    "--config", cfg, "--out", tmp_path / "bad"]) == 3
+        assert "bad_config" in capsys.readouterr().err
 
     def test_bootstrap_without_data_exit_3(self, sim_dir, tmp_path):
         assert run(["evaluate", "--truth", sim_dir / "truth",

@@ -4,15 +4,21 @@ phi/2 soft-threshold lands in the solver's block steps."""
 import numpy as np
 import pytest
 
+from locus.connmat import unvectorize, vectorize
 from locus.errors import ValidationError
-from locus.solver import (LowRankSource, SolverConfig, _z_columns, penalty,
-                          soft_threshold, sweep_nodes, update_d)
+from locus.solver import (LowRankSource, SolverConfig, penalty, soft_threshold,
+                          sweep_nodes, update_d)
 
 
 def textbook_row(x, d, v, bhat):
     """D^(-1) (X(-v)' X(-v))^(-1) X(-v)' bhat with an explicit row delete."""
     x_minus = np.delete(x, v, axis=0)
     return np.linalg.solve(x_minus.T @ x_minus, x_minus.T @ bhat) / d
+
+
+def z_columns(x):
+    """(p, R) matrix whose r-th column is the edge vector of x_r x_r'."""
+    return np.column_stack([vectorize(np.outer(col, col)) for col in x.T])
 
 
 def visit_node(src, v, bhat, shrink=0.0):
@@ -96,7 +102,7 @@ class TestProxStep:
         x = np.zeros((6, 2))
         x[0, 0] = x[1, 0] = 1.0 / np.sqrt(2)
         x[2, 1] = x[3, 1] = 1.0 / np.sqrt(2)
-        target = _z_columns(x) @ np.array([3.0, -0.5])
+        target = unvectorize(z_columns(x) @ np.array([3.0, -0.5]), 6)
         got = update_d(x, target, 1.0, "nuclear")
         assert np.allclose(got, [2.5, 0.0], atol=1e-12)
         assert got[1] == 0.0
@@ -137,8 +143,8 @@ class TestProxStep:
                                 rng.standard_normal(2) + 2.0)
             phi = float(rng.uniform(0, 1))
             s_star = soft_threshold(rng.standard_normal(21), phi / 2.0)
-            expected, *_ = np.linalg.lstsq(_z_columns(src.x), s_star, rcond=None)
-            got = update_d(src.x, s_star, phi, "uniform_l1")
+            expected, *_ = np.linalg.lstsq(z_columns(src.x), s_star, rcond=None)
+            got = update_d(src.x, unvectorize(s_star, 7), phi, "uniform_l1")
             assert np.allclose(got, expected, atol=1e-12)
 
     def test_bare_threshold_consistency(self):
@@ -150,7 +156,7 @@ class TestProxStep:
         plain = visit_node(src, 5, y_node)
         assert np.array_equal(visit_node(src, 5, y_node, shrink=0.4),
                               soft_threshold(plain, 0.4))
-        y_edges = rng.standard_normal(36)
+        y_edges = unvectorize(rng.standard_normal(36), 9)
         assert np.array_equal(update_d(src.x, y_edges, 0.8, "nuclear"),
                               soft_threshold(update_d(src.x, y_edges, 0.8,
                                                       "vector_l1"), 0.4))

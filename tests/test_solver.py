@@ -1,13 +1,16 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
 import locus
-from locus.connmat import unvectorize, vectorize
+from locus.connmat import triu_indices, unvectorize, vectorize
 from locus.errors import DegeneracyError, DimensionError, ValidationError
 from locus.preprocess import WhitenedData, whiten
 from locus.solver import (PINV_RTOL, PRUNE_RTOL, DegenerateSourceWarning,
                           LocusModel, LowRankSource, SolverConfig,
-                          _polar_orthogonalize, _z_columns,
+                          _polar_orthogonalize,
                           data_domain_objective, fit, initialize,
                           load_decomposition, objective, save_model,
                           soft_threshold, sweep_nodes, update_d, update_mixing)
@@ -31,6 +34,12 @@ def subgradient_bisect(g, lo, hi, iters=200):
 def random_source(rng, node_count, rank):
     return LowRankSource(rng.standard_normal((node_count, rank)),
                          rng.standard_normal(rank) + np.sign(rng.standard_normal(rank)))
+
+
+def z_columns(x):
+    """(p, R) matrix whose r-th column is the edge vector of x_r x_r'."""
+    r, c = triu_indices(x.shape[0])
+    return x[r] * x[c]
 
 
 def random_orthogonal(rng, q):
@@ -164,8 +173,40 @@ def reference_sweep(x, d, y_edges, variant, t):
     return x, pinv_solves
 
 
+SWEEP_LOG = re.compile(r"(\d+) certified solves, (\d+) restarts, "
+                       r"(\d+) eigh fallbacks \((\d+) pseudo-inverse")
+
+
+def sweep_counts(caplog):
+    """(certified, restarts, fallbacks, pinv solves) of the last logged sweep."""
+    found = [SWEEP_LOG.search(rec.getMessage()) for rec in caplog.records]
+    return tuple(int(n) for n in [m for m in found if m][-1].groups())
+
+
+def check_against_reference(caplog, factors, y, t=0.3):
+    """Sweep every variant and compare with :func:`reference_sweep` at
+    1e-10; returns the reference's pinv solves and the logged counts."""
+    node_count = factors[0][0].shape[0]
+    results = []
+    for variant in ("uniform_l1", "vector_l1", "nuclear"):
+        expected, pinv_solves = zip(*[
+            reference_sweep(x, d, y[ell], variant, t)
+            for ell, (x, d) in enumerate(factors)])
+        edges = soft_threshold(y, t) if variant == "uniform_l1" else y
+        targets = np.stack([unvectorize(row, node_count) for row in edges])
+        with caplog.at_level(logging.DEBUG, logger="locus.solver"):
+            got = sweep_nodes(factors, targets,
+                              t if variant == "vector_l1" else 0.0)
+        for ell, (g, e) in enumerate(zip(got, expected)):
+            assert g.shape == factors[ell][0].shape
+            scale = max(1.0, float(np.max(np.abs(e))))
+            assert np.max(np.abs(g - e)) <= 1e-10 * scale, (variant, ell)
+        results.append((variant, got, pinv_solves, sweep_counts(caplog)))
+    return results
+
+
 class TestSweepNodes:
-    def test_batched_sweep_matches_node_by_node_reference(self):
+    def test_batched_sweep_matches_node_by_node_reference(self, caplog):
         rng = np.random.default_rng(40)
         node_count = 12
         p = node_count * (node_count - 1) // 2
@@ -183,23 +224,71 @@ class TestSweepNodes:
              np.array([1.5, 1e-13, -2.2, 0.7])),
         ]
         y = rng.standard_normal((len(factors), p))
-        t = 0.3
-        for variant in ("uniform_l1", "vector_l1", "nuclear"):
-            expected, pinv_solves = zip(*[
-                reference_sweep(x, d, y[ell], variant, t)
-                for ell, (x, d) in enumerate(factors)])
+        for variant, got, pinv_solves, counts in check_against_reference(
+                caplog, factors, y):
             # every node of the duplicated source, and the last node of the
             # pruned one, whose dead column is all zero by then
             assert pinv_solves == (0, 0, node_count, 1)
-            edges = soft_threshold(y, t) if variant == "uniform_l1" else y
-            targets = np.stack([unvectorize(row, node_count) for row in edges])
-            got = sweep_nodes(factors, targets,
-                              t if variant == "vector_l1" else 0.0)
-            for ell, (g, e) in enumerate(zip(got, expected)):
-                assert g.shape == factors[ell][0].shape
-                scale = max(1.0, float(np.max(np.abs(e))))
-                assert np.max(np.abs(g - e)) <= 1e-10 * scale, (variant, ell)
+            certified, _, fallbacks, pinv = counts
+            assert (certified, fallbacks, pinv) == (0, node_count,
+                                                    node_count + 1), variant
             assert not got[3][:, 1].any()  # pruned weight's coordinates
+
+    def test_well_conditioned_sweep_certifies_every_node(self, caplog):
+        rng = np.random.default_rng(42)
+        node_count = 40
+        p = node_count * (node_count - 1) // 2
+        factors = [(np.linalg.qr(rng.standard_normal((node_count, rank)))[0],
+                    rng.uniform(1.0, 2.0, rank) * rng.choice([-1.0, 1.0], rank))
+                   for rank in (10, 4, 10)]
+        y = rng.standard_normal((len(factors), p))
+        for variant, _, pinv_solves, counts in check_against_reference(
+                caplog, factors, y):
+            assert pinv_solves == (0, 0, 0)
+            certified, _, fallbacks, pinv = counts
+            assert (certified, fallbacks, pinv) == (node_count, 0, 0), variant
+
+    def test_ill_conditioned_node_falls_back_without_pinv(self, caplog):
+        # cond(X(-v)' X(-v)) ~ 1e9 at the first node: beyond the certificate
+        # (1e8), inside the PINV_RTOL rule (1e10)
+        rng = np.random.default_rng(43)
+        node_count = 12
+        p = node_count * (node_count - 1) // 2
+        x = (np.linalg.qr(rng.standard_normal((node_count, 3)))[0]
+             * np.array([1.0, 1.0, 3e-5]))
+        gram = np.delete(x, 0, axis=0).T @ np.delete(x, 0, axis=0)
+        assert 1e-2 / PINV_RTOL < np.linalg.cond(gram) < 1.0 / PINV_RTOL
+        factors = [(x, np.array([1.5, -1.2, 0.9]))]
+        y = rng.standard_normal((1, p))
+        for variant, _, pinv_solves, counts in check_against_reference(
+                caplog, factors, y):
+            assert pinv_solves == (0,)
+            _, _, fallbacks, pinv = counts
+            assert fallbacks >= 1 and pinv == 0, variant
+
+    @pytest.mark.parametrize("change", ["shrinking", "growing"])
+    def test_gram_degrading_through_the_sweep_is_not_certified(self, caplog,
+                                                              change):
+        # the Gram's conditioning degrades node by node until the rule turns
+        # to the pseudo-inverse, so the running bounds must stop certifying
+        # in time: a pruned weight's column comes back as zero, its Gram
+        # entry shrinking geometrically; a tiny weight's column comes back
+        # huge (row = coef / d), raising lambda_max
+        rng = np.random.default_rng(44)
+        node_count = 30
+        p = node_count * (node_count - 1) // 2
+        x = rng.standard_normal((node_count, 3))
+        if change == "shrinking":
+            x[:, 2] = 10.0 ** (-np.arange(node_count) / 4.0)
+            d = np.array([1.4, -0.8, 1e-13])
+        else:
+            d = np.array([1.4, 1e-6, 0.9])
+        y = rng.standard_normal((1, p))
+        for variant, _, pinv_solves, counts in check_against_reference(
+                caplog, [(x, d)], y):
+            assert pinv_solves[0] > 0
+            _, _, fallbacks, pinv = counts
+            assert fallbacks >= pinv == pinv_solves[0], variant
 
     def test_single_node_visit_leaves_other_rows(self):
         rng = np.random.default_rng(41)
@@ -224,11 +313,11 @@ class TestUpdateD:
         x[0, 0] = x[1, 0] = 1.0 / np.sqrt(2)
         x[2, 1] = x[3, 1] = 1.0 / np.sqrt(2)
         src = LowRankSource(x, np.array([1.0, 1.0]))
-        z = _z_columns(src.x)
+        z = z_columns(src.x)
         assert abs(float(z[:, 0] @ z[:, 1])) < 1e-12
         rng = np.random.default_rng(4)
         y_src = rng.standard_normal(z.shape[0])
-        d = update_d(src.x, y_src, 0.0, "uniform_l1")
+        d = update_d(src.x, unvectorize(y_src, 6), 0.0, "uniform_l1")
         expected = np.array([z[:, r] @ y_src / (z[:, r] @ z[:, r]) for r in range(2)])
         assert np.allclose(d, expected, atol=1e-10)
 
@@ -236,7 +325,8 @@ class TestUpdateD:
         rng = np.random.default_rng(5)
         src = random_source(rng, 7, 2)
         y_src = rng.standard_normal(21)
-        d = update_d(src.x, soft_threshold(y_src, 5e5), 1e6, "uniform_l1")
+        d = update_d(src.x, unvectorize(soft_threshold(y_src, 5e5), 7), 1e6,
+                     "uniform_l1")
         assert not d.any()
 
     def test_beats_random_candidates_on_weight_subproblem(self):
@@ -244,18 +334,57 @@ class TestUpdateD:
         src = random_source(rng, 9, 3)
         y_src = rng.standard_normal(36)
         phi = 0.1
-        z = _z_columns(src.x)
+        z = z_columns(src.x)
 
         def value(d):
             fitv = z @ d
             return float(np.sum((y_src - fitv) ** 2) + phi * np.sum(np.abs(fitv)))
 
-        d_hat = update_d(src.x, soft_threshold(y_src, phi / 2.0), phi,
-                         "uniform_l1")
+        d_hat = update_d(src.x, unvectorize(soft_threshold(y_src, phi / 2.0), 9),
+                         phi, "uniform_l1")
         ours = value(d_hat)
         scale = np.linalg.norm(d_hat) + 1.0
         cands = rng.standard_normal((10_000, 3)) * scale
         assert ours <= min(value(c) for c in cands) + 1e-12
+
+    @pytest.mark.parametrize("spread", [None, 1e-3, 0.0])
+    def test_moments_match_z_columns_reference(self, spread):
+        # unit columns as fit passes them; with ``spread`` set, the last
+        # column sits on node 3 plus that much noise (0: exactly, so its Z
+        # column is zero and the pseudo-inverse drops it)
+        rng = np.random.default_rng(15)
+        node_count, rank = 30, 6
+        x = rng.standard_normal((node_count, rank))
+        if spread is not None:
+            x[:, -1] = spread * rng.standard_normal(node_count)
+            x[3, -1] = 1.0
+        x /= np.linalg.norm(x, axis=0)
+        y_src = rng.standard_normal(node_count * (node_count - 1) // 2)
+        z = z_columns(x)
+        expected, *_ = np.linalg.lstsq(z, y_src, rcond=None)
+        got = update_d(x, unvectorize(y_src, node_count), 0.0, "uniform_l1")
+        assert np.allclose(got, expected, rtol=1e-9, atol=1e-12)
+        if spread == 0.0:
+            assert got[-1] == 0.0
+
+    def test_target_shape_checked(self):
+        rng = np.random.default_rng(16)
+        src = random_source(rng, 7, 2)
+        with pytest.raises(DimensionError):
+            update_d(src.x, rng.standard_normal(21), 0.0, "uniform_l1")
+
+
+class TestLowRankSource:
+    def test_edge_vector_matches_einsum_gather(self):
+        rng = np.random.default_rng(17)
+        for node_count, rank in ((2, 1), (9, 3), (50, 10)):
+            src = random_source(rng, node_count, rank)
+            r, c = triu_indices(node_count)
+            expected = np.einsum("ij,ij->i", src.x[r] * src.d, src.x[c])
+            got = src.edge_vector()
+            assert got.shape == expected.shape
+            assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
+            assert got is src.edge_vector() and not got.flags.writeable
 
 
 class TestUpdateMixing:
@@ -425,7 +554,7 @@ class TestFit:
         if regularizer == "uniform_l1":
             targets = soft_threshold(targets, config.phi / 2.0)
         for ell, src in enumerate(model.sources):
-            d, *_ = np.linalg.lstsq(_z_columns(src.x), targets[ell], rcond=None)
+            d, *_ = np.linalg.lstsq(z_columns(src.x), targets[ell], rcond=None)
             if regularizer == "nuclear":
                 d = soft_threshold(d, config.phi / 2.0)
             assert np.allclose(src.d, d, rtol=1e-9, atol=0.0), ell
