@@ -117,18 +117,21 @@ def _config_value(action: argparse.Action, key: str, text: str):
     return values if repeatable else values[0]
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str],
-                  options: dict[str, argparse.Action]) -> None:
-    """Fill unset options from a key=value config file; explicit flags win.
+def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
+    """Fill options from a key=value config file; explicit flags win.
 
-    Only the subcommand's own ``options`` (by dest) are read; other keys,
-    such as positional arguments or parser internals, are skipped."""
+    Only the subcommand's own options (by dest) are read; other keys, such
+    as positional arguments or parser internals, are skipped.  The explicit
+    flags are those argparse itself finds in ``argv`` once the options'
+    defaults are suppressed, abbreviations and ``--flag=value`` included."""
+    parser = build_parser()
+    options = _command_options(parser, args.command)
+    for action in options.values():
+        action.default = argparse.SUPPRESS
+    explicit = set(vars(parser.parse_args(argv)))
     path = args.config
     if not os.path.isfile(path):
         raise ValidationError("bad_config", f"config file {path!r} not found")
-    given = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
-    explicit = {dest for dest, action in options.items()
-                if given.intersection(action.option_strings)}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -440,7 +443,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            _apply_config(args, argv, _command_options(parser, args.command))
+            _apply_config(args, argv)
         return args.func(args)
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)

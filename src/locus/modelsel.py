@@ -10,16 +10,14 @@ reconstructed sources.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .connmat import ConnectivityDataset, nodes_from_edge_count, unvectorize
-from .errors import DegeneracyError, LocusError, ValidationError
-from .solver import LocusModel, LowRankSource, SolverConfig, fit
+from .connmat import ConnectivityDataset
+from .errors import DegeneracyError, DimensionError, LocusError, ValidationError
+from .solver import LocusModel, LowRankSource, SolverConfig, fit, initialize
 
 DEFAULT_ZERO_TOL = 1e-3
 
@@ -62,27 +60,30 @@ def truncation_ratios(eigvals: np.ndarray, eigvecs: np.ndarray,
              - np.sum(diag_t ** 2, axis=0)) / (2.0 * norm2))
 
 
-def select_rank(s_star: np.ndarray, rho: float, r_max: int) -> tuple[int, LowRankSource]:
+def select_rank(m: np.ndarray, rho: float, r_max: int) -> tuple[int, LowRankSource]:
     """Smallest rank whose eigen-truncation reconstructs the unstructured
     source to the requested closeness.
 
-    The residual ratio |s_hat_r - s_star|^2 / |s_star|^2 is evaluated on
-    edge vectors, where the vectorization drops the diagonal, so eigenvalue
-    sums alone do not give it (see :func:`truncation_ratios`).  Returns the
-    rank and the truncated eigen-factor; hitting the cap emits a
-    RankCapWarning.
+    ``m`` is the source as a symmetric (V, V) matrix with a zero diagonal
+    (:func:`~locus.connmat.unvectorize` of its edge vector s_star), so
+    |s_star|^2 = |M|_F^2 / 2.  The residual ratio
+    |s_hat_r - s_star|^2 / |s_star|^2 is evaluated on edge vectors, where
+    the vectorization drops the diagonal, so eigenvalue sums alone do not
+    give it (see :func:`truncation_ratios`).  Returns the rank and the
+    truncated eigen-factor; hitting the cap emits a RankCapWarning.
     """
-    s_star = np.asarray(s_star, dtype=float)
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError("dimension_mismatch",
+                             f"expected a square source matrix, got shape {m.shape}")
     if not 0 < rho < 1:
         raise ValidationError("bad_config", f"rho must lie in (0, 1), got {rho}")
-    norm2 = float(np.sum(s_star ** 2))
+    norm2 = 0.5 * float(np.vdot(m, m))
     if norm2 == 0:
         raise DegeneracyError("zero_source",
                               "cannot select a rank for an all-zero source")
-    node_count = nodes_from_edge_count(s_star.shape[0])
-    r_max = min(r_max, node_count - 1)
+    r_max = min(r_max, m.shape[0] - 1)
 
-    m = unvectorize(s_star, node_count)
     eigvals, eigvecs = np.linalg.eigh(m)
     order = np.argsort(-np.abs(eigvals))[:r_max]
     eigvals = eigvals[order]
@@ -132,24 +133,19 @@ def bic(dataset: ConnectivityDataset, model: LocusModel,
     return -2.0 * loglik + math.log(n) * l0
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("LOCUS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
-         config: SolverConfig | None = None, workers: int | None = None) -> TuningResult:
-    """Full factorial fit over (phi, rho), sharing one whitening and one
-    baseline initialization; returns all BICs and the argmin cell.
+         config: SolverConfig | None = None) -> TuningResult:
+    """Full factorial fit over (phi, rho), sharing one whitening; returns
+    all BICs and the argmin cell.
 
-    Ties break toward larger phi, then larger rho (the sparser model).
-    Cells whose fit raises a package error or a LinAlgError are recorded
+    Each rho gets one start from :func:`~locus.solver.initialize` (FastICA,
+    or its seeded random fallback), built for the first cell of that rho
+    and shared by every phi, since the start does not depend on phi.  Ties
+    break toward larger phi, then larger rho (the sparser model).  Cells
+    whose start or fit raises a package error or a LinAlgError are recorded
     with that error and excluded; all cells failing is an error.  Any other
     exception is a programming error and propagates.
     """
-    from . import baselines
     from .preprocess import whiten
 
     phi_grid = list(phi_grid)
@@ -158,34 +154,34 @@ def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
         raise ValidationError("empty_grid", "phi and rho grids must be non-empty")
     config = config or SolverConfig()
     whitened = whiten(dataset, q)
-    ica = None
-    try:
-        ica = baselines.fastica(whitened, q, seed=config.seed)
-    except (LocusError, np.linalg.LinAlgError):
-        ica = None  # every cell falls back to the seeded random start
+    starts: dict[float, LocusModel | Exception] = {}
 
-    cells_in = [(phi, rho) for phi in phi_grid for rho in rho_grid]
+    def start_for(cfg: SolverConfig) -> LocusModel:
+        # a failed start is kept and raised again for every cell of its rho
+        if cfg.rho not in starts:
+            try:
+                starts[cfg.rho] = initialize(whitened, q, cfg)
+            except (LocusError, np.linalg.LinAlgError) as err:
+                starts[cfg.rho] = err
+        start = starts[cfg.rho]
+        if isinstance(start, Exception):
+            raise start
+        return start
 
-    def run_cell(args):
-        phi, rho = args
-        cfg = replace(config, phi=float(phi), rho=float(rho))
-        try:
-            model = fit(whitened, q, cfg, ica_model=ica)
-            value = bic(dataset, model)
-            return TuningCell(phi=float(phi), rho=float(rho), bic=value,
-                              iterations=model.iterations,
-                              converged=model.converged,
-                              ranks=tuple(model.ranks))
-        except (LocusError, np.linalg.LinAlgError) as err:
-            return TuningCell(phi=float(phi), rho=float(rho), bic=math.nan,
-                              error=f"{type(err).__name__}: {err}")
-
-    n_workers = workers if workers is not None else _worker_count()
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            cells = list(pool.map(run_cell, cells_in))
-    else:
-        cells = [run_cell(args) for args in cells_in]
+    cells = []
+    for phi in phi_grid:
+        for rho in rho_grid:
+            cfg = replace(config, phi=float(phi), rho=float(rho))
+            try:
+                model = fit(whitened, q, cfg, init=start_for(cfg))
+                cells.append(TuningCell(phi=cfg.phi, rho=cfg.rho,
+                                        bic=bic(dataset, model),
+                                        iterations=model.iterations,
+                                        converged=model.converged,
+                                        ranks=tuple(model.ranks)))
+            except (LocusError, np.linalg.LinAlgError) as err:
+                cells.append(TuningCell(phi=cfg.phi, rho=cfg.rho, bic=math.nan,
+                                        error=f"{type(err).__name__}: {err}"))
 
     ok = [c for c in cells if c.error is None and not math.isnan(c.bic)]
     if not ok:

@@ -456,8 +456,7 @@ def _reseed_source(y_src: np.ndarray, node_count: int,
     return LowRankSource(vec, np.array([1.0]))
 
 
-def initialize(whitened: WhitenedData, q: int, config: SolverConfig,
-               ica_model=None) -> LocusModel:
+def initialize(whitened: WhitenedData, q: int, config: SolverConfig) -> LocusModel:
     """Starting point for :func:`fit`.
 
     Runs the FastICA baseline on the whitened data, takes its orthogonalized
@@ -465,7 +464,8 @@ def initialize(whitened: WhitenedData, q: int, config: SolverConfig,
     selected rank via its symmetric eigendecomposition.  If the baseline
     fails with a package error or a LinAlgError, falls back to a seeded
     random orthogonal mixing matrix and truncates the implied projected
-    sources instead; any other exception propagates.
+    sources instead; any other exception propagates.  Reads ``seed``,
+    ``rho`` and ``r_max`` of ``config``, not ``phi``.
     """
     from . import baselines
     from .modelsel import select_rank
@@ -477,11 +477,8 @@ def initialize(whitened: WhitenedData, q: int, config: SolverConfig,
     r_max = min(config.r_max, node_count - 1)
     rng = np.random.default_rng(config.seed)
 
-    raw = None
     try:
-        ica = ica_model
-        if ica is None:
-            ica = baselines.fastica(whitened, q, seed=config.seed)
+        ica = baselines.fastica(whitened, q, seed=config.seed)
         a_tilde = _polar_orthogonalize(np.asarray(ica.mixing, dtype=float))
         raw = np.asarray(ica.sources, dtype=float)
         if raw.shape != (q, whitened.n_edges) or not np.all(np.isfinite(raw)):
@@ -497,7 +494,8 @@ def initialize(whitened: WhitenedData, q: int, config: SolverConfig,
     sources = []
     for ell in range(q):
         try:
-            _, src = select_rank(raw[ell], config.rho, r_max)
+            _, src = select_rank(unvectorize(raw[ell], node_count), config.rho,
+                                 r_max)
         except DegeneracyError:
             warnings.warn(f"initial source {ell} is zero; re-seeding",
                           DegenerateSourceWarning)
@@ -516,7 +514,7 @@ def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
 
 
 def fit(whitened: WhitenedData, q: int, config: SolverConfig,
-        init: LocusModel | None = None, ica_model=None) -> LocusModel:
+        init: LocusModel | None = None) -> LocusModel:
     """Run the node-rotation algorithm on whitened data.
 
     Iterates the three block updates until the relative changes of the
@@ -525,7 +523,7 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
     the thresholded unstructured source; a rank change re-seeds that
     source's factors from the eigendecomposition of the thresholded target.
     Subject loadings are filled in by least squares against the final
-    sources.
+    sources.  ``init`` is the start (default: :func:`initialize`).
     """
     from .modelsel import select_rank
 
@@ -540,7 +538,7 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
     shrink = phi / 2.0 if regularizer == "vector_l1" else 0.0
 
     if init is None:
-        init = initialize(whitened, q, config, ica_model=ica_model)
+        init = initialize(whitened, q, config)
     if init.q != q or init.a_tilde.shape != (q, q):
         raise DimensionError("dimension_mismatch",
                              "init model does not match q")
@@ -569,13 +567,16 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
             s_star = soft_threshold(targets, phi / 2.0)
         else:
             s_star = targets
+        # the (V, V) targets shared by rank selection and both block updates
+        target_mats = np.stack([unvectorize(row, node_count) for row in s_star])
 
         # adaptive rank re-selection against the unstructured sources; a
         # zero source is re-seeded below, in source order
         starts: dict[int, LowRankSource] = {}
         for ell in range(q):
             try:
-                new_rank, eig_src = select_rank(s_star[ell], config.rho, r_max)
+                new_rank, eig_src = select_rank(target_mats[ell], config.rho,
+                                                r_max)
             except DegeneracyError:
                 continue
             starts[ell] = (eig_src if new_rank != sources[ell].rank
@@ -584,12 +585,11 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
         # Step 1: node sweep over all sources together, freshest coordinates
         # within the sweep
         swept = {}
-        target_mats = {ell: unvectorize(s_star[ell], node_count)
-                       for ell in starts}
         if starts:
-            swept = dict(zip(starts, sweep_nodes(
+            live = list(starts)
+            swept = dict(zip(live, sweep_nodes(
                 [(src.x, src.d) for src in starts.values()],
-                np.stack(list(target_mats.values())), shrink)))
+                target_mats if len(live) == q else target_mats[live], shrink)))
             if not all(np.all(np.isfinite(x)) for x in swept.values()):
                 raise NumericError("non_finite",
                                    f"node update overflowed at iteration {it}")

@@ -131,6 +131,22 @@ class TestDecompose:
                     "--config", cfg, "--phi", 0.07, "--out", out2]) == 0
         assert read_meta(out2 / "manifest")["phi"] == "0.07"
 
+    @pytest.mark.parametrize("flags", [["--reg", "nuclear", "--ph", 0.05],
+                                       ["--regularizer=nuclear", "--phi=0.05"]])
+    def test_abbreviated_or_joined_flag_beats_config(self, sim_dir, tmp_path,
+                                                     flags):
+        # argparse accepts unique prefixes and --flag=value; either spelling
+        # is explicit and wins over the config file
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("regularizer=vector\nphi=0.01\nmax_iter=5\n")
+        out = tmp_path / "x"
+        assert run(["decompose", sim_dir / "dataset.csv", "--q", 3,
+                    *flags, "--config", cfg, "--out", out]) == 0
+        meta = read_meta(out / "meta")
+        assert meta["regularizer"] == "nuclear"
+        assert meta["phi"] == "0.05"
+        assert read_meta(out / "manifest")["max_iter"] == "5"
+
     @pytest.mark.parametrize("line", ["regularizer=uniform_l1", "method=pca"])
     def test_config_value_outside_choices_exit_3(self, sim_dir, tmp_path,
                                                  capsys, line):

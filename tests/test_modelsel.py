@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from locus.connmat import ConnectivityDataset, unvectorize, vectorize
-from locus.errors import DegeneracyError, ValidationError
+from locus.errors import DegeneracyError, DimensionError, ValidationError
 from locus.modelsel import (RankCapWarning, bic, select_rank,
                             truncation_ratios, tune)
-from locus.solver import LocusModel, LowRankSource, SolverConfig
+from locus.preprocess import whiten
+from locus.solver import LocusModel, LowRankSource, SolverConfig, fit
 from locus.synth import SyntheticSpec, generate
 
 
@@ -21,9 +23,8 @@ class TestSelectRank:
         vec = rng.standard_normal(8)
         m = np.outer(vec, vec)
         np.fill_diagonal(m, 0.0)
-        s_star = vectorize(m)
         for rho in (0.3, 0.6, 0.9):
-            rank, src = select_rank(s_star, rho, 7)
+            rank, src = select_rank(m, rho, 7)
             assert rank == 1
             assert src.rank == 1
 
@@ -49,7 +50,7 @@ class TestSelectRank:
             if ratio <= 1 - rho:
                 expected_rank = r
                 break
-        rank, _ = select_rank(s_star, rho, node_count - 1)
+        rank, _ = select_rank(m, rho, node_count - 1)
         assert rank == expected_rank
 
     def test_closed_form_ratios_match_per_rank_rebuild(self):
@@ -80,16 +81,15 @@ class TestSelectRank:
                     hits = [r for r in range(r_max)
                             if expected[r] <= 1.0 - rho]
                     if hits:
-                        assert select_rank(s_star, rho, r_max)[0] == hits[0] + 1
+                        assert select_rank(m, rho, r_max)[0] == hits[0] + 1
 
     def test_rho_near_one_hits_cap_with_warning(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((9, 9))
         m = a + a.T
         np.fill_diagonal(m, 0.0)
-        s_star = vectorize(m)
         with pytest.warns(RankCapWarning):
-            rank, _ = select_rank(s_star, 0.999999, 3)
+            rank, _ = select_rank(m, 0.999999, 3)
         assert rank == 3
 
     def test_monotone_in_rho(self):
@@ -97,16 +97,20 @@ class TestSelectRank:
         a = rng.standard_normal((12, 12))
         m = a + a.T
         np.fill_diagonal(m, 0.0)
-        s_star = vectorize(m)
         ranks = []
         for rho in (0.2, 0.4, 0.6, 0.8, 0.9, 0.95):
-            rank, _ = select_rank(s_star, rho, 11)
+            rank, _ = select_rank(m, rho, 11)
             ranks.append(rank)
         assert ranks == sorted(ranks)
 
     def test_zero_source_rejected(self):
         with pytest.raises(DegeneracyError):
-            select_rank(np.zeros(10), 0.9, 3)
+            select_rank(np.zeros((5, 5)), 0.9, 3)
+
+    def test_edge_vector_rejected(self):
+        # the source comes as its (V, V) matrix, never as an edge vector
+        with pytest.raises(DimensionError):
+            select_rank(np.ones(10), 0.9, 3)
 
 
 def toy_model(sources, loadings):
@@ -287,11 +291,64 @@ class TestTune:
         with pytest.raises(TypeError):
             tune(ds, 3, [0.0], [0.9], SolverConfig(seed=0))
 
-    def test_workers_do_not_change_result(self, monkeypatch):
+    def test_cells_equal_standalone_fits(self):
+        # one start per rho reproduces, bit for bit, the fit that builds
+        # its own start from the cell's config
         ds, _ = generate(SyntheticSpec(node_count=12, q=3, n_subjects=20,
                                        sigma=0.5, seed=11))
-        cfg = SolverConfig(seed=0, max_iter=40)
-        seq = tune(ds, 3, [0.0, 0.01], [0.9], cfg, workers=1)
-        par = tune(ds, 3, [0.0, 0.01], [0.9], cfg, workers=4)
-        assert seq.best == par.best
-        assert [c.bic for c in seq.grid] == [c.bic for c in par.grid]
+        cfg = SolverConfig(seed=3, max_iter=40)
+        result = tune(ds, 3, [0.0, 0.01], [0.8, 0.9], cfg)
+        assert len(result.grid) == 4
+        for cell in result.grid:
+            assert cell.error is None
+            model = fit(whiten(ds, 3), 3, replace(cfg, phi=cell.phi,
+                                                  rho=cell.rho))
+            assert cell.bic == bic(ds, model)
+            assert cell.iterations == model.iterations
+            assert cell.ranks == tuple(model.ranks)
+
+    def test_one_baseline_call_per_rho(self, monkeypatch):
+        # a failing FastICA sends each rho to the seeded random start once,
+        # not every cell back into FastICA
+        ds, _ = generate(SyntheticSpec(node_count=12, q=3, n_subjects=20,
+                                       sigma=0.5, seed=12))
+        calls = {"n": 0}
+
+        def broken(*args, **kwargs):
+            calls["n"] += 1
+            raise DegeneracyError("singular_unmixing", "no convergence")
+
+        import locus.baselines
+        monkeypatch.setattr(locus.baselines, "fastica", broken)
+        result = tune(ds, 3, [0.0, 0.01], [0.8, 0.9],
+                      SolverConfig(seed=0, max_iter=40))
+        assert calls["n"] == 2
+        assert all(cell.error is None for cell in result.grid)
+
+    def test_failed_start_fails_only_its_rho(self, monkeypatch):
+        ds, _ = generate(SyntheticSpec(node_count=12, q=3, n_subjects=20,
+                                       sigma=0.5, seed=12))
+        import locus.modelsel as modelsel
+        real_initialize = modelsel.initialize
+        built = []
+
+        def flaky_initialize(whitened, q, config):
+            built.append(config.rho)
+            if config.rho == 0.8:
+                raise DegeneracyError("zero_source", "synthetic start failure")
+            return real_initialize(whitened, q, config)
+
+        monkeypatch.setattr(modelsel, "initialize", flaky_initialize)
+        result = tune(ds, 3, [0.0, 0.01], [0.8, 0.9],
+                      SolverConfig(seed=0, max_iter=40))
+        assert sorted(built) == [0.8, 0.9]
+        for cell in result.grid:
+            if cell.rho == 0.8:
+                assert math.isnan(cell.bic)
+                assert cell.error == ("DegeneracyError: [zero_source] "
+                                      "synthetic start failure")
+            else:
+                assert cell.error is None
+        assert result.best[1] == 0.9
+        with pytest.raises(ValidationError):
+            tune(ds, 3, [0.0], [1.5], SolverConfig(seed=0, max_iter=40))

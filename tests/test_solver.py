@@ -706,11 +706,10 @@ class TestInitialize:
         basis = np.linalg.qr(rng.standard_normal((node_count, 3)))[0]
         m = (basis * np.array([5.0, -3.0, 0.1])) @ basis.T
         np.fill_diagonal(m, 0.0)
-        s_star = vectorize(m)
         eigvals = np.linalg.eigvalsh(m)
         top2 = eigvals[np.argsort(-np.abs(eigvals))[:2]]
         assert top2[0] > 0 > top2[1]  # the construction keeps mixed signs
-        rank, src = locus.select_rank(s_star, rho=0.9, r_max=2)
+        rank, src = locus.select_rank(m, rho=0.9, r_max=2)
         assert rank == 2
         assert np.allclose(sorted(src.d), sorted(top2), atol=1e-10)
 
