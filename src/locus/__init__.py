@@ -10,8 +10,7 @@ from .connmat import (ConnectivityDataset, fisher_z, load_dataset,
 from .errors import (DegeneracyError, DimensionError, LocusError,
                      NumericError, ValidationError)
 from .evaluate import (BootstrapResult, MatchResult, ReliabilityReport,
-                       bootstrap_replicates, match_sources,
-                       reliability_index, reliability_report)
+                       bootstrap_replicates, match_sources, reliability_report)
 from .modelsel import TuningResult, bic, select_rank, tune
 from .preprocess import WhitenedData, unmix_to_subject_space, whiten
 from .solver import (LocusModel, LowRankSource, SolverConfig, fit,
@@ -26,7 +25,7 @@ __all__ = [
     "SolverConfig", "SyntheticSpec", "TuningResult", "ValidationError",
     "WhitenedData", "bic", "bootstrap_replicates", "fastica", "fisher_z",
     "fit", "generate", "initialize", "load_dataset", "match_sources",
-    "objective", "reliability_index", "reliability_report", "save_dataset",
+    "objective", "reliability_report", "save_dataset",
     "select_rank", "soft_threshold", "tune", "unmix_to_subject_space",
     "unvectorize", "update_d", "update_mixing", "vectorize", "whiten",
 ]

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, DimensionError
-from .preprocess import WhitenedData
+from .errors import DimensionError
+from .preprocess import WhitenedData, _polar_orthogonalize
 
 
 @dataclass(frozen=True)
@@ -25,15 +25,6 @@ class IcaModel:
     mixing: np.ndarray
     converged: bool
     iterations: int
-
-
-def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
-    """W <- (W W')^(-1/2) W via SVD; result has orthonormal rows."""
-    u, svals, vt = np.linalg.svd(w)
-    if svals[-1] <= 1e-12 * max(svals[0], np.finfo(float).tiny):
-        raise DegeneracyError("singular_unmixing",
-                              "unmixing estimate lost rank during decorrelation")
-    return u @ vt
 
 
 def fastica(whitened: WhitenedData, q: int, max_iter: int = 200,
@@ -56,7 +47,7 @@ def fastica(whitened: WhitenedData, q: int, max_iter: int = 200,
     z = z / scale
 
     rng = np.random.default_rng(seed)
-    w = _sym_decorrelate(rng.standard_normal((q, q)))
+    w = _polar_orthogonalize(rng.standard_normal((q, q)))
 
     converged = False
     iterations = 0
@@ -65,7 +56,7 @@ def fastica(whitened: WhitenedData, q: int, max_iter: int = 200,
         g = np.tanh(wz)
         g_prime = 1.0 - g ** 2
         w_new = (g @ z.T) / p - g_prime.mean(axis=1)[:, None] * w
-        w_new = _sym_decorrelate(w_new)
+        w_new = _polar_orthogonalize(w_new)
         # rows only rotate; convergence when each new row is (up to sign)
         # the old one
         gap = float(np.max(np.abs(np.abs(np.einsum("ij,ij->i", w_new, w)) - 1.0)))

@@ -1,9 +1,9 @@
 """Command-line interface: simulate | decompose | tune | evaluate.
 
 Every command writes its artifacts plus a ``manifest`` key=value file
-(command, settings, input hashes, seed, version, timestamp).  Data outputs
-are byte-identical across reruns with the same arguments; the manifest's
-timestamp line is the one exception.
+(command, every option of the subcommand, input hashes, version,
+timestamp).  Data outputs are byte-identical across reruns with the same
+arguments; the manifest's timestamp line is the one exception.
 
 Exit codes: 0 success, 2 usage, 3 validation, 4 numeric/degeneracy.
 """
@@ -60,12 +60,17 @@ def _hash_input(path: str) -> str:
     return _sha256_file(path)
 
 
-def write_manifest(out_dir: str, command: str, settings: dict,
+def write_manifest(out_dir: str, args: argparse.Namespace,
                    inputs: dict | None = None) -> None:
-    lines = [f"command={command}", f"version={__version__}",
+    """Record the subcommand, every one of its options with the value it
+    ran with (lists joined by commas) and a sha256 per input."""
+    lines = [f"command={args.command}", f"version={__version__}",
              f"timestamp={time.strftime('%Y-%m-%dT%H:%M:%S%z')}"]
-    for key in sorted(settings):
-        lines.append(f"{key}={settings[key]}")
+    for dest in sorted(_command_options(build_parser(), args.command)):
+        value = getattr(args, dest)
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        lines.append(f"{dest}={value}")
     for name, path in sorted((inputs or {}).items()):
         lines.append(f"input_{name}={path}")
         lines.append(f"input_{name}_sha256={_hash_input(path)}")
@@ -205,9 +210,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     save_dataset(dataset, os.path.join(args.out, "dataset.csv"))
     _write_truth(args.out, truth, args.V, spec)
-    write_manifest(args.out, "simulate",
-                   {"scenario": spec.scenario, "V": args.V, "q": args.q,
-                    "N": args.N, "sigma": args.sigma, "seed": args.seed})
+    write_manifest(args.out, args)
     return 0
 
 
@@ -237,13 +240,7 @@ def cmd_decompose(args) -> int:
     for ell in range(sources.shape[0]):
         write_pgm(unvectorize(sources[ell], dataset.node_count),
                   os.path.join(args.out, f"S_{ell + 1}.pgm"))
-    settings = {"method": args.method, "q": args.q, "seed": args.seed,
-                "fisher": args.fisher}
-    if args.method == "locus":
-        settings.update(phi=args.phi, rho=args.rho, r_max=args.r_max,
-                        regularizer=REGULARIZERS[args.regularizer],
-                        max_iter=args.max_iter, eps1=args.eps1, eps2=args.eps2)
-    write_manifest(args.out, "decompose", settings, inputs={"data": args.data})
+    write_manifest(args.out, args, inputs={"data": args.data})
     return 0
 
 
@@ -276,12 +273,7 @@ def cmd_tune(args) -> int:
     with open(os.path.join(args.out, "best"), "w") as fh:
         fh.write(f"phi={result.best[0]:.17g}\nrho={result.best[1]:.17g}\n"
                  f"bic={best_cell.bic:.17g}\n")
-    write_manifest(args.out, "tune",
-                   {"q": args.q, "phi_grid": ",".join(map(str, args.phi_grid)),
-                    "rho_grid": ",".join(map(str, args.rho_grid)),
-                    "seed": args.seed,
-                    "regularizer": REGULARIZERS[args.regularizer]},
-                   inputs={"data": args.data})
+    write_manifest(args.out, args, inputs={"data": args.data})
     return 0
 
 
@@ -369,9 +361,7 @@ def cmd_evaluate(args) -> int:
                              f"{boot.n_success},{args.bootstrap}\n")
         inputs["data"] = args.data
 
-    write_manifest(args.out, "evaluate",
-                   {"bootstrap": args.bootstrap or 0, "seed": args.seed},
-                   inputs=inputs)
+    write_manifest(args.out, args, inputs=inputs)
     return 0
 
 

@@ -5,8 +5,14 @@ with an optimal assignment (maximizing total |Pearson|) between truth and
 estimates; signs are taken from the matched correlations.  Replicated fits
 are summarized with a chance-corrected reliability index: the average
 matched similarity, shifted and scaled by the average similarity against
-*all* extracted components, so that 1 means perfectly reproducible and 0
-means no better than chance.
+*all* extracted components,
+
+    RI_l = (mean_b h(S_l, S_hat[b, l]) - mean_{b,j} h(S_l, S_hat[b, j]))
+           / (1 - mean_{b,j} h(S_l, S_hat[b, j])),
+
+where S_hat[b] is replicate b aligned to the truth and h is a similarity
+(Pearson, or Jaccard of the top edge supports), so that 1 means perfectly
+reproducible and 0 means no better than chance.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from .errors import DimensionError, LocusError, ValidationError
 
 SIMILARITIES = ("pearson", "jaccard")
 DEFAULT_TOP_FRACTION = 0.01
-RI_UNDEFINED = float("nan")
 
 
 @dataclass(frozen=True)
@@ -43,27 +48,37 @@ class MatchResult:
 @dataclass(frozen=True)
 class ReliabilityReport:
     per_source_ri: np.ndarray
-    similarity: str
-    n_replicates: int
-    jaccard_top_fraction: float = DEFAULT_TOP_FRACTION
-
-
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation; 0 by convention when either side is constant."""
-    a = a - a.mean()
-    b = b - b.mean()
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(a @ b / (na * nb))
 
 
 def correlation_matrix(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
-    out = np.zeros((truth.shape[0], est.shape[0]))
-    for i in range(truth.shape[0]):
-        for j in range(est.shape[0]):
-            out[i, j] = _pearson(truth[i], est[j])
-    return out
+    """Pearson correlations of the rows of ``truth`` (q, p) with the rows of
+    ``est`` (..., q', p), shape (..., q, q'); 0 by convention where either
+    row is constant."""
+    def centered(rows):
+        rows = rows - rows.mean(axis=-1, keepdims=True)
+        return rows, np.sqrt(np.einsum("...i,...i->...", rows, rows))
+
+    # A centered row is orthogonal to constants, so only the truth needs
+    # centering for the products; dropping the estimates' centered copy
+    # before the truth's is made keeps one p-wide temporary at a time.
+    # einsum works every entry out by the same loop, so identical rows get
+    # identical correlations and exact ties in the matching stay ties.
+    est_norms = centered(est)[1]
+    truth, truth_norms = centered(truth)
+    num = np.einsum("ip,...jp->...ij", truth, est)
+    den = truth_norms[:, None] * est_norms[..., None, :]
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def _assign(corr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hungarian matching of the rows of a (q, q) correlation matrix to its
+    columns by total |corr|: the matched column of each row, and the sign
+    of each matched correlation."""
+    row_ind, col_ind = linear_sum_assignment(-np.abs(corr))
+    perm = np.empty(corr.shape[0], dtype=int)
+    perm[row_ind] = col_ind
+    matched = corr[np.arange(corr.shape[0]), perm]
+    return perm, np.where(matched >= 0, 1.0, -1.0)
 
 
 def match_sources(truth: np.ndarray, est: np.ndarray,
@@ -81,105 +96,83 @@ def match_sources(truth: np.ndarray, est: np.ndarray,
         raise DimensionError("dimension_mismatch",
                              f"truth {truth.shape} vs estimates {est.shape}")
     corr = correlation_matrix(truth, est)
-    row_ind, col_ind = linear_sum_assignment(-np.abs(corr))
-    perm = np.empty(truth.shape[0], dtype=int)
-    perm[row_ind] = col_ind
-    matched = corr[np.arange(truth.shape[0]), perm]
-    signs = np.where(matched >= 0, 1.0, -1.0)
+    perm, signs = _assign(corr)
+    rows = np.arange(truth.shape[0])
     loading_corr = None
     if truth_loadings is not None and est_loadings is not None:
-        loading_corr = np.array([
-            _pearson(truth_loadings[:, ell], signs[ell] * est_loadings[:, perm[ell]])
-            for ell in range(truth.shape[0])])
+        loading_corr = correlation_matrix(
+            np.asarray(truth_loadings, dtype=float).T,
+            np.asarray(est_loadings, dtype=float).T)[rows, perm] * signs
     return MatchResult(permutation=perm, signs=signs,
-                       per_source_corr=np.abs(matched),
+                       per_source_corr=np.abs(corr[rows, perm]),
                        loading_corr=loading_corr)
 
 
-def align_estimates(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
-    """Estimates reordered and sign-flipped to line up with the truth."""
-    match = match_sources(truth, est)
-    return est[match.permutation] * match.signs[:, None]
-
-
 def top_edge_support(values: np.ndarray, top_fraction: float) -> np.ndarray:
-    """Boolean mask of the top `top_fraction` edges by magnitude (at least
-    one edge; stable tie-break by index)."""
+    """Boolean mask of the top `top_fraction` entries by magnitude along
+    the last axis (at least one per row; stable tie-break by index)."""
     if not 0 < top_fraction <= 1:
         raise ValidationError("bad_config",
                               f"top_fraction must lie in (0, 1], got {top_fraction}")
-    p = values.shape[0]
-    k = max(1, int(round(top_fraction * p)))
-    order = np.argsort(-np.abs(values), kind="stable")
-    mask = np.zeros(p, dtype=bool)
-    mask[order[:k]] = True
-    return mask
-
-
-def _jaccard(a: np.ndarray, b: np.ndarray, top_fraction: float) -> float:
-    sa = top_edge_support(a, top_fraction)
-    sb = top_edge_support(b, top_fraction)
-    union = np.count_nonzero(sa | sb)
-    if union == 0:
-        return 0.0
-    return float(np.count_nonzero(sa & sb) / union)
-
-
-def reliability_index(truth_l: np.ndarray, estimates: np.ndarray, ell: int,
-                      similarity: str = "pearson",
-                      top_fraction: float = DEFAULT_TOP_FRACTION) -> float:
-    """Chance-corrected reliability of one source across replicates.
-
-    ``estimates`` is (B, q, p), already matched so that estimates[b, ell]
-    is the component matched to this truth in replicate b:
-
-        RI = (mean_b h(S, S_hat[b, ell]) - mean_{b,j} h(S, S_hat[b, j]))
-             / (1 - mean_{b,j} h(S, S_hat[b, j]))
-
-    Returns NaN when the denominator vanishes.  Values are reported
-    unclipped and can dip slightly below zero.
-    """
-    estimates = np.asarray(estimates, dtype=float)
-    if estimates.ndim != 3:
-        raise DimensionError("dimension_mismatch",
-                             f"estimates must be (B, q, p), got {estimates.shape}")
-    if estimates.shape[0] < 2:
-        raise ValidationError("bad_config", "need at least 2 replicates")
-    if similarity not in SIMILARITIES:
-        raise ValidationError("bad_config",
-                              f"similarity must be one of {SIMILARITIES}")
-    if similarity == "pearson":
-        def h(a, b):
-            return _pearson(a, b)
-    else:
-        def h(a, b):
-            return _jaccard(a, b, top_fraction)
-
-    b_count, q = estimates.shape[0], estimates.shape[1]
-    all_sims = np.array([[h(truth_l, estimates[b, j]) for j in range(q)]
-                         for b in range(b_count)])
-    matched = float(np.mean(all_sims[:, ell]))
-    chance = float(np.mean(all_sims))
-    denom = 1.0 - chance
-    if abs(denom) < 1e-12:
-        return RI_UNDEFINED
-    return (matched - chance) / denom
+    magnitude = np.abs(values)
+    k = max(1, int(round(top_fraction * magnitude.shape[-1])))
+    # everything above the k-th largest magnitude, then the entries tied
+    # with it in index order until k are taken
+    kth = -np.partition(-magnitude, k - 1, axis=-1)[..., [k - 1]]
+    above = magnitude > kth
+    tied = magnitude == kth
+    room = k - np.count_nonzero(above, axis=-1)[..., None]
+    return above | (tied & (np.cumsum(tied, axis=-1) <= room))
 
 
 def reliability_report(truth: np.ndarray, replicate_estimates,
                        similarity: str = "pearson",
                        top_fraction: float = DEFAULT_TOP_FRACTION) -> ReliabilityReport:
-    """Match every replicate to the truth, then compute all q reliability
-    indices."""
+    """Chance-corrected reliability of every source across replicated fits.
+
+    Each (q, p) replicate is matched to the truth as by
+    :func:`match_sources`; S_hat[b] is replicate b reordered and
+    sign-flipped accordingly.  With h the Pearson correlation, or the
+    Jaccard index of the top ``top_fraction`` edge supports,
+
+        RI_l = (mean_b h(S_l, S_hat[b, l]) - mean_{b,j} h(S_l, S_hat[b, j]))
+               / (1 - mean_{b,j} h(S_l, S_hat[b, j]))
+
+    RI_l is NaN when the denominator vanishes.  Values are reported
+    unclipped and can dip slightly below zero.
+    """
+    if similarity not in SIMILARITIES:
+        raise ValidationError("bad_config",
+                              f"similarity must be one of {SIMILARITIES}")
     truth = np.asarray(truth, dtype=float)
-    aligned = np.stack([align_estimates(truth, np.asarray(e, dtype=float))
-                        for e in replicate_estimates])
-    ri = np.array([reliability_index(truth[ell], aligned, ell, similarity,
-                                     top_fraction)
-                   for ell in range(truth.shape[0])])
-    return ReliabilityReport(per_source_ri=ri, similarity=similarity,
-                             n_replicates=aligned.shape[0],
-                             jaccard_top_fraction=top_fraction)
+    replicates = [np.asarray(e, dtype=float) for e in replicate_estimates]
+    if len(replicates) < 2:
+        raise ValidationError("bad_config", "need at least 2 replicates")
+    for est in replicates:
+        if est.shape != truth.shape:
+            raise DimensionError("dimension_mismatch",
+                                 f"truth {truth.shape} vs estimates {est.shape}")
+    estimates = np.stack(replicates)
+    corr = correlation_matrix(truth, estimates)
+    perms, signs = (np.array(a) for a in zip(*map(_assign, corr)))
+    # sims[b, l, j]: similarity of truth l to the j-th aligned estimate of
+    # replicate b, read off the unaligned (b, l, perms[b, j]) entry
+    aligned = perms[:, None, :]
+    if similarity == "pearson":
+        sims = np.take_along_axis(corr, aligned, axis=2) * signs[:, None, :]
+    else:
+        truth_support = top_edge_support(truth, top_fraction).astype(float)
+        overlap = np.stack([truth_support @ top_edge_support(e, top_fraction).T
+                            for e in estimates])
+        # every support holds the same number of edges
+        union = 2.0 * truth_support.sum(axis=1)[:, None] - overlap
+        sims = np.take_along_axis(overlap / union, aligned, axis=2)
+    matched = np.diagonal(sims, axis1=1, axis2=2).mean(axis=0)
+    chance = sims.mean(axis=(0, 2))
+    denom = 1.0 - chance
+    ri = np.full(truth.shape[0], np.nan)
+    np.divide(matched - chance, denom, out=ri, where=np.abs(denom) >= 1e-12)
+    return ReliabilityReport(per_source_ri=ri)
 
 
 @dataclass(frozen=True)
@@ -187,7 +180,6 @@ class BootstrapResult:
     """Stacked per-replicate source estimates plus bookkeeping."""
 
     estimates: np.ndarray
-    indices: np.ndarray
     failures: tuple[tuple[int, str], ...]
 
     @property
@@ -229,5 +221,5 @@ def bootstrap_replicates(dataset: ConnectivityDataset, fit_fn, b: int,
                                         dtype=float))
         except (LocusError, np.linalg.LinAlgError) as err:
             failures.append((rep, f"{type(err).__name__}: {err}"))
-    return BootstrapResult(estimates=np.array(estimates), indices=indices,
+    return BootstrapResult(estimates=np.array(estimates),
                            failures=tuple(failures))

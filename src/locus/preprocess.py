@@ -69,6 +69,16 @@ def _fix_eigvec_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * signs
 
 
+def _polar_orthogonalize(m: np.ndarray) -> np.ndarray:
+    """Closest orthogonal matrix in Frobenius norm (symmetric/polar
+    orthogonalization, order-independent across columns)."""
+    u, svals, vt = np.linalg.svd(m)
+    if svals[-1] <= 1e-12 * max(svals[0], np.finfo(float).tiny):
+        raise DegeneracyError("singular_mixing",
+                              "mixing estimate is rank deficient; cannot orthogonalize")
+    return u @ vt
+
+
 def whiten(dataset: ConnectivityDataset, q: int) -> WhitenedData:
     """Demean, reduce to q dimensions and whiten the group data.
 

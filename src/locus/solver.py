@@ -47,7 +47,8 @@ import numpy as np
 from .connmat import nodes_from_edge_count, triu_indices, unvectorize, vectorize
 from .errors import (DegeneracyError, DimensionError, LocusError, NumericError,
                      ValidationError)
-from .preprocess import WhitenedData, unmix_to_subject_space
+from .preprocess import (WhitenedData, _polar_orthogonalize,
+                         unmix_to_subject_space)
 
 logger = logging.getLogger(__name__)
 
@@ -56,7 +57,6 @@ PINV_RTOL = 1e-10
 # Sherman-Morrison inverse: two decades inside the PINV_RTOL rule
 CERT = 1e-2 / PINV_RTOL
 PRUNE_RTOL = 1e-10
-ORTHO_GRAM_TOL = 1e-3
 
 REGULARIZERS = ("uniform_l1", "vector_l1", "nuclear")
 
@@ -72,16 +72,6 @@ def _check_penalty(phi: float, regularizer: str) -> None:
 
 class DegenerateSourceWarning(UserWarning):
     """A source collapsed to zero during thresholding and was re-seeded."""
-
-
-def _polar_orthogonalize(m: np.ndarray) -> np.ndarray:
-    """Closest orthogonal matrix in Frobenius norm (symmetric/polar
-    orthogonalization, order-independent across columns)."""
-    u, svals, vt = np.linalg.svd(m)
-    if svals[-1] <= 1e-12 * max(svals[0], np.finfo(float).tiny):
-        raise DegeneracyError("singular_mixing",
-                              "mixing estimate is rank deficient; cannot orthogonalize")
-    return u @ vt
 
 
 @dataclass(frozen=True)
@@ -396,12 +386,10 @@ def update_mixing(whitened: WhitenedData, sources: list[LowRankSource]) -> np.nd
 
 
 def _nuclear_norm(source: LowRankSource) -> float:
-    """Nuclear norm of the reconstructed V x V matrix.  With orthonormal
-    columns this is sum |d_r|; otherwise fall back to singular values."""
-    gram = source.x.T @ source.x
-    if np.linalg.norm(gram - np.eye(source.rank)) <= ORTHO_GRAM_TOL:
-        return float(np.sum(np.abs(source.d)))
-    return float(np.sum(np.linalg.svd(source.matrix(), compute_uv=False)))
+    """Nuclear norm of the reconstructed V x V matrix X diag(d) X'.  With
+    X = QR it equals sum |eig(R diag(d) R')|, an R x R problem."""
+    r = np.linalg.qr(source.x, mode="r")
+    return float(np.sum(np.abs(np.linalg.eigvalsh((r * source.d) @ r.T))))
 
 
 def penalty(sources: list[LowRankSource], phi: float, regularizer: str) -> float:

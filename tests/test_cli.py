@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from locus.cli import main, write_pgm
+from locus.cli import _command_options, build_parser, main, write_pgm
 from locus.solver import read_meta
 
 
@@ -200,6 +200,18 @@ class TestTune:
         assert float(best["phi"]) in (0.0, 0.01, 0.02)
         assert float(best["rho"]) in (0.8, 0.9)
 
+    def test_manifest_lists_every_option(self, sim_dir, tmp_path):
+        out = tmp_path / "tune"
+        assert run(["tune", sim_dir / "dataset.csv", "--q", 3,
+                    "--phi-grid", "0,0.01", "--rho-grid", "0.9",
+                    "--max-iter", 7, "--r-max", 2, "--out", out]) == 0
+        manifest = read_meta(out / "manifest")
+        assert set(_command_options(build_parser(), "tune")) <= set(manifest)
+        assert manifest["max_iter"] == "7"
+        assert manifest["r_max"] == "2"
+        assert manifest["phi_grid"] == "0.0,0.01"
+        assert manifest["regularizer"] == "uniform"
+
     def test_failed_cell_reason_in_grid_csv(self, sim_dir, tmp_path,
                                             monkeypatch):
         import csv
@@ -282,6 +294,19 @@ class TestEvaluate:
                     "--data", sim_dir / "dataset.csv", "--bootstrap", 3,
                     "--config", cfg, "--out", tmp_path / "bad"]) == 3
         assert "bad_config" in capsys.readouterr().err
+
+    def test_manifest_records_solver_and_bootstrap_options(self, sim_dir,
+                                                           tmp_path):
+        # the refits behind reliability.csv depend on these options
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--truth", sim_dir / "truth", "--phi", 0.05,
+                    "--method", "locus", "--method", "fastica",
+                    "--out", out]) == 0
+        manifest = read_meta(out / "manifest")
+        assert set(_command_options(build_parser(), "evaluate")) <= set(manifest)
+        assert manifest["phi"] == "0.05"
+        assert manifest["method"] == "locus,fastica"
+        assert manifest["top_fraction"] == "0.01"
 
     def test_bootstrap_without_data_exit_3(self, sim_dir, tmp_path):
         assert run(["evaluate", "--truth", sim_dir / "truth",

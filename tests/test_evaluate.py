@@ -1,12 +1,60 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import linear_sum_assignment
+
 from locus.connmat import ConnectivityDataset
-from locus.errors import DegeneracyError, ValidationError
-from locus.evaluate import (align_estimates, bootstrap_indices,
-                            bootstrap_replicates, match_sources,
-                            reliability_index, reliability_report,
-                            top_edge_support)
+from locus.errors import DegeneracyError, DimensionError, ValidationError
+from locus.evaluate import (bootstrap_indices, bootstrap_replicates,
+                            correlation_matrix, match_sources,
+                            reliability_report, top_edge_support)
+
+
+def pearson_reference(a, b):
+    """Per-pair Pearson correlation, 0 when either side is constant."""
+    a = a - a.mean()
+    b = b - b.mean()
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0 or nb == 0:
+        return 0.0
+    return float(a @ b / (na * nb))
+
+
+def support_reference(values, top_fraction):
+    """Top edges of one vector by a stable sort of the magnitudes."""
+    k = max(1, int(round(top_fraction * values.shape[0])))
+    mask = np.zeros(values.shape[0], dtype=bool)
+    mask[np.argsort(-np.abs(values), kind="stable")[:k]] = True
+    return mask
+
+
+def reliability_reference(truth, replicates, similarity, top_fraction=0.01):
+    """Per-replicate match and alignment, then per-pair similarity loops."""
+    q = truth.shape[0]
+    aligned = []
+    for est in replicates:
+        corr = np.array([[pearson_reference(t, e) for e in est] for t in truth])
+        rows, cols = linear_sum_assignment(-np.abs(corr))
+        perm = np.empty(q, dtype=int)
+        perm[rows] = cols
+        signs = np.where(corr[np.arange(q), perm] >= 0, 1.0, -1.0)
+        aligned.append(est[perm] * signs[:, None])
+
+    def h(a, b):
+        if similarity == "pearson":
+            return pearson_reference(a, b)
+        sa = support_reference(a, top_fraction)
+        sb = support_reference(b, top_fraction)
+        return np.count_nonzero(sa & sb) / np.count_nonzero(sa | sb)
+
+    ri = np.empty(q)
+    for ell in range(q):
+        sims = np.array([[h(truth[ell], est[j]) for j in range(q)]
+                         for est in aligned])
+        matched, chance = np.mean(sims[:, ell]), np.mean(sims)
+        denom = 1.0 - chance
+        ri[ell] = np.nan if abs(denom) < 1e-12 else (matched - chance) / denom
+    return ri
 
 
 class TestMatchSources:
@@ -21,7 +69,7 @@ class TestMatchSources:
         for j, src in enumerate(perm):
             assert match.permutation[src] == j
         assert np.allclose(match.per_source_corr, 1.0, atol=1e-12)
-        aligned = align_estimates(truth, est)
+        aligned = est[match.permutation] * match.signs[:, None]
         assert np.allclose(aligned, truth, atol=1e-12)
 
     def test_identity_match_regardless_of_q(self):
@@ -78,6 +126,81 @@ class TestMatchSources:
         assert np.allclose(match.loading_corr, 1.0, atol=1e-12)
 
 
+class TestCorrelationMatrix:
+    def test_stacked_estimates_match_per_pair_pearson(self):
+        rng = np.random.default_rng(12)
+        truth = rng.standard_normal((3, 40)) * 5 + 2
+        truth[1] = 2.5  # constant row
+        est = rng.standard_normal((4, 2, 3, 40)) + 7
+        est[1, 0, 2] = 0.0
+        est[3, 1, 0] = 1.0
+        got = correlation_matrix(truth, est)
+        assert got.shape == (4, 2, 3, 3)
+        for idx in np.ndindex(4, 2):
+            ref = np.array([[pearson_reference(t, e) for e in est[idx]]
+                            for t in truth])
+            assert np.allclose(got[idx], ref, rtol=0, atol=1e-12)
+        assert np.all(got[:, :, 1] == 0.0)
+        assert np.all(got[1, 0, :, 2] == 0.0)
+
+
+class TestTopEdgeSupport:
+    def test_stacked_rows_match_row_by_row_with_ties(self):
+        rng = np.random.default_rng(13)
+        for top_fraction in (0.01, 0.05, 0.2, 0.5, 1.0):
+            # rounded values tie often in magnitude, zeros and signs included
+            values = np.round(rng.standard_normal((3, 4, 90)) * 1.5)
+            got = top_edge_support(values, top_fraction)
+            for idx in np.ndindex(3, 4):
+                row = values[idx]
+                assert np.array_equal(got[idx], top_edge_support(row, top_fraction))
+                assert np.array_equal(got[idx],
+                                      support_reference(row, top_fraction))
+
+
+class TestReliabilityReport:
+    def test_matches_per_replicate_reference(self):
+        rng = np.random.default_rng(14)
+        for case in range(60):
+            q, p, b = (int(rng.integers(1, 6)), int(rng.integers(10, 200)),
+                       int(rng.integers(2, 8)))
+            truth = rng.standard_normal((q, p))
+            replicates = []
+            for _ in range(b):
+                est = (truth[rng.permutation(q)]
+                       * rng.choice([-1.0, 1.0], q)[:, None]
+                       + rng.uniform(0, 2) * rng.standard_normal((q, p)))
+                if case % 3 == 1:
+                    est = np.round(est)  # ties in the Jaccard supports
+                if case % 3 == 2:
+                    est[int(rng.integers(q))] = 1.0  # a constant row
+                replicates.append(est)
+            if case % 4 == 3:
+                replicates = [replicates[0]] * b  # identical replicates
+            top_fraction = float(rng.choice([0.01, 0.05, 0.3]))
+            for similarity in ("pearson", "jaccard"):
+                got = reliability_report(truth, replicates, similarity,
+                                         top_fraction).per_source_ri
+                ref = reliability_reference(truth, replicates, similarity,
+                                            top_fraction)
+                assert np.array_equal(np.isnan(got), np.isnan(ref))
+                assert np.allclose(got, ref, rtol=0, atol=1e-12, equal_nan=True)
+
+    def test_replicate_shape_mismatch_raises_dimension_error(self):
+        truth = np.zeros((2, 10))
+        with pytest.raises(DimensionError):
+            reliability_report(truth, [np.ones((2, 10)), np.ones((2, 9))])
+
+    @pytest.mark.parametrize("similarity, top_fraction",
+                             [("spearman", 0.01), ("jaccard", 0.0),
+                              ("jaccard", 1.5)])
+    def test_bad_similarity_or_top_fraction(self, similarity, top_fraction):
+        rng = np.random.default_rng(15)
+        truth = rng.standard_normal((2, 10))
+        with pytest.raises(ValidationError):
+            reliability_report(truth, [truth, truth], similarity, top_fraction)
+
+
 class TestReliabilityIndex:
     def test_identical_estimates_and_zero_cross_similarity(self):
         # orthogonal binary supports: cross-similarities vanish, matched
@@ -88,38 +211,39 @@ class TestReliabilityIndex:
             truth[ell, ell * 10:(ell + 1) * 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
         truth -= truth.mean(axis=1, keepdims=True)
         estimates = np.stack([truth] * b)
-        for ell in range(q):
-            ri = reliability_index(truth[ell], estimates, ell, "pearson")
-            assert ri == pytest.approx(1.0, abs=0.02)
+        ri = reliability_report(truth, estimates, "pearson").per_source_ri
+        assert np.allclose(ri, 1.0, atol=0.02)
 
     def test_matched_equal_to_chance_gives_zero(self):
-        # every estimate identical to every other: matched mean equals the
-        # cross mean, numerator vanishes
+        # every estimate identical to every other, and positively correlated
+        # with every truth so that alignment flips no sign: the matched mean
+        # equals the cross mean and the numerator vanishes
         q, p, b = 3, 40, 5
         rng = np.random.default_rng(5)
         shared = rng.standard_normal(p)
         estimates = np.stack([np.vstack([shared] * q)] * b)
-        truth = rng.standard_normal((q, p))
-        for ell in range(q):
-            assert reliability_index(truth[ell], estimates, ell,
-                                     "pearson") == pytest.approx(0.0, abs=1e-12)
+        truth = shared + 0.5 * rng.standard_normal((q, p))
+        ri = reliability_report(truth, estimates, "pearson").per_source_ri
+        assert np.allclose(ri, 0.0, atol=1e-12)
 
     def test_undefined_denominator_gives_nan(self):
-        q, p, b = 2, 20, 3
-        truth = np.vstack([np.arange(20.0), -np.arange(20.0)])
-        estimates = np.stack([np.vstack([truth[0], truth[0]])] * b)
-        ri = reliability_index(truth[0], estimates, 0, "pearson")
-        assert np.isnan(ri)
+        # every row of every replicate is +-truth[0]; alignment flips each
+        # to +truth[0], so truth 0's similarities are all 1 and 1 - chance
+        # vanishes, while truth 1 keeps a nonzero denominator
+        x = np.arange(20.0)
+        truth = np.vstack([x, x ** 2])
+        estimates = [np.vstack([x, x]), np.vstack([x, -x]), np.vstack([-x, x])]
+        ri = reliability_report(truth, estimates, "pearson").per_source_ri
+        assert np.isnan(ri[0])
+        assert np.isfinite(ri[1])
 
     def test_pearson_ri_invariant_to_positive_rescaling(self):
         rng = np.random.default_rng(6)
         q, p, b = 3, 60, 6
         truth = rng.standard_normal((q, p))
         ests = rng.standard_normal((b, q, p)) * 0.2 + truth[None]
-        r1 = np.array([reliability_index(truth[ell], ests, ell, "pearson")
-                       for ell in range(q)])
-        r2 = np.array([reliability_index(truth[ell], ests * 17.3, ell, "pearson")
-                       for ell in range(q)])
+        r1 = reliability_report(truth, ests, "pearson").per_source_ri
+        r2 = reliability_report(truth, ests * 17.3, "pearson").per_source_ri
         assert np.allclose(r1, r2, atol=1e-12)
 
     def test_jaccard_ri_invariant_to_monotone_rescaling(self):
@@ -127,11 +251,9 @@ class TestReliabilityIndex:
         q, p, b = 2, 200, 4
         truth = rng.standard_normal((q, p))
         ests = rng.standard_normal((b, q, p)) * 0.5 + truth[None]
-        r1 = np.array([reliability_index(truth[ell], ests, ell, "jaccard", 0.05)
-                       for ell in range(q)])
+        r1 = reliability_report(truth, ests, "jaccard", 0.05).per_source_ri
         cubed = np.sign(ests) * np.abs(ests) ** 3  # monotone in |value|
-        r2 = np.array([reliability_index(truth[ell], cubed, ell, "jaccard", 0.05)
-                       for ell in range(q)])
+        r2 = reliability_report(truth, cubed, "jaccard", 0.05).per_source_ri
         assert np.allclose(r1, r2, atol=1e-12)
 
     def test_jaccard_bounded_unit_interval(self):
@@ -145,7 +267,7 @@ class TestReliabilityIndex:
 
     def test_requires_two_replicates(self):
         with pytest.raises(ValidationError):
-            reliability_index(np.arange(5.0), np.zeros((1, 2, 5)), 0)
+            reliability_report(np.zeros((2, 5)), np.zeros((1, 2, 5)))
 
 
 class TestBootstrap:
