@@ -78,6 +78,14 @@ def write_manifest(out_dir: str, args: argparse.Namespace,
         fh.write("\n".join(lines) + "\n")
 
 
+def write_table(path: str, header: list[str], rows) -> None:
+    """Write a CSV table; fields holding a comma or a quote are quoted."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_pgm(matrix: np.ndarray, path: str) -> None:
     """8-bit grayscale PGM with a symmetric diverging mapping: zero maps to
     mid-gray 128, +-max|value| to 255/1."""
@@ -260,14 +268,12 @@ def cmd_tune(args) -> int:
     config = _solver_config(args)
     result = tune(dataset, args.q, args.phi_grid, args.rho_grid, config)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "grid.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["phi", "rho", "bic", "iterations", "converged", "error"])
-        for cell in result.grid:
-            bic_txt = "" if cell.error is not None else f"{cell.bic:.17g}"
-            writer.writerow([f"{cell.phi:.17g}", f"{cell.rho:.17g}", bic_txt,
-                             cell.iterations, str(cell.converged).lower(),
-                             cell.error or ""])
+    write_table(os.path.join(args.out, "grid.csv"),
+                ["phi", "rho", "bic", "iterations", "converged", "error"],
+                ([f"{cell.phi:.17g}", f"{cell.rho:.17g}",
+                  "" if cell.error is not None else f"{cell.bic:.17g}",
+                  cell.iterations, str(cell.converged).lower(),
+                  cell.error or ""] for cell in result.grid))
     best_cell = next(c for c in result.grid
                      if (c.phi, c.rho) == result.best)
     with open(os.path.join(args.out, "best"), "w") as fh:
@@ -313,25 +319,29 @@ def cmd_evaluate(args) -> int:
     inputs = {"truth": args.truth}
 
     if args.fits:
-        with open(os.path.join(args.out, "match.csv"), "w") as fh:
-            fh.write("fit,source,matched,sign,source_corr,loading_corr\n")
-            for fit_dir in args.fits:
-                dec = load_decomposition(fit_dir)
-                est_loadings = dec["a"]
-                if (truth_loadings is None
-                        or est_loadings.shape[0] != truth_loadings.shape[0]):
-                    est_loadings = None
-                match = match_sources(truth, dec["sources"],
-                                      truth_loadings if est_loadings is not None else None,
-                                      est_loadings)
-                for ell in range(truth.shape[0]):
-                    lc = ("" if match.loading_corr is None
-                          else f"{match.loading_corr[ell]:.6f}")
-                    fh.write(f"{os.path.basename(os.path.normpath(fit_dir))},"
-                             f"{ell + 1},{match.permutation[ell] + 1},"
-                             f"{int(match.signs[ell])},"
-                             f"{match.per_source_corr[ell]:.6f},{lc}\n")
-                inputs[f"fit_{os.path.basename(os.path.normpath(fit_dir))}"] = fit_dir
+        # a fit is named by its directory, or its path if two names clash
+        labels = [os.path.basename(os.path.normpath(d)) for d in args.fits]
+        if len(set(labels)) < len(labels):
+            labels = args.fits
+        rows = []
+        for index, (fit_dir, label) in enumerate(zip(args.fits, labels), start=1):
+            dec = load_decomposition(fit_dir)
+            est_loadings = dec["a"]
+            if (truth_loadings is None
+                    or est_loadings.shape[0] != truth_loadings.shape[0]):
+                est_loadings = None
+            match = match_sources(truth, dec["sources"], truth_loadings,
+                                  est_loadings)
+            for ell in range(truth.shape[0]):
+                lc = ("" if match.loading_corr is None
+                      else f"{match.loading_corr[ell]:.6f}")
+                rows.append([label, ell + 1, match.permutation[ell] + 1,
+                             int(match.signs[ell]),
+                             f"{match.per_source_corr[ell]:.6f}", lc])
+            inputs[f"fit_{index}"] = fit_dir
+        write_table(os.path.join(args.out, "match.csv"),
+                    ["fit", "source", "matched", "sign", "source_corr",
+                     "loading_corr"], rows)
 
     if args.bootstrap:
         if not args.data:
@@ -341,24 +351,24 @@ def cmd_evaluate(args) -> int:
                                fisher=args.fisher)
         q = truth.shape[0]
         methods = args.method or ["locus"]
-        with open(os.path.join(args.out, "reliability.csv"), "w") as fh:
-            fh.write("method,source,ri_pearson,ri_jaccard,n_success,B\n")
-            for method in methods:
-                boot = bootstrap_replicates(dataset,
-                                            _bootstrap_fit_fn(method, q, args),
-                                            args.bootstrap, seed=args.seed)
-                if boot.n_success < 2:
-                    raise DegeneracyError("bootstrap_failed",
-                                          f"{method}: only {boot.n_success} "
-                                          "replicates succeeded")
-                pearson = reliability_report(truth, boot.estimates, "pearson")
-                jaccard = reliability_report(truth, boot.estimates, "jaccard",
-                                             args.top_fraction)
-                for ell in range(q):
-                    fh.write(f"{method},{ell + 1},"
-                             f"{pearson.per_source_ri[ell]:.6f},"
-                             f"{jaccard.per_source_ri[ell]:.6f},"
-                             f"{boot.n_success},{args.bootstrap}\n")
+        rows = []
+        for method in methods:
+            boot = bootstrap_replicates(dataset,
+                                        _bootstrap_fit_fn(method, q, args),
+                                        args.bootstrap, seed=args.seed)
+            if boot.n_success < 2:
+                raise DegeneracyError("bootstrap_failed",
+                                      f"{method}: only {boot.n_success} "
+                                      "replicates succeeded")
+            pearson = reliability_report(truth, boot.estimates, "pearson")
+            jaccard = reliability_report(truth, boot.estimates, "jaccard",
+                                         args.top_fraction)
+            rows.extend([method, ell + 1, f"{pearson.per_source_ri[ell]:.6f}",
+                         f"{jaccard.per_source_ri[ell]:.6f}",
+                         boot.n_success, args.bootstrap] for ell in range(q))
+        write_table(os.path.join(args.out, "reliability.csv"),
+                    ["method", "source", "ri_pearson", "ri_jaccard",
+                     "n_success", "B"], rows)
         inputs["data"] = args.data
 
     write_manifest(args.out, args, inputs=inputs)
@@ -435,15 +445,12 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             _apply_config(args, argv)
         return args.func(args)
-    except ValidationError as err:
+    except (ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except LocusError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -145,14 +145,17 @@ def reliability_report(truth: np.ndarray, replicate_estimates,
         raise ValidationError("bad_config",
                               f"similarity must be one of {SIMILARITIES}")
     truth = np.asarray(truth, dtype=float)
-    replicates = [np.asarray(e, dtype=float) for e in replicate_estimates]
+    # a stacked array is checked and used in place, without a copy
+    replicates = replicate_estimates
+    if not isinstance(replicates, np.ndarray):
+        replicates = [np.asarray(e, dtype=float) for e in replicates]
     if len(replicates) < 2:
         raise ValidationError("bad_config", "need at least 2 replicates")
     for est in replicates:
         if est.shape != truth.shape:
             raise DimensionError("dimension_mismatch",
                                  f"truth {truth.shape} vs estimates {est.shape}")
-    estimates = np.stack(replicates)
+    estimates = np.asarray(replicates, dtype=float)
     corr = correlation_matrix(truth, estimates)
     perms, signs = (np.array(a) for a in zip(*map(_assign, corr)))
     # sims[b, l, j]: similarity of truth l to the j-th aligned estimate of

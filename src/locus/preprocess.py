@@ -116,6 +116,30 @@ def whiten(dataset: ConnectivityDataset, q: int) -> WhitenedData:
                         sigma2_resid=sigma2, eigvals_top=top, y_centered=yc)
 
 
+def _regress_on_sources(y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients Y S' (S S')^(-1) of the rows of ``y`` on
+    the source rows ``s`` (q, p).  Raises DegeneracyError naming the
+    sources that are not finite or zero (norm <= 1e-14 * max(max norm,
+    1)), or the most correlated pair when s_min(S S') <= 1e-12 s_max."""
+    norms = np.linalg.norm(s, axis=1)
+    finite = np.isfinite(norms)
+    scale = max(norms[finite].max(initial=0.0), 1.0)
+    dead = np.flatnonzero(~finite | (norms <= 1e-14 * scale))
+    if dead.size:
+        raise DegeneracyError("singular_sources",
+                              f"sources {dead.tolist()} are zero or not finite")
+    gram = s @ s.T
+    svals = np.linalg.svd(gram, compute_uv=False)
+    if svals[-1] <= 1e-12 * svals[0]:
+        corr = (s / norms[:, None]) @ (s / norms[:, None]).T
+        np.fill_diagonal(corr, 0.0)
+        i, j = np.unravel_index(int(np.argmax(np.abs(corr))), corr.shape)
+        raise DegeneracyError("singular_sources",
+                              f"sources {i} and {j} are linearly dependent "
+                              f"(|corr| = {abs(corr[i, j]):.6f})")
+    return y @ s.T @ np.linalg.inv(gram)
+
+
 def unmix_to_subject_space(a_tilde: np.ndarray, whitened: WhitenedData,
                            sources: np.ndarray | None = None) -> np.ndarray:
     """Subject-level loadings for the given sources.
@@ -124,7 +148,7 @@ def unmix_to_subject_space(a_tilde: np.ndarray, whitened: WhitenedData,
     loadings are recovered by least squares of the demeaned data on the
     source matrix: A = Yc S' (S S')^(-1).  When ``sources`` is omitted the
     unstructured sources implied by the mixing matrix, S = A~' Y~, are
-    used instead.
+    used instead.  Degenerate sources raise DegeneracyError.
     """
     a_tilde = np.asarray(a_tilde, dtype=float)
     q = whitened.q
@@ -137,10 +161,4 @@ def unmix_to_subject_space(a_tilde: np.ndarray, whitened: WhitenedData,
     if s.shape != (q, whitened.n_edges):
         raise DimensionError("dimension_mismatch",
                              f"sources must be {q} x {whitened.n_edges}, got {s.shape}")
-    gram = s @ s.T
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise DegeneracyError("singular_sources",
-                              "source Gram matrix S S' is singular; cannot "
-                              "recover subject loadings")
-    return whitened.y_centered @ s.T @ np.linalg.inv(gram)
+    return _regress_on_sources(whitened.y_centered, s)

@@ -9,15 +9,15 @@ targets are fixed while the sources update, so the sources' node blocks are
 independent: one sweep over the nodes updates node v of every source at
 once (:func:`sweep_nodes`).
 
-Each node block is a least-squares solve against X(-v)' X(-v), which
-differs from X'X by one rank-1 downdate and, after the node, one rank-1
-update.  The sweep carries (X'X)^(-1) across nodes by Sherman-Morrison
-and solves with it while a running bound certifies cond(X(-v)' X(-v))
-<= CERT, two decades inside the PINV_RTOL singular rule; a node without
-that certificate falls back to an eigendecomposition and applies the rule
-itself.  The weight step reads Z'Z and Z't of the per-component edge
-vectors Z from closed-form moments of X and the (V, V) target
-(:func:`update_d`), so no p x R matrix is built.
+Each node block is a least-squares solve against X(-v)' X(-v), X'X less
+one rank-1 downdate.  The sweep's certified path solves it from a tracked
+(X'X)^(-1) by Sherman-Morrison while a running bound certifies
+cond(X(-v)' X(-v)) <= CERT, two decades inside the PINV_RTOL rule
+(:func:`_pinv_rule`); its exact path solves an eigendecomposition of
+X(-v)' X(-v) under the rule and restarts the tracking from it when it is
+within CERT.  The weight step solves for the per-component edge vectors Z
+under the same rule, with Z'Z and Z't read from closed-form moments of X
+and the (V, V) target (:func:`update_d`), so no p x R matrix is built.
 
 The three regularizers share this loop.  Both block updates least-squares
 project onto the current low-rank span; the variants differ only in the
@@ -48,7 +48,7 @@ from .connmat import nodes_from_edge_count, triu_indices, unvectorize, vectorize
 from .errors import (DegeneracyError, DimensionError, LocusError, NumericError,
                      ValidationError)
 from .preprocess import (WhitenedData, _polar_orthogonalize,
-                         unmix_to_subject_space)
+                         _regress_on_sources, unmix_to_subject_space)
 
 logger = logging.getLogger(__name__)
 
@@ -198,15 +198,14 @@ def soft_threshold(y: np.ndarray, t: float) -> np.ndarray:
     return np.sign(y) * np.maximum(np.abs(y) - t, 0.0)
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve gram @ x = rhs, falling back to a pseudo-inverse when the Gram
-    matrix is rank deficient (relative tolerance PINV_RTOL)."""
-    svals = np.linalg.svd(gram, compute_uv=False)
-    if svals[0] == 0 or svals[-1] <= PINV_RTOL * svals[0]:
-        logger.debug("rank-deficient Gram matrix (cond %.2e), using pseudo-inverse",
-                     np.inf if svals[-1] == 0 else svals[0] / svals[-1])
-        return np.linalg.pinv(gram, rcond=PINV_RTOL) @ rhs
-    return np.linalg.solve(gram, rhs)
+def _pinv_rule(eigvals: np.ndarray) -> np.ndarray:
+    """Reciprocals of ascending eigenvalues (..., R) under the PINV_RTOL
+    rule: 0 where |lambda| <= PINV_RTOL * max|lambda|, which is the
+    pseudo-inverse at that relative tolerance (the inverse if none is)."""
+    # ascending eigenvalues: the largest magnitude sits at one end
+    svals = np.abs(eigvals)
+    large = svals > PINV_RTOL * np.maximum(svals[..., :1], svals[..., -1:])
+    return large / np.where(large, eigvals, 1.0)
 
 
 def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
@@ -227,20 +226,19 @@ def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
     components; their coordinates come back as zero instead of dividing by
     them.
 
-    The solve tracks H = G^(-1), G = X'X, by Sherman-Morrison: with
-    w = H x_v and s = 1 - x_v' H x_v, (X(-v)' X(-v))^(-1) = H + w w' / s,
-    and the new row r is added back as a rank-1 update.  A fresh eigh of G
-    gives lo = lambda_min and hi = lambda_max; after each node they stay
-    bounds as lo <- lo s (lambda_min(G - x_v x_v') >= s lambda_min(G)) and
-    hi <- hi + |r|^2.  A node is certified when every source has s > 0 and
-    hi <= CERT lo s: then cond(X(-v)' X(-v)) <= CERT, two decades inside
-    the PINV_RTOL rule, which would also have used the plain solve.  An
-    uncertified node first rebuilds H, lo and hi from a fresh eigh of G;
-    if it is still uncertified it falls back to the exact rule for all
-    sources: one batched eigh of the downdated Gram, and the pseudo-inverse
-    at relative tolerance PINV_RTOL when s_min <= PINV_RTOL * s_max
-    (2-norm).  At DEBUG level each sweep logs its certified solves,
-    restarts and eigh fallbacks.
+    The certified solve tracks H = (X'X)^(-1): with w = H x_v and
+    s = 1 - x_v' H x_v, (X(-v)' X(-v))^(-1) = H + w w' / s.  Bounds lo <=
+    lambda_min(X'X) and hi >= lambda_max(X'X) certify a node when every
+    source has s > 0 and hi <= CERT lo s: then cond(X(-v)' X(-v)) <= CERT,
+    two decades inside the PINV_RTOL rule, which would also have used the
+    plain solve.  Any other node, the first included, gets the exact
+    solve: one batched eigh of X(-v)' X(-v) under the PINV_RTOL rule.  If
+    that Gram is within CERT for every source, its inverse and lo =
+    lambda_min, hi = lambda_max restart the tracking.  After each node the
+    new row r is added to H as a rank-1 update, and the bounds stay bounds
+    as lo <- lo s after a certified node (lambda_min(G - x_v x_v') >=
+    s lambda_min(G)) and hi <- hi + |r|^2.  At DEBUG level each sweep logs
+    its certified, exact and pseudo-inverse solves.
     """
     q = len(factors)
     node_count = np.shape(factors[0][0])[0]
@@ -264,68 +262,53 @@ def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
         logger.debug("%d near-zero weights skipped in the node projection",
                      int((~keep[~pad]).sum()))
 
-    def padded_eigh(gram):
-        if pad_eye is not None:
-            top = np.diagonal(gram, axis1=1, axis2=2).max(axis=1)
-            gram = gram + pad_eye * top[:, None, None]
-        return np.linalg.eigh(gram)
-
-    def certify(x_v, x_col):
-        # cap = CERT * lo; lo and hi are positive after a restart, so
-        # hi <= cap * s also requires s > 0
-        w = np.matmul(x_v, h)
-        s = 1.0 - np.matmul(w, x_col)
-        return w, s, bool((hi <= cap * s).all())
-
     h = cap = hi = None
-    certified = restarts = fallbacks = singular = 0
+    certified = exact = singular = 0
     for v in (range(node_count) if nodes is None else nodes):
         x_v = x[:, v, None, :]
         x_col = x_v.transpose(0, 2, 1)
         rhs = np.matmul(targets[:, v, None, :], x)
-        ok = False
-        if h is not None:
-            w, s, ok = certify(x_v, x_col)
-        if not ok:
-            restarts += 1
-            gram = np.matmul(x.transpose(0, 2, 1), x)
-            eigvals, eigvecs = padded_eigh(gram)
-            if eigvals[:, 0].min() > 0:
-                cap, hi = CERT * eigvals[:, None, :1], eigvals[:, None, -1:]
-                h = np.matmul(eigvecs / eigvals[:, None, :],
-                              eigvecs.transpose(0, 2, 1))
-                w, s, ok = certify(x_v, x_col)
+        ok = h is not None
+        if ok:
+            # cap = CERT * lo; lo and hi are positive, so hi <= cap * s
+            # also requires s > 0
+            w = np.matmul(x_v, h)
+            s = 1.0 - np.matmul(w, x_col)
+            ok = bool((hi <= cap * s).all())
         if ok:
             certified += 1
             c = np.matmul(rhs, h)
             row = (c + np.matmul(c, x_col) / s * w) * inv_d
+            # downdate by x_v
+            h = h + w.transpose(0, 2, 1) * (w / s)
+            cap = cap * s
         else:
-            fallbacks += 1
-            eigvals, eigvecs = padded_eigh(gram - x_col * x_v)
-            # ascending eigenvalues: the largest magnitude sits at one end
-            svals = np.abs(eigvals)
-            large = svals > PINV_RTOL * np.maximum(svals[:, :1], svals[:, -1:])
-            singular += int(q - np.count_nonzero(large.all(axis=1)))
-            inv = (large / np.where(large, eigvals, 1.0))[:, None, :]
-            coef = np.matmul(np.matmul(rhs, eigvecs) * inv,
-                             eigvecs.transpose(0, 2, 1))
-            row = coef * inv_d
+            exact += 1
+            gram = np.matmul(x.transpose(0, 2, 1), x) - x_col * x_v
+            if pad_eye is not None:
+                top = np.diagonal(gram, axis1=1, axis2=2).max(axis=1)
+                gram = gram + pad_eye * top[:, None, None]
+            eigvals, eigvecs = np.linalg.eigh(gram)
+            inv = _pinv_rule(eigvals)[:, None, :]
+            singular += int(np.count_nonzero((inv == 0).any(axis=2)))
+            eigvecs_t = eigvecs.transpose(0, 2, 1)
+            row = np.matmul(np.matmul(rhs, eigvecs) * inv, eigvecs_t) * inv_d
+            h = None
+            if (eigvals[:, 0].min() > 0
+                    and (eigvals[:, -1] <= CERT * eigvals[:, 0]).all()):
+                h = np.matmul(eigvecs * inv, eigvecs_t)
+                cap, hi = CERT * eigvals[:, None, :1], eigvals[:, None, -1:]
         if shrink:
             row = soft_threshold(row, shrink)
         x[:, v, None, :] = row
-        if ok:
-            # downdate by x_v, then update by the new row
-            h = h + w.transpose(0, 2, 1) * (w / s)
+        if h is not None:
+            # update by the new row
             u = np.matmul(row, h)
             row_col = row.transpose(0, 2, 1)
             h = h - u.transpose(0, 2, 1) * (u / (1.0 + np.matmul(u, row_col)))
-            cap = cap * s
             hi = hi + np.matmul(row, row_col)
-        else:
-            h = None
-    logger.debug("node sweep: %d certified solves, %d restarts, %d eigh "
-                 "fallbacks (%d pseudo-inverse solves)",
-                 certified, restarts, fallbacks, singular)
+    logger.debug("node sweep: %d certified solves, %d exact solves "
+                 "(%d pseudo-inverse)", certified, exact, singular)
     return [x[ell, :, :rank] for ell, rank in enumerate(ranks)]
 
 
@@ -338,7 +321,8 @@ def update_d(x: np.ndarray, target: np.ndarray, phi: float,
     per-component edge vectors Z, whose r-th column holds the edges of
     x_r x_r'; for nuclear the weights are then soft-thresholded at phi/2.
     The normal equations come from closed-form moments instead of Z itself:
-    Z'Z = ((X'X) o (X'X) - (X o X)'(X o X)) / 2 and Z't = diag(X' T X) / 2.
+    Z'Z = ((X'X) o (X'X) - (X o X)'(X o X)) / 2 and Z't = diag(X' T X) / 2
+    (the halves cancel), solved by eigh under the PINV_RTOL rule.
     Weights below PRUNE_RTOL * max|d| are zeroed (rank reduction happens in
     the caller).
     """
@@ -350,8 +334,11 @@ def update_d(x: np.ndarray, target: np.ndarray, phi: float,
                              f"got {target.shape}")
     gram = x.T @ x
     squares = x * x
-    d = _solve_gram(0.5 * (gram * gram - squares.T @ squares),
-                    0.5 * np.sum((target @ x) * x, axis=0))
+    eigvals, eigvecs = np.linalg.eigh(gram * gram - squares.T @ squares)
+    inv = _pinv_rule(eigvals)
+    if logger.isEnabledFor(logging.DEBUG) and not inv.all():
+        logger.debug("rank-deficient weight Gram, using pseudo-inverse")
+    d = eigvecs @ (inv * (eigvecs.T @ np.sum((target @ x) * x, axis=0)))
     if regularizer == "nuclear":
         d = soft_threshold(d, phi / 2.0)
     scale = np.max(np.abs(d), initial=0.0)
@@ -366,23 +353,7 @@ def update_mixing(whitened: WhitenedData, sources: list[LowRankSource]) -> np.nd
     """Least-squares mixing estimate Y~ S' (S S')^(-1), then symmetric
     orthogonalization.  The result satisfies A~' A~ = I to 1e-10."""
     s = np.vstack([src.edge_vector() for src in sources])
-    norms = np.linalg.norm(s, axis=1)
-    dead = np.flatnonzero(norms <= 1e-14 * max(norms.max(initial=0.0), 1.0))
-    if dead.size:
-        raise DegeneracyError("singular_sources",
-                              f"sources {list(dead)} are identically zero; "
-                              "cannot update the mixing matrix")
-    gram = s @ s.T
-    svals = np.linalg.svd(gram, compute_uv=False)
-    if svals[-1] <= 1e-12 * svals[0]:
-        corr = (s / norms[:, None]) @ (s / norms[:, None]).T
-        np.fill_diagonal(corr, 0.0)
-        i, j = np.unravel_index(int(np.argmax(np.abs(corr))), corr.shape)
-        raise DegeneracyError("singular_sources",
-                              f"sources {i} and {j} are linearly dependent "
-                              f"(|corr| = {abs(corr[i, j]):.6f})")
-    a_raw = whitened.y_tilde @ s.T @ np.linalg.inv(gram)
-    return _polar_orthogonalize(a_raw)
+    return _polar_orthogonalize(_regress_on_sources(whitened.y_tilde, s))
 
 
 def _nuclear_norm(source: LowRankSource) -> float:

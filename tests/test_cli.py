@@ -1,4 +1,6 @@
+import csv
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -241,19 +243,21 @@ class TestTune:
                                    "sources 0, 2 are linearly dependent")
 
 
+def write_self_fit(fitdir, truth_dir, meta="q=3\n"):
+    """A fit directory whose sources and loadings are the truth itself."""
+    os.makedirs(fitdir)
+    for ell in (1, 2, 3):
+        shutil.copy(truth_dir / f"S_{ell}.csv", fitdir / f"S_{ell}.csv")
+    shutil.copy(truth_dir / "loadings.csv", fitdir / "A.csv")
+    np.savetxt(fitdir / "A_tilde.csv", np.eye(3), delimiter=",", fmt="%.17g")
+    (fitdir / "meta").write_text(meta)
+
+
 class TestEvaluate:
     def test_truth_against_itself_scores_one(self, sim_dir, tmp_path):
-        # a fit directory whose sources are the truth itself
         fitdir = tmp_path / "selffit"
-        os.makedirs(fitdir)
         truth_dir = sim_dir / "truth"
-        import shutil
-        for ell in (1, 2, 3):
-            shutil.copy(truth_dir / f"S_{ell}.csv", fitdir / f"S_{ell}.csv")
-        loadings = np.loadtxt(truth_dir / "loadings.csv", delimiter=",")
-        np.savetxt(fitdir / "A.csv", loadings, delimiter=",", fmt="%.17g")
-        np.savetxt(fitdir / "A_tilde.csv", np.eye(3), delimiter=",", fmt="%.17g")
-        (fitdir / "meta").write_text("q=3\n")
+        write_self_fit(fitdir, truth_dir)
 
         out = tmp_path / "eval"
         code = run(["evaluate", fitdir, "--truth", truth_dir, "--out", out])
@@ -264,6 +268,36 @@ class TestEvaluate:
             fields = line.split(",")
             assert float(fields[4]) == pytest.approx(1.0, abs=1e-9)
             assert float(fields[5]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_same_named_fit_directories_kept_apart(self, sim_dir, tmp_path):
+        # fits that share a name are labelled, and their inputs recorded
+        # by position, with the path as given
+        truth_dir = sim_dir / "truth"
+        fits = [tmp_path / "a" / "fit", tmp_path / "b" / "fit"]
+        write_self_fit(fits[0], truth_dir)
+        write_self_fit(fits[1], truth_dir, meta="q=3\nseed=1\n")
+        out = tmp_path / "eval"
+        assert run(["evaluate", *fits, "--truth", truth_dir, "--out", out]) == 0
+        with open(out / "match.csv", newline="") as fh:
+            labels = [row["fit"] for row in csv.DictReader(fh)]
+        assert labels == [str(fits[0])] * 3 + [str(fits[1])] * 3
+        manifest = read_meta(out / "manifest")
+        assert [manifest[f"input_fit_{i}"] for i in (1, 2)] == list(map(str, fits))
+        hashes = {manifest[f"input_fit_{i}_sha256"] for i in (1, 2)}
+        assert len(hashes) == 2
+
+    def test_comma_in_fit_path_is_quoted(self, sim_dir, tmp_path):
+        truth_dir = sim_dir / "truth"
+        fitdir = tmp_path / "x,y"
+        write_self_fit(fitdir, truth_dir)
+        out = tmp_path / "eval"
+        assert run(["evaluate", fitdir, "--truth", truth_dir, "--out", out]) == 0
+        with open(out / "match.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["fit"] for row in rows] == ["x,y"] * 3
+        assert [row["source"] for row in rows] == ["1", "2", "3"]
+        assert all(float(row["source_corr"]) == pytest.approx(1.0)
+                   for row in rows)
 
     def test_bootstrap_reliability_rows_per_method(self, sim_dir, tmp_path):
         out = tmp_path / "eval_boot"

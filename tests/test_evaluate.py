@@ -191,6 +191,27 @@ class TestReliabilityReport:
         with pytest.raises(DimensionError):
             reliability_report(truth, [np.ones((2, 10)), np.ones((2, 9))])
 
+    def test_stacked_input_used_in_place(self):
+        # a (B, q, p) float array is not copied; lists and iterables of
+        # replicates give the same report, and the checks still hold
+        import tracemalloc
+        rng = np.random.default_rng(16)
+        truth = rng.standard_normal((3, 20000))
+        stacked = truth + rng.standard_normal((8, 3, 20000))
+        for similarity in ("pearson", "jaccard"):
+            tracemalloc.start()
+            got = reliability_report(truth, stacked, similarity).per_source_ri
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 1.5 * stacked.nbytes
+            for other in (list(stacked), iter(stacked)):
+                again = reliability_report(truth, other, similarity)
+                assert np.array_equal(again.per_source_ri, got)
+        with pytest.raises(ValidationError):
+            reliability_report(truth, stacked[:1])
+        with pytest.raises(DimensionError):
+            reliability_report(truth, stacked[:, :2])
+
     @pytest.mark.parametrize("similarity, top_fraction",
                              [("spearman", 0.01), ("jaccard", 0.0),
                               ("jaccard", 1.5)])

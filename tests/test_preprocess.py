@@ -143,5 +143,14 @@ class TestUnmixToSubjectSpace:
         ds = make_dataset(rng, n=8, node_count=6)
         w = whiten(ds, 2)
         s = np.vstack([np.ones(15), np.ones(15)])
-        with pytest.raises(DegeneracyError):
+        with pytest.raises(DegeneracyError,
+                           match=r"sources 0 and 1 .* \(\|corr\| = 1\.000000\)"):
             unmix_to_subject_space(np.eye(2), w, sources=s)
+        s = np.vstack([rng.standard_normal(15), np.zeros(15)])
+        with pytest.raises(DegeneracyError, match=r"sources \[1\] are zero"):
+            unmix_to_subject_space(np.eye(2), w, sources=s)
+        for bad in (np.nan, np.inf):
+            s = rng.standard_normal((2, 15))
+            s[0, 3] = bad
+            with pytest.raises(DegeneracyError, match=r"sources \[0\]"):
+                unmix_to_subject_space(np.eye(2), w, sources=s)

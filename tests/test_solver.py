@@ -141,8 +141,9 @@ class TestUpdateNode:
             sweep_nodes([(src.x, src.d)], np.zeros((1, 6, 7)), nodes=(0,))
 
 
-def reference_sweep(x, d, y_edges, variant, t):
-    """Textbook node-by-node sweep for one source: for each node v in turn,
+def reference_sweep(x, d, y_edges, variant, t, nodes=None):
+    """Textbook node-by-node sweep for one source: for each node v in turn
+    (``nodes``, default all),
     D^(-1) (X(-v)' X(-v))^+ X(-v)' bhat with an explicit row delete, the
     pseudo-inverse when s_min <= PINV_RTOL * s_max (2-norm), and zero
     coordinates for weights below PRUNE_RTOL * max|d|.  Uniform-L1
@@ -153,7 +154,7 @@ def reference_sweep(x, d, y_edges, variant, t):
     node_count = x.shape[0]
     m = unvectorize(y_edges, node_count)
     keep = np.abs(d) > PRUNE_RTOL * np.max(np.abs(d))
-    for v in range(node_count):
+    for v in (range(node_count) if nodes is None else nodes):
         bhat = np.delete(m[v], v)
         if variant == "uniform_l1":
             bhat = soft_threshold(bhat, t)
@@ -173,30 +174,31 @@ def reference_sweep(x, d, y_edges, variant, t):
     return x, pinv_solves
 
 
-SWEEP_LOG = re.compile(r"(\d+) certified solves, (\d+) restarts, "
-                       r"(\d+) eigh fallbacks \((\d+) pseudo-inverse")
+SWEEP_LOG = re.compile(r"(\d+) certified solves, (\d+) exact solves "
+                       r"\((\d+) pseudo-inverse")
 
 
 def sweep_counts(caplog):
-    """(certified, restarts, fallbacks, pinv solves) of the last logged sweep."""
+    """(certified, exact, pinv solves) of the last logged sweep."""
     found = [SWEEP_LOG.search(rec.getMessage()) for rec in caplog.records]
     return tuple(int(n) for n in [m for m in found if m][-1].groups())
 
 
-def check_against_reference(caplog, factors, y, t=0.3):
-    """Sweep every variant and compare with :func:`reference_sweep` at
-    1e-10; returns the reference's pinv solves and the logged counts."""
+def check_against_reference(caplog, factors, y, t=0.3, nodes=None):
+    """Sweep every variant over ``nodes`` and compare with
+    :func:`reference_sweep` at 1e-10; returns the reference's pinv solves
+    and the logged counts."""
     node_count = factors[0][0].shape[0]
     results = []
     for variant in ("uniform_l1", "vector_l1", "nuclear"):
         expected, pinv_solves = zip(*[
-            reference_sweep(x, d, y[ell], variant, t)
+            reference_sweep(x, d, y[ell], variant, t, nodes)
             for ell, (x, d) in enumerate(factors)])
         edges = soft_threshold(y, t) if variant == "uniform_l1" else y
         targets = np.stack([unvectorize(row, node_count) for row in edges])
         with caplog.at_level(logging.DEBUG, logger="locus.solver"):
             got = sweep_nodes(factors, targets,
-                              t if variant == "vector_l1" else 0.0)
+                              t if variant == "vector_l1" else 0.0, nodes)
         for ell, (g, e) in enumerate(zip(got, expected)):
             assert g.shape == factors[ell][0].shape
             scale = max(1.0, float(np.max(np.abs(e))))
@@ -229,12 +231,10 @@ class TestSweepNodes:
             # every node of the duplicated source, and the last node of the
             # pruned one, whose dead column is all zero by then
             assert pinv_solves == (0, 0, node_count, 1)
-            certified, _, fallbacks, pinv = counts
-            assert (certified, fallbacks, pinv) == (0, node_count,
-                                                    node_count + 1), variant
+            assert counts == (0, node_count, node_count + 1), variant
             assert not got[3][:, 1].any()  # pruned weight's coordinates
 
-    def test_well_conditioned_sweep_certifies_every_node(self, caplog):
+    def test_well_conditioned_sweep_certifies_every_later_node(self, caplog):
         rng = np.random.default_rng(42)
         node_count = 40
         p = node_count * (node_count - 1) // 2
@@ -245,26 +245,34 @@ class TestSweepNodes:
         for variant, _, pinv_solves, counts in check_against_reference(
                 caplog, factors, y):
             assert pinv_solves == (0, 0, 0)
-            certified, _, fallbacks, pinv = counts
-            assert (certified, fallbacks, pinv) == (node_count, 0, 0), variant
+            # the first node is solved exactly and restarts the tracking
+            assert counts == (node_count - 1, 1, 0), variant
 
-    def test_ill_conditioned_node_falls_back_without_pinv(self, caplog):
-        # cond(X(-v)' X(-v)) ~ 1e9 at the first node: beyond the certificate
-        # (1e8), inside the PINV_RTOL rule (1e10)
+    def test_ill_conditioned_node_after_certified_one_is_exact(self, caplog):
+        # the last column sits on node 0 plus a 3e-5 spread over nodes 3..,
+        # orthogonal there to the other columns, and its weight is pruned,
+        # so visited nodes zero their entry: nodes 1 and 2 are well
+        # conditioned, while cond(X(-0)' X(-0)) ~ 1e9 when node 0 comes
+        # third, beyond the certificate (1e8) and inside the PINV_RTOL
+        # rule (1e10)
         rng = np.random.default_rng(43)
         node_count = 12
         p = node_count * (node_count - 1) // 2
-        x = (np.linalg.qr(rng.standard_normal((node_count, 3)))[0]
-             * np.array([1.0, 1.0, 3e-5]))
-        gram = np.delete(x, 0, axis=0).T @ np.delete(x, 0, axis=0)
-        assert 1e-2 / PINV_RTOL < np.linalg.cond(gram) < 1.0 / PINV_RTOL
-        factors = [(x, np.array([1.5, -1.2, 0.9]))]
+        x = np.zeros((node_count, 3))
+        x[:, :2] = np.linalg.qr(rng.standard_normal((node_count, 2)))[0]
+        x[3:, 2] = np.linalg.qr(np.column_stack(
+            [x[3:, :2], rng.standard_normal(node_count - 3)]))[0][:, 2] * 3e-5
+        x[0, 2] = 1.0
+        factors = [(x, np.array([1.5, -1.2, 1e-13]))]
         y = rng.standard_normal((1, p))
-        for variant, _, pinv_solves, counts in check_against_reference(
-                caplog, factors, y):
+        for variant, got, pinv_solves, counts in check_against_reference(
+                caplog, factors, y, nodes=(1, 2, 0)):
+            rest = np.delete(got[0], 0, axis=0)
+            cond = np.linalg.cond(rest.T @ rest)
+            assert 1e-2 / PINV_RTOL < cond < 1.0 / PINV_RTOL
             assert pinv_solves == (0,)
-            _, _, fallbacks, pinv = counts
-            assert fallbacks >= 1 and pinv == 0, variant
+            # node 1 exact (restart), node 2 certified, node 0 exact
+            assert counts == (1, 2, 0), variant
 
     @pytest.mark.parametrize("change", ["shrinking", "growing"])
     def test_gram_degrading_through_the_sweep_is_not_certified(self, caplog,
@@ -287,8 +295,8 @@ class TestSweepNodes:
         for variant, _, pinv_solves, counts in check_against_reference(
                 caplog, [(x, d)], y):
             assert pinv_solves[0] > 0
-            _, _, fallbacks, pinv = counts
-            assert fallbacks >= pinv == pinv_solves[0], variant
+            _, exact, pinv = counts
+            assert exact >= pinv == pinv_solves[0], variant
 
     def test_single_node_visit_leaves_other_rows(self):
         rng = np.random.default_rng(41)
@@ -366,6 +374,48 @@ class TestUpdateD:
         assert np.allclose(got, expected, rtol=1e-9, atol=1e-12)
         if spread == 0.0:
             assert got[-1] == 0.0
+
+    @pytest.mark.parametrize("case", ["random", "duplicated", "zero",
+                                      "cond1e9", "cond1e11"])
+    def test_matches_svd_solve_or_pinv_reference(self, case):
+        # the weight Gram Z'Z solved as the SVD rule does: the plain solve,
+        # or the pseudo-inverse at rcond PINV_RTOL when s_min <= PINV_RTOL
+        # * s_max.  Near the rule the columns have disjoint supports, so
+        # Z'Z is diagonal and its condition number is set by one column's
+        # scale alone: kept at 1e9, dropped at 1e11.
+        def reference(x, target):
+            g, squares = x.T @ x, x * x
+            gram = 0.5 * (g * g - squares.T @ squares)
+            rhs = 0.5 * np.sum((target @ x) * x, axis=0)
+            svals = np.linalg.svd(gram, compute_uv=False)
+            if svals[0] == 0 or svals[-1] <= PINV_RTOL * svals[0]:
+                return np.linalg.pinv(gram, rcond=PINV_RTOL) @ rhs, gram
+            return np.linalg.solve(gram, rhs), gram
+
+        rng = np.random.default_rng(18)
+        node_count, rank = 20, 5
+        for _ in range(5):
+            x = rng.standard_normal((node_count, rank))
+            if case == "duplicated":
+                x[:, -1] = x[:, 0]
+            elif case == "zero":
+                x[:, -1] = 0.0
+            elif case.startswith("cond"):
+                x = np.zeros((node_count, rank))
+                for r in range(rank):
+                    x[4 * r:4 * r + 4, r] = rng.standard_normal(4)
+                diag = np.diagonal(reference(x, np.zeros((node_count,) * 2))[1])
+                cond = float(case[4:])
+                x[:, -1] *= (diag.max() / (cond * diag[-1])) ** 0.25
+            target = unvectorize(rng.standard_normal(
+                node_count * (node_count - 1) // 2), node_count)
+            expected, gram = reference(x, target)
+            if case.startswith("cond"):
+                assert np.linalg.cond(gram) == pytest.approx(cond, rel=1e-6)
+            got = update_d(x, target, 0.0, "uniform_l1")
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(got - expected)) <= 1e-10 * scale
+            assert (got[-1] == 0.0) == (case in ("zero", "cond1e11"))
 
     def test_target_shape_checked(self):
         rng = np.random.default_rng(16)
