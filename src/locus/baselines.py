@@ -16,6 +16,9 @@ import numpy as np
 from .errors import DimensionError
 from .preprocess import WhitenedData, _polar_orthogonalize
 
+# the iteration stops once every unmixing row moves by less than this
+TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class IcaModel:
@@ -28,7 +31,7 @@ class IcaModel:
 
 
 def fastica(whitened: WhitenedData, q: int, max_iter: int = 200,
-            tol: float = 1e-6, seed: int = 0) -> IcaModel:
+            seed: int = 0) -> IcaModel:
     """Symmetric fixed-point FastICA with the tanh contrast.
 
     Deterministic for a fixed seed.  Non-convergence after max_iter returns
@@ -61,7 +64,7 @@ def fastica(whitened: WhitenedData, q: int, max_iter: int = 200,
         # the old one
         gap = float(np.max(np.abs(np.abs(np.einsum("ij,ij->i", w_new, w)) - 1.0)))
         w = w_new
-        if gap < tol:
+        if gap < TOL:
             converged = True
             break
 

@@ -23,11 +23,12 @@ from . import __version__
 from .baselines import fastica
 from .connmat import load_dataset, save_dataset, unvectorize
 from .errors import DegeneracyError, LocusError, ValidationError
-from .evaluate import bootstrap_replicates, match_sources, reliability_report
+from .evaluate import (DEFAULT_TOP_FRACTION, bootstrap_replicates,
+                       match_sources, reliability_report)
 from .modelsel import tune
 from .preprocess import unmix_to_subject_space, whiten
 from .solver import (SolverConfig, fit, load_decomposition, read_meta,
-                     read_sources, save_decomposition, save_model)
+                     read_sources, save_decomposition, save_model, write_meta)
 from .synth import SyntheticSpec, generate
 
 SCENARIOS = {"I": "blocks_cross", "II": "triangle_circle_square",
@@ -64,18 +65,17 @@ def write_manifest(out_dir: str, args: argparse.Namespace,
                    inputs: dict | None = None) -> None:
     """Record the subcommand, every one of its options with the value it
     ran with (lists joined by commas) and a sha256 per input."""
-    lines = [f"command={args.command}", f"version={__version__}",
-             f"timestamp={time.strftime('%Y-%m-%dT%H:%M:%S%z')}"]
+    meta = {"command": args.command, "version": __version__,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
     for dest in sorted(_command_options(build_parser(), args.command)):
         value = getattr(args, dest)
         if isinstance(value, list):
             value = ",".join(map(str, value))
-        lines.append(f"{dest}={value}")
+        meta[dest] = value
     for name, path in sorted((inputs or {}).items()):
-        lines.append(f"input_{name}={path}")
-        lines.append(f"input_{name}_sha256={_hash_input(path)}")
-    with open(os.path.join(out_dir, "manifest"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        meta[f"input_{name}"] = path
+        meta[f"input_{name}_sha256"] = _hash_input(path)
+    write_meta(os.path.join(out_dir, "manifest"), meta)
 
 
 def write_table(path: str, header: list[str], rows) -> None:
@@ -166,20 +166,27 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--phi", type=float, default=0.0,
-                     help="sparsity weight (default 0)")
-    sub.add_argument("--rho", type=float, default=0.95,
-                     help="rank-closeness level in (0,1) (default 0.95)")
-    sub.add_argument("--r-max", type=int, default=10, dest="r_max",
-                     help="per-source rank cap (default 10)")
-    sub.add_argument("--eps1", type=float, default=1e-4,
-                     help="mixing-matrix stopping tolerance")
-    sub.add_argument("--eps2", type=float, default=1e-4,
-                     help="source-matrix stopping tolerance")
-    sub.add_argument("--max-iter", type=int, default=1000, dest="max_iter")
+    """The solver's settings, defaulting to :class:`SolverConfig`'s."""
+    sub.add_argument("--phi", type=float, default=SolverConfig.phi,
+                     help="sparsity weight (default %(default)s)")
+    sub.add_argument("--rho", type=float, default=SolverConfig.rho,
+                     help="rank-closeness level in (0,1) "
+                          "(default %(default)s)")
+    sub.add_argument("--r-max", type=int, default=SolverConfig.r_max,
+                     dest="r_max",
+                     help="per-source rank cap (default %(default)s)")
+    sub.add_argument("--eps1", type=float, default=SolverConfig.eps1,
+                     help="mixing-matrix stopping tolerance "
+                          "(default %(default)s)")
+    sub.add_argument("--eps2", type=float, default=SolverConfig.eps2,
+                     help="source-matrix stopping tolerance "
+                          "(default %(default)s)")
+    sub.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
+                     dest="max_iter", help="iteration cap (default %(default)s)")
     sub.add_argument("--regularizer", choices=CHOICES["regularizer"],
-                     default="uniform")
-    sub.add_argument("--seed", type=int, default=0)
+                     default="uniform", help="penalty (default %(default)s)")
+    sub.add_argument("--seed", type=int, default=SolverConfig.seed,
+                     help="start seed (default %(default)s)")
     sub.add_argument("--config", help="key=value file supplying defaults "
                                       "(explicit flags win)")
 
@@ -204,10 +211,10 @@ def _write_truth(out_dir: str, truth, node_count: int, spec: SyntheticSpec) -> N
                    delimiter=",", fmt="%.17g")
     np.savetxt(os.path.join(truth_dir, "loadings.csv"), truth.loadings,
                delimiter=",", fmt="%.17g")
-    with open(os.path.join(truth_dir, "spec"), "w") as fh:
-        fh.write(f"V={node_count}\nq={truth.sources.shape[0]}\n"
-                 f"N={truth.loadings.shape[0]}\nsigma={truth.noise_sd}\n"
-                 f"scenario={spec.scenario}\nseed={spec.seed}\n")
+    write_meta(os.path.join(truth_dir, "spec"),
+               {"V": node_count, "q": truth.sources.shape[0],
+                "N": truth.loadings.shape[0], "sigma": truth.noise_sd,
+                "scenario": spec.scenario, "seed": spec.seed})
 
 
 def cmd_simulate(args) -> int:
@@ -238,7 +245,7 @@ def cmd_decompose(args) -> int:
         sources = model.source_matrix()
     else:
         ica = fastica(whitened, args.q, max_iter=args.max_iter, seed=args.seed)
-        loadings = unmix_to_subject_space(ica.mixing, whitened, ica.sources)
+        loadings = unmix_to_subject_space(whitened, ica.sources)
         meta = {"q": args.q, "method": "fastica", "seed": args.seed,
                 "iterations": ica.iterations, "converged": ica.converged}
         save_decomposition(args.out, ica.sources, dataset.node_count,
@@ -276,9 +283,9 @@ def cmd_tune(args) -> int:
                   cell.error or ""] for cell in result.grid))
     best_cell = next(c for c in result.grid
                      if (c.phi, c.rho) == result.best)
-    with open(os.path.join(args.out, "best"), "w") as fh:
-        fh.write(f"phi={result.best[0]:.17g}\nrho={result.best[1]:.17g}\n"
-                 f"bic={best_cell.bic:.17g}\n")
+    write_meta(os.path.join(args.out, "best"),
+               {"phi": f"{best_cell.phi:.17g}", "rho": f"{best_cell.rho:.17g}",
+                "bic": f"{best_cell.bic:.17g}"})
     write_manifest(args.out, args, inputs={"data": args.data})
     return 0
 
@@ -428,9 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--method", action="append",
                     choices=CHOICES["method"],
                     help="method(s) to bootstrap (repeatable)")
-    ev.add_argument("--top-fraction", type=float, default=0.01,
+    ev.add_argument("--top-fraction", type=float, default=DEFAULT_TOP_FRACTION,
                     dest="top_fraction",
-                    help="Jaccard support size as a fraction of edges")
+                    help="Jaccard support size as a fraction of edges "
+                         "(default %(default)s)")
     _add_solver_flags(ev)
     _add_data_flags(ev)
     ev.set_defaults(func=cmd_evaluate)

@@ -44,14 +44,14 @@ def nodes_from_edge_count(p: int) -> int:
     return v
 
 
-def _check_symmetric(m: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+def _check_symmetric(m: np.ndarray) -> np.ndarray:
     """Validate near-symmetry and return the symmetrized matrix (M+M')/2."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("not_square", f"expected a square matrix, got shape {m.shape}")
     gap = np.abs(m - m.T)
     scale = max(float(np.max(np.abs(m))), np.finfo(float).tiny)
     worst = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    if gap[worst] > rtol * scale:
+    if gap[worst] > SYMMETRY_RTOL * scale:
         u, v = int(worst[0]), int(worst[1])
         raise ValidationError(
             "asymmetric",
@@ -60,10 +60,10 @@ def _check_symmetric(m: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def vectorize(m: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+def vectorize(m: np.ndarray) -> np.ndarray:
     """Map a symmetric V x V matrix to its p = V(V-1)/2 upper-triangle vector.
 
-    The diagonal is discarded.  Matrices asymmetric beyond ``rtol``
+    The diagonal is discarded.  Matrices asymmetric beyond ``SYMMETRY_RTOL``
     (relative to the largest entry) are rejected; smaller asymmetries are
     symmetrized as (M+M')/2 first.
     """
@@ -72,7 +72,7 @@ def vectorize(m: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
         raise ValidationError("not_square", f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 2:
         raise DimensionError("dimension_mismatch", "need at least 2 nodes")
-    m = _check_symmetric(m, rtol)
+    m = _check_symmetric(m)
     r, c = triu_indices(m.shape[0])
     return m[r, c]
 

@@ -59,11 +59,14 @@ def correlation_matrix(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
         return rows, np.sqrt(np.einsum("...i,...i->...", rows, rows))
 
     # A centered row is orthogonal to constants, so only the truth needs
-    # centering for the products; dropping the estimates' centered copy
-    # before the truth's is made keeps one p-wide temporary at a time.
-    # einsum works every entry out by the same loop, so identical rows get
-    # identical correlations and exact ties in the matching stay ties.
-    est_norms = centered(est)[1]
+    # centering for the products; the estimates are centered one (q', p)
+    # block at a time, only for their norms, so a stack of replicates is
+    # never copied whole.  einsum works every entry out by the same loop,
+    # so identical rows get identical correlations and exact ties in the
+    # matching stay ties.
+    est_norms = np.empty(est.shape[:-1])
+    for block in np.ndindex(est.shape[:-2]):
+        est_norms[block] = centered(est[block])[1]
     truth, truth_norms = centered(truth)
     num = np.einsum("ip,...jp->...ij", truth, est)
     den = truth_norms[:, None] * est_norms[..., None, :]

@@ -19,7 +19,8 @@ from .connmat import ConnectivityDataset
 from .errors import DegeneracyError, DimensionError, LocusError, ValidationError
 from .solver import LocusModel, LowRankSource, SolverConfig, fit, initialize
 
-DEFAULT_ZERO_TOL = 1e-3
+# edges above this fraction of their source's largest edge count toward L0
+ZERO_TOL = 1e-3
 
 
 class RankCapWarning(UserWarning):
@@ -101,13 +102,12 @@ def select_rank(m: np.ndarray, rho: float, r_max: int) -> tuple[int, LowRankSour
     return rank, LowRankSource(eigvecs[:, :rank], eigvals[:rank])
 
 
-def bic(dataset: ConnectivityDataset, model: LocusModel,
-        zero_tol: float = DEFAULT_ZERO_TOL) -> float:
+def bic(dataset: ConnectivityDataset, model: LocusModel) -> float:
     """BIC of a fitted model on (demeaned) data.
 
     The likelihood term is a spherical Gaussian with variance estimated
     from the residuals; the complexity term counts, per source, the edges
-    whose magnitude exceeds zero_tol times the source's largest edge.
+    whose magnitude exceeds ZERO_TOL times the source's largest edge.
     A perfect fit (zero residual variance) returns the -inf sentinel.
     """
     if model.a is None:
@@ -126,7 +126,7 @@ def bic(dataset: ConnectivityDataset, model: LocusModel,
     for ell in range(model.q):
         scale = float(np.max(np.abs(s[ell])))
         if scale > 0:
-            l0 += int(np.count_nonzero(np.abs(s[ell]) > zero_tol * scale))
+            l0 += int(np.count_nonzero(np.abs(s[ell]) > ZERO_TOL * scale))
     if sigma2 == 0:
         return -math.inf
     loglik = -0.5 * n * p * (math.log(2.0 * math.pi * sigma2) + 1.0)

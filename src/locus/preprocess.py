@@ -140,25 +140,15 @@ def _regress_on_sources(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     return y @ s.T @ np.linalg.inv(gram)
 
 
-def unmix_to_subject_space(a_tilde: np.ndarray, whitened: WhitenedData,
-                           sources: np.ndarray | None = None) -> np.ndarray:
-    """Subject-level loadings for the given sources.
-
-    The reduced mixing matrix lives in the whitened q-space; subject
-    loadings are recovered by least squares of the demeaned data on the
-    source matrix: A = Yc S' (S S')^(-1).  When ``sources`` is omitted the
-    unstructured sources implied by the mixing matrix, S = A~' Y~, are
-    used instead.  Degenerate sources raise DegeneracyError.
+def unmix_to_subject_space(whitened: WhitenedData,
+                           sources: np.ndarray) -> np.ndarray:
+    """Subject-level loadings A = Yc S' (S S')^(-1) of the (q, p) sources:
+    least squares of the demeaned data on the source matrix.  Degenerate
+    sources raise DegeneracyError.
     """
-    a_tilde = np.asarray(a_tilde, dtype=float)
-    q = whitened.q
-    if a_tilde.shape != (q, q):
-        raise DimensionError("dimension_mismatch",
-                             f"mixing matrix must be {q} x {q}, got {a_tilde.shape}")
-    if sources is None:
-        sources = a_tilde.T @ whitened.y_tilde
     s = np.asarray(sources, dtype=float)
-    if s.shape != (q, whitened.n_edges):
+    if s.shape != (whitened.q, whitened.n_edges):
         raise DimensionError("dimension_mismatch",
-                             f"sources must be {q} x {whitened.n_edges}, got {s.shape}")
+                             f"sources must be {whitened.q} x "
+                             f"{whitened.n_edges}, got {s.shape}")
     return _regress_on_sources(whitened.y_centered, s)

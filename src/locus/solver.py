@@ -600,7 +600,7 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
     model = LocusModel(sources=sources, a_tilde=a_tilde,
                        objective_trace=np.asarray(trace),
                        converged=converged, iterations=iterations)
-    model.a = unmix_to_subject_space(a_tilde, whitened, prev_s)
+    model.a = unmix_to_subject_space(whitened, prev_s)
     return model
 
 
@@ -608,13 +608,15 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
 # model serialization: one directory per fit
 # ---------------------------------------------------------------------------
 
-def _write_meta(path: str, meta: dict) -> None:
+def write_meta(path: str, meta: dict) -> None:
+    """Write one ``key=value`` line per item, in order; values as str()."""
     with open(path, "w") as fh:
         for key, value in meta.items():
             fh.write(f"{key}={value}\n")
 
 
 def read_meta(path: str) -> dict:
+    """Read a file written by :func:`write_meta`; every value is a str."""
     meta = {}
     with open(path) as fh:
         for line in fh:
@@ -652,11 +654,12 @@ def save_decomposition(path: str, sources: np.ndarray, node_count: int,
                        delimiter=",", fmt="%.17g")
             np.savetxt(os.path.join(path, f"d_{ell + 1}.csv"),
                        np.atleast_1d(src.d), delimiter=",", fmt="%.17g")
-    _write_meta(os.path.join(path, "meta"), meta)
+    write_meta(os.path.join(path, "meta"), meta)
 
 
-def save_model(model: LocusModel, path: str, config: SolverConfig | None = None) -> None:
-    """Serialize a fitted model (see :func:`save_decomposition` for layout)."""
+def save_model(model: LocusModel, path: str, config: SolverConfig) -> None:
+    """Serialize a fitted model and the settings it was fitted with (see
+    :func:`save_decomposition` for layout)."""
     if model.a is None:
         raise ValidationError("no_loadings", "model has no subject loadings to save")
     meta = {
@@ -666,10 +669,11 @@ def save_model(model: LocusModel, path: str, config: SolverConfig | None = None)
         "converged": model.converged,
         "final_objective": (f"{model.objective_trace[-1]:.17g}"
                             if model.objective_trace.size else "nan"),
+        "phi": config.phi,
+        "rho": config.rho,
+        "seed": config.seed,
+        "regularizer": config.regularizer,
     }
-    if config is not None:
-        meta.update(phi=config.phi, rho=config.rho, seed=config.seed,
-                    regularizer=config.regularizer)
     save_decomposition(path, model.source_matrix(),
                        model.sources[0].node_count, model.a, model.a_tilde,
                        meta, factors=model.sources)

@@ -15,33 +15,30 @@ Scenario "triangle_circle_square":
   3. hollow square: border of the edge rectangle [0.65V, 0.90V) x
      [0.10V, 0.35V)
 
-Supports take value 1 (optionally sign-flipped per source); loadings are
-drawn i.i.d. uniform on [-2, -0.5] union [0.5, 2] unless a custom sampler
-or fixed matrix is supplied; i.i.d. Gaussian edge noise is added on top.
+Supports take value 1; loadings are drawn i.i.d. uniform on [-2, -0.5]
+union [0.5, 2] unless a custom sampler is supplied; i.i.d. Gaussian edge
+noise is added on top.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .connmat import ConnectivityDataset, vectorize
 from .errors import DimensionError, ValidationError
 
-SCENARIOS = ("blocks_cross", "triangle_circle_square", "custom")
+SCENARIOS = ("blocks_cross", "triangle_circle_square")
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Settings for one synthetic dataset.
 
-    loading_dist : optional callable (rng, size) -> array overriding the
-        default split-uniform loading sampler
-    fixed_loadings : optional (N, q) matrix used verbatim instead of sampling
-    template_signs : optional per-source signs applied to the binary supports
-    custom_templates : required for scenario "custom"; V x V symmetric arrays
+    loading_dist : optional callable (rng, size) -> (N, q) array
+        overriding the default split-uniform loading sampler
     """
 
     node_count: int
@@ -51,9 +48,6 @@ class SyntheticSpec:
     scenario: str = "blocks_cross"
     seed: int = 0
     loading_dist: Callable[[np.random.Generator, tuple], np.ndarray] | None = None
-    fixed_loadings: np.ndarray | None = None
-    template_signs: Sequence[float] | None = None
-    custom_templates: Sequence[np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -64,20 +58,12 @@ class SyntheticSpec:
             raise ValidationError("bad_config", f"sigma must be >= 0, got {self.sigma}")
         if self.n_subjects < 1 or self.q < 1:
             raise ValidationError("bad_config", "need at least one subject and one source")
-        if self.scenario == "custom":
-            if not self.custom_templates:
-                raise ValidationError("bad_scenario",
-                                      "scenario 'custom' needs custom_templates")
-            if len(self.custom_templates) != self.q:
-                raise DimensionError("dimension_mismatch",
-                                     f"{len(self.custom_templates)} templates for q={self.q}")
-        else:
-            if self.node_count < 10:
-                raise ValidationError("template_too_small",
-                                      f"shape templates need V >= 10, got {self.node_count}")
-            if self.q != 3:
-                raise ValidationError("bad_config",
-                                      f"scenario {self.scenario!r} defines 3 sources, got q={self.q}")
+        if self.node_count < 10:
+            raise ValidationError("template_too_small",
+                                  f"shape templates need V >= 10, got {self.node_count}")
+        if self.q != 3:
+            raise ValidationError("bad_config",
+                                  f"scenario {self.scenario!r} defines 3 sources, got q={self.q}")
 
 
 @dataclass(frozen=True)
@@ -150,22 +136,8 @@ def _default_loadings(rng: np.random.Generator, size: tuple) -> np.ndarray:
 
 def scenario_templates(spec: SyntheticSpec) -> list[np.ndarray]:
     if spec.scenario == "blocks_cross":
-        mats = templates_blocks_cross(spec.node_count)
-    elif spec.scenario == "triangle_circle_square":
-        mats = templates_triangle_circle_square(spec.node_count)
-    else:
-        mats = [np.asarray(m, dtype=float) for m in spec.custom_templates]
-        for i, m in enumerate(mats):
-            if m.shape != (spec.node_count, spec.node_count):
-                raise DimensionError("dimension_mismatch",
-                                     f"custom template {i} has shape {m.shape}, "
-                                     f"expected ({spec.node_count}, {spec.node_count})")
-    if spec.template_signs is not None:
-        if len(spec.template_signs) != len(mats):
-            raise DimensionError("dimension_mismatch",
-                                 f"{len(spec.template_signs)} signs for {len(mats)} templates")
-        mats = [s * m for s, m in zip(spec.template_signs, mats)]
-    return mats
+        return templates_blocks_cross(spec.node_count)
+    return templates_triangle_circle_square(spec.node_count)
 
 
 def generate(spec: SyntheticSpec) -> tuple[ConnectivityDataset, GroundTruth]:
@@ -189,15 +161,13 @@ def generate(spec: SyntheticSpec) -> tuple[ConnectivityDataset, GroundTruth]:
                 raise ValidationError("degenerate_templates",
                                       f"templates {i} and {j} have identical supports")
 
-    if spec.fixed_loadings is not None:
-        loadings = np.asarray(spec.fixed_loadings, dtype=float)
-        if loadings.shape != (spec.n_subjects, spec.q):
-            raise DimensionError("dimension_mismatch",
-                                 f"fixed loadings shape {loadings.shape}, expected "
-                                 f"({spec.n_subjects}, {spec.q})")
-    else:
-        sampler = spec.loading_dist or _default_loadings
-        loadings = np.asarray(sampler(rng, (spec.n_subjects, spec.q)), dtype=float)
+    size = (spec.n_subjects, spec.q)
+    sampler = spec.loading_dist or _default_loadings
+    loadings = np.asarray(sampler(rng, size), dtype=float)
+    if loadings.shape != size:
+        raise DimensionError("dimension_mismatch",
+                             f"loading sampler returned shape {loadings.shape}, "
+                             f"expected {size}")
 
     y = loadings @ sources
     if spec.sigma > 0:

@@ -5,8 +5,9 @@ import shutil
 import numpy as np
 import pytest
 
-from locus.cli import _command_options, build_parser, main, write_pgm
-from locus.solver import read_meta
+from locus.cli import (_command_options, _solver_config, build_parser, main,
+                       write_pgm)
+from locus.solver import SolverConfig, read_meta
 
 
 def run(argv):
@@ -345,6 +346,17 @@ class TestEvaluate:
     def test_bootstrap_without_data_exit_3(self, sim_dir, tmp_path):
         assert run(["evaluate", "--truth", sim_dir / "truth",
                     "--bootstrap", 3, "--out", tmp_path / "x"]) == 3
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command", ["decompose", "tune", "evaluate"])
+    def test_solver_flags_default_to_solver_config(self, command):
+        argv = {"decompose": ["decompose", "d.csv", "--q", "3", "--out", "o"],
+                "tune": ["tune", "d.csv", "--q", "3", "--phi-grid", "0",
+                         "--rho-grid", "0.9", "--out", "o"],
+                "evaluate": ["evaluate", "--truth", "t", "--out", "o"]}
+        args = build_parser().parse_args(argv[command])
+        assert _solver_config(args) == SolverConfig()
 
 
 class TestPgm:

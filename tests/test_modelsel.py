@@ -137,7 +137,7 @@ class TestBic:
         ds = ConnectivityDataset(data=data, node_count=3)
         model = toy_model(truth, loadings)
         # replace reconstructed sources with the exact truth for the check
-        got = bic(ds, model, zero_tol=1e-3)
+        got = bic(ds, model)
 
         yc = data - data.mean(axis=0)
         s_hat = model.source_matrix()

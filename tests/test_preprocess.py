@@ -101,7 +101,7 @@ class TestUnmixToSubjectSpace:
         a_true -= a_true.mean(axis=0)  # demeaning removes the mean loading
         ds = ConnectivityDataset(data=a_true @ s, node_count=node_count)
         w = whiten(ds, q)
-        a_hat = unmix_to_subject_space(np.eye(q), w, sources=s)
+        a_hat = unmix_to_subject_space(w, s)
         assert np.allclose(a_hat, a_true, atol=1e-8)
 
     def test_scalar_projection_for_single_source(self):
@@ -110,7 +110,7 @@ class TestUnmixToSubjectSpace:
         w = whiten(ds, 1)
         s = rng.standard_normal((1, 10))
         s /= np.linalg.norm(s)
-        a_hat = unmix_to_subject_space(np.eye(1), w, sources=s)
+        a_hat = unmix_to_subject_space(w, s)
         yc = ds.data - ds.data.mean(axis=0)
         expected = yc @ s.T / float(s[0] @ s[0])
         assert np.allclose(a_hat, expected, atol=1e-12)
@@ -127,16 +127,8 @@ class TestUnmixToSubjectSpace:
                          eigvals_top=np.array([1.0]),
                          y_centered=np.zeros((4, p)))
         s = np.ones((1, p))
-        a_hat = unmix_to_subject_space(np.eye(1), w, sources=s)
+        a_hat = unmix_to_subject_space(w, s)
         assert not a_hat.any()
-
-    def test_default_sources_from_mixing(self):
-        rng = np.random.default_rng(10)
-        ds = make_dataset(rng, n=8, node_count=6)
-        w = whiten(ds, 2)
-        a_id = unmix_to_subject_space(np.eye(2), w)
-        explicit = unmix_to_subject_space(np.eye(2), w, sources=w.y_tilde)
-        assert np.allclose(a_id, explicit, atol=1e-12)
 
     def test_singular_source_gram_rejected(self):
         rng = np.random.default_rng(11)
@@ -145,12 +137,12 @@ class TestUnmixToSubjectSpace:
         s = np.vstack([np.ones(15), np.ones(15)])
         with pytest.raises(DegeneracyError,
                            match=r"sources 0 and 1 .* \(\|corr\| = 1\.000000\)"):
-            unmix_to_subject_space(np.eye(2), w, sources=s)
+            unmix_to_subject_space(w, s)
         s = np.vstack([rng.standard_normal(15), np.zeros(15)])
         with pytest.raises(DegeneracyError, match=r"sources \[1\] are zero"):
-            unmix_to_subject_space(np.eye(2), w, sources=s)
+            unmix_to_subject_space(w, s)
         for bad in (np.nan, np.inf):
             s = rng.standard_normal((2, 15))
             s[0, 3] = bad
             with pytest.raises(DegeneracyError, match=r"sources \[0\]"):
-                unmix_to_subject_space(np.eye(2), w, sources=s)
+                unmix_to_subject_space(w, s)

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from locus.connmat import unvectorize
-from locus.errors import ValidationError
-from locus.synth import (SyntheticSpec, generate, scenario_templates,
-                         templates_blocks_cross,
+from locus.errors import DimensionError, ValidationError
+from locus.synth import (SyntheticSpec, generate, templates_blocks_cross,
                          templates_triangle_circle_square)
 
 
@@ -44,9 +42,16 @@ class TestTemplates:
 class TestGenerate:
     def test_identity_mixing_reproduces_sources(self):
         spec = SyntheticSpec(node_count=12, q=3, n_subjects=3, sigma=0.0,
-                             seed=0, fixed_loadings=np.eye(3))
+                             seed=0, loading_dist=lambda rng, size: np.eye(3))
         ds, truth = generate(spec)
         assert np.array_equal(ds.data, truth.sources)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (4,)])
+    def test_loading_sampler_shape_checked(self, shape):
+        spec = SyntheticSpec(node_count=12, q=3, n_subjects=4, sigma=0.0,
+                             loading_dist=lambda rng, size: np.ones(shape))
+        with pytest.raises(DimensionError, match=r"expected \(4, 3\)"):
+            generate(spec)
 
     def test_paper_scale_settings(self):
         for sigma in (1.0, 3.0, 6.0):
@@ -66,14 +71,10 @@ class TestGenerate:
         assert np.array_equal(t1.loadings, t2.loadings)
 
     def test_noise_sd_monte_carlo(self):
-        # zero out the sources: observed edge SD must track sigma within 2%
-        templates = [np.zeros((10, 10)) for _ in range(3)]
-        for i, m in enumerate(templates):
-            m[0, i + 1] = m[i + 1, 0] = 1.0  # nonempty distinct supports
+        # zero out the loadings: observed edge SD must track sigma within 2%
         spec = SyntheticSpec(node_count=10, q=3, n_subjects=10_000, sigma=1.5,
-                             seed=3, scenario="custom",
-                             custom_templates=templates,
-                             fixed_loadings=np.zeros((10_000, 3)))
+                             seed=3,
+                             loading_dist=lambda rng, size: np.zeros(size))
         ds, _ = generate(spec)
         assert abs(ds.data.std() - 1.5) / 1.5 < 0.02
 
@@ -93,20 +94,6 @@ class TestGenerate:
         mags = np.abs(truth.loadings)
         assert mags.min() >= 0.5
         assert mags.max() <= 2.0
-
-    def test_template_signs(self):
-        spec = SyntheticSpec(node_count=12, q=3, n_subjects=3, sigma=0.0,
-                             seed=6, fixed_loadings=np.eye(3),
-                             template_signs=(-1.0, 1.0, 1.0))
-        ds, truth = generate(spec)
-        base = scenario_templates(SyntheticSpec(node_count=12, q=3,
-                                                n_subjects=3, sigma=0.0))
-        assert np.array_equal(unvectorize(truth.sources[0], 12), -base[0])
-
-    def test_custom_needs_matching_template_count(self):
-        with pytest.raises(ValidationError):
-            SyntheticSpec(node_count=10, q=2, n_subjects=5, sigma=0.0,
-                          scenario="custom", custom_templates=[np.zeros((10, 10))])
 
     def test_bad_scenario_rejected(self):
         with pytest.raises(ValidationError):
