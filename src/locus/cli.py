@@ -50,11 +50,13 @@ def _sha256_file(path: str) -> str:
 
 
 def _hash_input(path: str) -> str:
+    """sha256 of a file, or of a directory's sorted files other than its
+    manifest, whose timestamp and paths change from run to run."""
     if os.path.isdir(path):
         digest = hashlib.sha256()
         for name in sorted(os.listdir(path)):
             full = os.path.join(path, name)
-            if os.path.isfile(full):
+            if name != "manifest" and os.path.isfile(full):
                 digest.update(name.encode())
                 digest.update(_sha256_file(full).encode())
         return digest.hexdigest()

@@ -205,14 +205,17 @@ def bootstrap_replicates(dataset: ConnectivityDataset, fit_fn, b: int,
     """Refit B subject-resampled copies of the dataset.
 
     ``fit_fn(dataset, seed) -> (q, p) array`` runs one decomposition; its
-    per-replicate seeds derive deterministically from the master seed.
+    per-replicate seeds derive deterministically from the master seed, drawn
+    from a stream spawned off it so they are independent of the subject
+    draws of :func:`bootstrap_indices`.
     Replicates whose fit raises a package error or a LinAlgError are
     recorded in ``failures`` and skipped; any other exception propagates.
     """
     if b < 2:
         raise ValidationError("bad_config", f"need B >= 2 replicates, got {b}")
     indices = bootstrap_indices(dataset.n_subjects, b, seed)
-    child_seeds = np.random.default_rng(seed).integers(0, 2 ** 31 - 1, size=b)
+    seed_stream = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    child_seeds = seed_stream.integers(0, 2 ** 31 - 1, size=b)
     estimates, failures = [], []
     for rep in range(b):
         idx = indices[rep]

@@ -21,8 +21,9 @@ and the (V, V) target (:func:`update_d`), so no p x R matrix is built.
 
 The three regularizers share this loop.  Both block updates least-squares
 project onto the current low-rank span; the variants differ only in the
-penalty term (:func:`penalty`) and in where one soft-threshold at phi/2
-lands:
+penalty term (:data:`PENALTIES`) and in where one soft-threshold at phi/2
+lands.  :func:`fit` reads the regularizer once and hands each block kernel
+a plain threshold (0 where the variant puts none):
 
 * ``uniform_l1`` (default): element-wise L1 on the reconstructed source's
   edges.  :func:`fit` thresholds the projected targets' edges before both
@@ -30,9 +31,9 @@ lands:
 * ``vector_l1``: L1 on the entries of the coordinate matrices X.  Each node
   row is thresholded after its unpenalized least-squares step (the
   ``shrink`` of :func:`sweep_nodes`).
-* ``nuclear``: nuclear norm of the reconstructed source.
-  :func:`update_d` shrinks the diagonal weights (valid while X stays
-  near-orthonormal).
+* ``nuclear``: nuclear norm of the reconstructed source.  The diagonal
+  weights are thresholded after their least-squares step (the ``shrink``
+  of :func:`update_d`; valid while X stays near-orthonormal).
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ PINV_RTOL = 1e-10
 # Sherman-Morrison inverse: two decades inside the PINV_RTOL rule
 CERT = 1e-2 / PINV_RTOL
 PRUNE_RTOL = 1e-10
-
-REGULARIZERS = ("uniform_l1", "vector_l1", "nuclear")
 
 
 def _check_penalty(phi: float, regularizer: str) -> None:
@@ -142,6 +141,8 @@ class SolverConfig:
     eps1, eps2 : relative-change stopping tolerances for the mixing matrix
         and the source matrix
     regularizer : "uniform_l1" (edge-wise), "vector_l1" or "nuclear"
+    seed : seeds the start (:func:`initialize`) only; the iterations of
+        :func:`fit` draw no random numbers
     """
 
     phi: float = 0.0
@@ -312,15 +313,16 @@ def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
     return [x[ell, :, :rank] for ell, rank in enumerate(ranks)]
 
 
-def update_d(x: np.ndarray, target: np.ndarray, phi: float,
-             regularizer: str) -> np.ndarray:
+def update_d(x: np.ndarray, target: np.ndarray,
+             shrink: float = 0.0) -> np.ndarray:
     """Diagonal-weights step for the node coordinates ``x`` (V, R).
 
     Projects the (V, V) ``target`` (symmetric with a zero diagonal; for
     uniform_l1, already thresholded by the caller) onto the span of the
     per-component edge vectors Z, whose r-th column holds the edges of
-    x_r x_r'; for nuclear the weights are then soft-thresholded at phi/2.
-    The normal equations come from closed-form moments instead of Z itself:
+    x_r x_r', then soft-thresholds the weights at ``shrink`` (phi/2 for
+    nuclear, 0 otherwise).  The normal equations come from closed-form
+    moments instead of Z itself:
     Z'Z = ((X'X) o (X'X) - (X o X)'(X o X)) / 2 and Z't = diag(X' T X) / 2
     (the halves cancel), solved by eigh under the PINV_RTOL rule.
     Weights below PRUNE_RTOL * max|d| are zeroed (rank reduction happens in
@@ -339,8 +341,8 @@ def update_d(x: np.ndarray, target: np.ndarray, phi: float,
     if logger.isEnabledFor(logging.DEBUG) and not inv.all():
         logger.debug("rank-deficient weight Gram, using pseudo-inverse")
     d = eigvecs @ (inv * (eigvecs.T @ np.sum((target @ x) * x, axis=0)))
-    if regularizer == "nuclear":
-        d = soft_threshold(d, phi / 2.0)
+    if shrink:
+        d = soft_threshold(d, shrink)
     scale = np.max(np.abs(d), initial=0.0)
     small = np.abs(d) < PRUNE_RTOL * scale
     if small.any():
@@ -363,20 +365,23 @@ def _nuclear_norm(source: LowRankSource) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh((r * source.d) @ r.T))))
 
 
+# per-source penalty of each regularizer: the L1 norm of the source's edges
+# or of its coordinates X, or its nuclear norm
+PENALTIES = {
+    "uniform_l1": lambda s: float(np.sum(np.abs(s.edge_vector()))),
+    "vector_l1": lambda s: float(np.sum(np.abs(s.x))),
+    "nuclear": _nuclear_norm,
+}
+REGULARIZERS = tuple(PENALTIES)
+
+
 def penalty(sources: list[LowRankSource], phi: float, regularizer: str) -> float:
-    """Penalty term of the objective: phi times the L1 norm of the sources'
-    edges (uniform_l1) or of their coordinates X (vector_l1), or phi times
-    their nuclear norms (nuclear)."""
+    """Penalty term of the objective: phi times the sum of the sources'
+    :data:`PENALTIES` under ``regularizer``."""
     _check_penalty(phi, regularizer)
     if phi == 0:
         return 0.0
-    if regularizer == "uniform_l1":
-        total = sum(float(np.sum(np.abs(s.edge_vector()))) for s in sources)
-    elif regularizer == "vector_l1":
-        total = sum(float(np.sum(np.abs(s.x))) for s in sources)
-    else:
-        total = sum(_nuclear_norm(s) for s in sources)
-    return phi * total
+    return phi * sum(PENALTIES[regularizer](s) for s in sources)
 
 
 def objective(whitened: WhitenedData, model: LocusModel, phi: float,
@@ -401,18 +406,13 @@ def data_domain_objective(whitened: WhitenedData, model: LocusModel, phi: float,
     return float(np.sum(resid ** 2)) + penalty(model.sources, phi, regularizer)
 
 
-def _reseed_source(y_src: np.ndarray, node_count: int,
-                   rng: np.random.Generator) -> LowRankSource:
-    """Rank-1 re-seed from the dominant eigen-pair of the unvectorized
-    projected source; random unit vector if that is zero too."""
-    m = unvectorize(y_src, node_count)
-    eigvals, eigvecs = np.linalg.eigh(m)
+def _reseed_source(y_src: np.ndarray, node_count: int) -> LowRankSource:
+    """Rank-1 re-seed from the dominant eigenpair of the unvectorized
+    projected source.  A zero projection gives a zero source, which the
+    mixing update then reports by index."""
+    eigvals, eigvecs = np.linalg.eigh(unvectorize(y_src, node_count))
     k = int(np.argmax(np.abs(eigvals)))
-    if abs(eigvals[k]) > 0:
-        return LowRankSource(eigvecs[:, [k]], np.array([eigvals[k]]))
-    vec = rng.standard_normal((node_count, 1))
-    vec /= np.linalg.norm(vec)
-    return LowRankSource(vec, np.array([1.0]))
+    return LowRankSource(eigvecs[:, [k]], eigvals[[k]])
 
 
 def initialize(whitened: WhitenedData, q: int, config: SolverConfig) -> LocusModel:
@@ -423,8 +423,10 @@ def initialize(whitened: WhitenedData, q: int, config: SolverConfig) -> LocusMod
     selected rank via its symmetric eigendecomposition.  If the baseline
     fails with a package error or a LinAlgError, falls back to a seeded
     random orthogonal mixing matrix and truncates the implied projected
-    sources instead; any other exception propagates.  Reads ``seed``,
-    ``rho`` and ``r_max`` of ``config``, not ``phi``.
+    sources instead; any other exception propagates.  A zero source is
+    re-seeded from its projected target (:func:`_reseed_source`).  Reads
+    ``seed``, ``rho`` and ``r_max`` of ``config``, not ``phi``; ``seed``
+    seeds FastICA and the random fallback.
     """
     from . import baselines
     from .modelsel import select_rank
@@ -434,19 +436,16 @@ def initialize(whitened: WhitenedData, q: int, config: SolverConfig) -> LocusMod
                              f"q={q} does not match whitened data (q={whitened.q})")
     node_count = nodes_from_edge_count(whitened.n_edges)
     r_max = min(config.r_max, node_count - 1)
-    rng = np.random.default_rng(config.seed)
 
     try:
         ica = baselines.fastica(whitened, q, seed=config.seed)
-        a_tilde = _polar_orthogonalize(np.asarray(ica.mixing, dtype=float))
-        raw = np.asarray(ica.sources, dtype=float)
-        if raw.shape != (q, whitened.n_edges) or not np.all(np.isfinite(raw)):
-            raise DegeneracyError("unusable_baseline",
-                                  "baseline produced unusable sources")
+        a_tilde = _polar_orthogonalize(ica.mixing)
+        raw = ica.sources
     except (LocusError, np.linalg.LinAlgError) as err:
         # fall back to a seeded random start
         logger.warning("baseline initialization failed (%s); using random "
                        "orthogonal start", err)
+        rng = np.random.default_rng(config.seed)
         a_tilde = _polar_orthogonalize(rng.standard_normal((q, q)))
         raw = a_tilde.T @ whitened.y_tilde
 
@@ -459,7 +458,7 @@ def initialize(whitened: WhitenedData, q: int, config: SolverConfig) -> LocusMod
             warnings.warn(f"initial source {ell} is zero; re-seeding",
                           DegenerateSourceWarning)
             src = _reseed_source((a_tilde.T @ whitened.y_tilde)[ell],
-                                 node_count, rng)
+                                 node_count)
         sources.append(src)
     return LocusModel(sources=sources, a_tilde=a_tilde)
 
@@ -478,11 +477,16 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
 
     Iterates the three block updates until the relative changes of the
     mixing matrix and the source matrix drop below eps1/eps2 or max_iter is
-    reached.  The per-source rank is re-selected each outer iteration from
-    the thresholded unstructured source; a rank change re-seeds that
-    source's factors from the eigendecomposition of the thresholded target.
-    Subject loadings are filled in by least squares against the final
-    sources.  ``init`` is the start (default: :func:`initialize`).
+    reached.  Each iteration takes every source through one path: its rank
+    is re-selected from the thresholded unstructured source (a rank change
+    restarts its factors from the truncated eigendecomposition of that
+    target), its nodes are swept, its weights are re-fitted and zero
+    weights pruned.  A source whose target or weights are all zero is
+    re-seeded at the end of its step from the dominant eigenpair of its
+    projected target, with one DegenerateSourceWarning per source.  The
+    iterations draw no random numbers.  Subject loadings are filled in by
+    least squares against the final sources.  ``init`` is the start
+    (default: :func:`initialize`).
     """
     from .modelsel import select_rank
 
@@ -493,8 +497,11 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
     r_max = min(config.r_max, node_count - 1)
     phi = config.phi
     regularizer = config.regularizer
-    rng = np.random.default_rng(config.seed)
-    shrink = phi / 2.0 if regularizer == "vector_l1" else 0.0
+    # the one phi/2 soft-threshold lands on the targets' edges, on each new
+    # node row or on the diagonal weights
+    edge_shrink = phi / 2.0 if regularizer == "uniform_l1" else 0.0
+    row_shrink = phi / 2.0 if regularizer == "vector_l1" else 0.0
+    weight_shrink = phi / 2.0 if regularizer == "nuclear" else 0.0
 
     if init is None:
         init = initialize(whitened, q, config)
@@ -510,76 +517,67 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
     iterations = 0
     warned_degenerate: set[int] = set()
 
-    def reseed(ell, y_src, it):
-        if ell not in warned_degenerate:
-            warnings.warn(f"source {ell} collapsed to zero at iteration {it}; "
-                          "re-seeding", DegenerateSourceWarning)
-            warned_degenerate.add(ell)
-        else:
-            logger.debug("source %d collapsed again at iteration %d", ell, it)
-        return _reseed_source(y_src, node_count, rng)
-
     for it in range(1, config.max_iter + 1):
         iterations = it
         targets = a_tilde.T @ whitened.y_tilde
-        if regularizer == "uniform_l1":
-            s_star = soft_threshold(targets, phi / 2.0)
-        else:
-            s_star = targets
+        s_star = soft_threshold(targets, edge_shrink) if edge_shrink else targets
         # the (V, V) targets shared by rank selection and both block updates
         target_mats = np.stack([unvectorize(row, node_count) for row in s_star])
 
         # adaptive rank re-selection against the unstructured sources; a
-        # zero source is re-seeded below, in source order
-        starts: dict[int, LowRankSource] = {}
+        # zero target leaves its source out of the sweep
+        live = []
         for ell in range(q):
             try:
                 new_rank, eig_src = select_rank(target_mats[ell], config.rho,
                                                 r_max)
             except DegeneracyError:
                 continue
-            starts[ell] = (eig_src if new_rank != sources[ell].rank
-                           else sources[ell])
+            if new_rank != sources[ell].rank:
+                sources[ell] = eig_src
+            live.append(ell)
 
-        # Step 1: node sweep over all sources together, freshest coordinates
-        # within the sweep
+        # Step 1: node sweep over the live sources together, freshest
+        # coordinates within the sweep
         swept = {}
-        if starts:
-            live = list(starts)
+        if live:
             swept = dict(zip(live, sweep_nodes(
-                [(src.x, src.d) for src in starts.values()],
-                target_mats if len(live) == q else target_mats[live], shrink)))
+                [(sources[ell].x, sources[ell].d) for ell in live],
+                target_mats[live], row_shrink)))
             if not all(np.all(np.isfinite(x)) for x in swept.values()):
                 raise NumericError("non_finite",
                                    f"node update overflowed at iteration {it}")
 
         for ell in range(q):
-            y_src = targets[ell]
-            if ell not in starts:
-                sources[ell] = reseed(ell, y_src, it)
-                continue
-            x = swept[ell]
+            if ell in swept:
+                x = swept[ell]
+                # renormalize columns; the weight step below re-fits d
+                norms = np.linalg.norm(x, axis=0)
+                alive = norms > 0
+                x[:, alive] /= norms[alive]
 
-            # renormalize columns; the weight step below re-fits d
-            norms = np.linalg.norm(x, axis=0)
-            alive = norms > 0
-            x[:, alive] /= norms[alive]
+                # Step 2: diagonal weights against the whole target
+                d = update_d(x, target_mats[ell], weight_shrink)
+                if not np.all(np.isfinite(d)):
+                    raise NumericError("non_finite", "weight update overflowed "
+                                       f"at iteration {it}")
+                keep = d != 0
+                if keep.any():
+                    if not keep.all():
+                        logger.debug("source %d: pruning %d components at "
+                                     "iteration %d", ell, int((~keep).sum()), it)
+                        x, d = x[:, keep], d[keep]
+                    sources[ell] = LowRankSource(x, d)
+                    continue
 
-            # Step 2: diagonal weights against the whole target
-            d = update_d(x, target_mats[ell], phi, regularizer)
-            if not np.all(np.isfinite(d)):
-                raise NumericError("non_finite",
-                                   f"weight update overflowed at iteration {it}")
-
-            keep = d != 0
-            if not keep.any():
-                sources[ell] = reseed(ell, y_src, it)
-                continue
-            if not keep.all():
-                logger.debug("source %d: pruning %d components at iteration %d",
-                             ell, int((~keep).sum()), it)
-                x, d = x[:, keep], d[keep]
-            sources[ell] = LowRankSource(x, d)
+            # a zero target or zero weights: re-seed from the projected target
+            if ell not in warned_degenerate:
+                warnings.warn(f"source {ell} collapsed to zero at iteration "
+                              f"{it}; re-seeding", DegenerateSourceWarning)
+                warned_degenerate.add(ell)
+            else:
+                logger.debug("source %d collapsed again at iteration %d", ell, it)
+            sources[ell] = _reseed_source(targets[ell], node_count)
 
         # Step 3: mixing matrix
         a_new = update_mixing(whitened, sources)

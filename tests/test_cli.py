@@ -287,6 +287,22 @@ class TestEvaluate:
         hashes = {manifest[f"input_fit_{i}_sha256"] for i in (1, 2)}
         assert len(hashes) == 2
 
+    def test_identical_fits_hash_alike(self, sim_dir, tmp_path, monkeypatch):
+        # the fits' own manifests differ in timestamp and out path, and are
+        # left out of the directory hash
+        fits = [tmp_path / "fit_a", tmp_path / "fit_b"]
+        for stamp, fitdir in zip(("2001-01-01", "2002-02-02"), fits):
+            monkeypatch.setattr("locus.cli.time.strftime",
+                                lambda fmt, stamp=stamp: stamp)
+            assert run(["decompose", sim_dir / "dataset.csv", "--q", 3,
+                        "--max-iter", 5, "--out", fitdir]) == 0
+        assert tree_bytes(fits[0]) == tree_bytes(fits[1])
+        out = tmp_path / "eval"
+        assert run(["evaluate", *fits, "--truth", sim_dir / "truth",
+                    "--out", out]) == 0
+        manifest = read_meta(out / "manifest")
+        assert manifest["input_fit_1_sha256"] == manifest["input_fit_2_sha256"]
+
     def test_comma_in_fit_path_is_quoted(self, sim_dir, tmp_path):
         truth_dir = sim_dir / "truth"
         fitdir = tmp_path / "x,y"

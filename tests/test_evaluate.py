@@ -315,6 +315,26 @@ class TestBootstrap:
         assert idx1.shape == (5, 14)
         assert idx1.min() >= 0 and idx1.max() < 14
 
+    @pytest.mark.parametrize("n", [24, 100, 500])
+    def test_replicate_seeds_independent_of_subject_draws(self, n):
+        # drawn from the subjects' own stream, the seeds rescaled to [0, N)
+        # would repeat replicate 0's subject draw
+        rng = np.random.default_rng(12)
+        ds = self.make_dataset(rng, n=n)
+        b = 6
+        seeds = []
+
+        def record(d, seed):
+            seeds.append(seed)
+            return np.zeros((2, ds.n_edges))
+
+        for seed in range(6):
+            seeds.clear()
+            bootstrap_replicates(ds, record, b, seed=seed)
+            rescaled = np.array(seeds) * n // (2 ** 31 - 1)
+            draws = bootstrap_indices(n, b, seed)[0, :b]
+            assert not np.array_equal(rescaled, draws), seed
+
     def test_index_distribution_is_uniform_monte_carlo(self):
         idx = bootstrap_indices(10, 1000, seed=4)
         counts = np.bincount(idx.ravel(), minlength=10) / idx.size

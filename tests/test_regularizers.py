@@ -103,12 +103,11 @@ class TestProxStep:
         x[0, 0] = x[1, 0] = 1.0 / np.sqrt(2)
         x[2, 1] = x[3, 1] = 1.0 / np.sqrt(2)
         target = unvectorize(z_columns(x) @ np.array([3.0, -0.5]), 6)
-        got = update_d(x, target, 1.0, "nuclear")
+        # nuclear at phi=1 shrinks the weights at phi/2
+        got = update_d(x, target, 0.5)
         assert np.allclose(got, [2.5, 0.0], atol=1e-12)
         assert got[1] == 0.0
-        for variant in ("uniform_l1", "vector_l1"):
-            assert np.allclose(update_d(x, target, 1.0, variant), [3.0, -0.5],
-                               atol=1e-12)
+        assert np.allclose(update_d(x, target), [3.0, -0.5], atol=1e-12)
 
     def test_vector_weight_zero_is_plain_least_squares_row(self):
         rng = np.random.default_rng(4)
@@ -144,7 +143,7 @@ class TestProxStep:
             phi = float(rng.uniform(0, 1))
             s_star = soft_threshold(rng.standard_normal(21), phi / 2.0)
             expected, *_ = np.linalg.lstsq(z_columns(src.x), s_star, rcond=None)
-            got = update_d(src.x, unvectorize(s_star, 7), phi, "uniform_l1")
+            got = update_d(src.x, unvectorize(s_star, 7))
             assert np.allclose(got, expected, atol=1e-12)
 
     def test_bare_threshold_consistency(self):
@@ -157,6 +156,5 @@ class TestProxStep:
         assert np.array_equal(visit_node(src, 5, y_node, shrink=0.4),
                               soft_threshold(plain, 0.4))
         y_edges = unvectorize(rng.standard_normal(36), 9)
-        assert np.array_equal(update_d(src.x, y_edges, 0.8, "nuclear"),
-                              soft_threshold(update_d(src.x, y_edges, 0.8,
-                                                      "vector_l1"), 0.4))
+        assert np.array_equal(update_d(src.x, y_edges, 0.4),
+                              soft_threshold(update_d(src.x, y_edges), 0.4))

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import re
 
@@ -326,7 +327,7 @@ class TestUpdateD:
         assert abs(float(z[:, 0] @ z[:, 1])) < 1e-12
         rng = np.random.default_rng(4)
         y_src = rng.standard_normal(z.shape[0])
-        d = update_d(src.x, unvectorize(y_src, 6), 0.0, "uniform_l1")
+        d = update_d(src.x, unvectorize(y_src, 6))
         expected = np.array([z[:, r] @ y_src / (z[:, r] @ z[:, r]) for r in range(2)])
         assert np.allclose(d, expected, atol=1e-10)
 
@@ -334,8 +335,7 @@ class TestUpdateD:
         rng = np.random.default_rng(5)
         src = random_source(rng, 7, 2)
         y_src = rng.standard_normal(21)
-        d = update_d(src.x, unvectorize(soft_threshold(y_src, 5e5), 7), 1e6,
-                     "uniform_l1")
+        d = update_d(src.x, unvectorize(soft_threshold(y_src, 5e5), 7))
         assert not d.any()
 
     def test_beats_random_candidates_on_weight_subproblem(self):
@@ -349,8 +349,7 @@ class TestUpdateD:
             fitv = z @ d
             return float(np.sum((y_src - fitv) ** 2) + phi * np.sum(np.abs(fitv)))
 
-        d_hat = update_d(src.x, unvectorize(soft_threshold(y_src, phi / 2.0), 9),
-                         phi, "uniform_l1")
+        d_hat = update_d(src.x, unvectorize(soft_threshold(y_src, phi / 2.0), 9))
         ours = value(d_hat)
         scale = np.linalg.norm(d_hat) + 1.0
         cands = rng.standard_normal((10_000, 3)) * scale
@@ -371,7 +370,7 @@ class TestUpdateD:
         y_src = rng.standard_normal(node_count * (node_count - 1) // 2)
         z = z_columns(x)
         expected, *_ = np.linalg.lstsq(z, y_src, rcond=None)
-        got = update_d(x, unvectorize(y_src, node_count), 0.0, "uniform_l1")
+        got = update_d(x, unvectorize(y_src, node_count))
         assert np.allclose(got, expected, rtol=1e-9, atol=1e-12)
         if spread == 0.0:
             assert got[-1] == 0.0
@@ -413,7 +412,7 @@ class TestUpdateD:
             expected, gram = reference(x, target)
             if case.startswith("cond"):
                 assert np.linalg.cond(gram) == pytest.approx(cond, rel=1e-6)
-            got = update_d(x, target, 0.0, "uniform_l1")
+            got = update_d(x, target)
             scale = max(1.0, float(np.max(np.abs(expected))))
             assert np.max(np.abs(got - expected)) <= 1e-10 * scale
             assert (got[-1] == 0.0) == (case in ("zero", "cond1e11"))
@@ -422,7 +421,7 @@ class TestUpdateD:
         rng = np.random.default_rng(16)
         src = random_source(rng, 7, 2)
         with pytest.raises(DimensionError):
-            update_d(src.x, rng.standard_normal(21), 0.0, "uniform_l1")
+            update_d(src.x, rng.standard_normal(21))
 
 
 class TestLowRankSource:
@@ -664,6 +663,37 @@ class TestFit:
         with pytest.warns(DegenerateSourceWarning):
             model = fit(w, 3, SolverConfig(phi=big, seed=0, max_iter=10))
         assert model.iterations <= 10
+
+    def test_reseed_draws_no_random_numbers(self, monkeypatch):
+        # the degenerate-phi fit re-seeds collapsed sources; from a given
+        # start it must not touch a random generator
+        ds, gt, w = scenario_whitened(1.0, 29)
+        big = 10.0 * float(np.max(np.abs(w.y_tilde)))
+        config = SolverConfig(phi=big, seed=0, max_iter=10)
+        start = initialize(w, 3, config)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("fit drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        with pytest.warns(DegenerateSourceWarning):
+            model = fit(w, 3, config, init=start)
+        assert model.iterations <= 10
+
+    def test_zero_reduced_row_names_the_source(self):
+        # a zero row of Y~ under A~ = I projects to a zero target: its
+        # re-seed is zero too, and the mixing update names that source
+        rng = np.random.default_rng(36)
+        q, node_count = 3, 10
+        w = make_whitened(rng, q, node_count)
+        y_tilde = w.y_tilde.copy()
+        y_tilde[0] = 0.0
+        w = dataclasses.replace(w, y_tilde=y_tilde)
+        start = LocusModel(sources=[random_source(rng, node_count, 1)
+                                    for _ in range(q)], a_tilde=np.eye(q))
+        with pytest.warns(DegenerateSourceWarning), \
+                pytest.raises(DegeneracyError, match=r"sources \[0\]"):
+            fit(w, q, SolverConfig(max_iter=5), init=start)
 
     def test_init_dimension_validated(self):
         ds, gt, w = scenario_whitened(1.0, 30)

@@ -9,7 +9,7 @@ from locus.synth import (SyntheticSpec, generate, templates_blocks_cross,
 class TestTemplates:
     @pytest.mark.parametrize("builder", [templates_blocks_cross,
                                          templates_triangle_circle_square])
-    @pytest.mark.parametrize("node_count", [10, 50, 73])
+    @pytest.mark.parametrize("node_count", [10, 11, 50, 73, 137, 264, 399])
     def test_templates_render_symmetric_nonempty_distinct(self, builder, node_count):
         mats = builder(node_count)
         assert len(mats) == 3
