@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ValidationError
 from .preprocess import WhitenedData, _polar_orthogonalize
 
 # the iteration stops once every unmixing row moves by less than this
@@ -41,6 +41,8 @@ def fastica(whitened: WhitenedData, q: int, max_iter: int = 200,
     if q != whitened.q:
         raise DimensionError("dimension_mismatch",
                              f"q={q} does not match whitened data (q={whitened.q})")
+    if seed < 0:
+        raise ValidationError("bad_config", f"seed must be >= 0, got {seed}")
     y = np.asarray(whitened.y_tilde, dtype=float)
     p = y.shape[1]
 

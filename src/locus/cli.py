@@ -11,8 +11,10 @@ Exit codes: 0 success, 2 usage, 3 validation, 4 numeric/degeneracy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import os
 import sys
 import time
@@ -36,9 +38,6 @@ SCENARIOS = {"I": "blocks_cross", "II": "triangle_circle_square",
              "triangle_circle_square": "triangle_circle_square"}
 REGULARIZERS = {"uniform": "uniform_l1", "vector": "vector_l1",
                 "nuclear": "nuclear"}
-# allowed values of the choice options, on the command line and in config files
-CHOICES = {"scenario": sorted(SCENARIOS), "regularizer": sorted(REGULARIZERS),
-           "method": ["locus", "fastica"], "format": ["square", "edge"]}
 
 
 def _sha256_file(path: str) -> str:
@@ -109,54 +108,51 @@ def _command_options(parser: argparse.ArgumentParser,
             if a.option_strings and a.dest not in ("help", "config")}
 
 
-def _config_value(action: argparse.Action, key: str, text: str):
-    """Parse a config value the way the option's flag would: with its type
-    and choices, as a bool for a switch, and as a list of comma-separated
-    items for a repeatable option."""
-    if action.nargs == 0:
-        return text.lower() in ("1", "true", "yes")
-    repeatable = isinstance(action, argparse._AppendAction)
-    values = []
-    for item in (text.split(",") if repeatable else [text]):
-        item = item.strip()
-        try:
-            value = action.type(item) if action.type else item
-        except (ValueError, argparse.ArgumentTypeError) as err:
-            raise ValidationError("bad_config",
-                                  f"config key {key!r}: {err}") from err
-        if action.choices is not None and value not in action.choices:
-            raise ValidationError("bad_config",
-                                  f"config key {key!r}: {value!r} is not "
-                                  f"one of {list(action.choices)}")
-        values.append(value)
-    return values if repeatable else values[0]
+def _config_flags(path: str, options: dict[str, argparse.Action]) -> list[str]:
+    """The flags a key=value config file stands for.
+
+    Keys name options by dest (``max_iter`` or ``max-iter``); other keys are
+    skipped.  A switch takes 1/true/yes or 0/false/no, and a repeatable
+    option a comma-separated list, one ``--flag=item`` per item."""
+    flags = []
+    for key, value in read_meta(path).items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if value.lower() in ("1", "true", "yes"):
+                flags.append(flag)
+            elif value.lower() not in ("0", "false", "no"):
+                raise ValidationError("bad_config",
+                                      f"config file {path!r}: {key}={value!r} "
+                                      "is not true/false, yes/no or 1/0")
+        elif isinstance(action, argparse._AppendAction):
+            flags += [f"{flag}={item.strip()}" for item in value.split(",")]
+        else:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill options from a key=value config file; explicit flags win.
-
-    Only the subcommand's own options (by dest) are read; other keys, such
-    as positional arguments or parser internals, are skipped.  The explicit
-    flags are those argparse itself finds in ``argv`` once the options'
-    defaults are suppressed, abbreviations and ``--flag=value`` included."""
-    parser = build_parser()
+def _parse_with_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                       argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` again with the config file's flags right after the
+    subcommand, so flags given on the command line win; a repeatable option
+    given there keeps the command line's list."""
     options = _command_options(parser, args.command)
-    for action in options.values():
-        action.default = argparse.SUPPRESS
-    explicit = set(vars(parser.parse_args(argv)))
-    path = args.config
-    if not os.path.isfile(path):
-        raise ValidationError("bad_config", f"config file {path!r} not found")
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, value = (part.strip() for part in line.split("=", 1))
-            dest = key.replace("-", "_")
-            if dest in explicit or dest not in options:
-                continue
-            setattr(args, dest, _config_value(options[dest], key, value))
+    flags = _config_flags(args.config, options)
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr):
+            merged = parser.parse_args([argv[0], *flags, *argv[1:]])
+    except SystemExit:
+        reason = stderr.getvalue().partition(": error: ")[2].strip()
+        raise ValidationError("bad_config",
+                              f"config file {args.config!r}: {reason}") from None
+    for dest, action in options.items():
+        if isinstance(action, argparse._AppendAction) and getattr(args, dest):
+            setattr(merged, dest, getattr(args, dest))
+    return merged
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
@@ -185,7 +181,7 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
                           "(default %(default)s)")
     sub.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
                      dest="max_iter", help="iteration cap (default %(default)s)")
-    sub.add_argument("--regularizer", choices=CHOICES["regularizer"],
+    sub.add_argument("--regularizer", choices=sorted(REGULARIZERS),
                      default="uniform", help="penalty (default %(default)s)")
     sub.add_argument("--seed", type=int, default=SolverConfig.seed,
                      help="start seed (default %(default)s)")
@@ -194,7 +190,7 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_data_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=CHOICES["format"], default=None,
+    sub.add_argument("--format", choices=["square", "edge"], default=None,
                      help="input layout (default: inferred)")
     sub.add_argument("--fisher", action="store_true",
                      help="apply the Fisher-Z transform to input correlations")
@@ -396,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a synthetic dataset")
-    sim.add_argument("--scenario", choices=CHOICES["scenario"], default="I")
+    sim.add_argument("--scenario", choices=sorted(SCENARIOS), default="I")
     sim.add_argument("--V", type=int, default=50)
     sim.add_argument("--q", type=int, default=3)
     sim.add_argument("--N", type=int, default=100)
@@ -407,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decompose", help="fit a decomposition to a dataset")
     dec.add_argument("data", help="edge CSV file or directory of square CSVs")
-    dec.add_argument("--method", choices=CHOICES["method"], default="locus")
+    dec.add_argument("--method", choices=["locus", "fastica"], default="locus")
     dec.add_argument("--q", type=int, required=True)
     dec.add_argument("--out", required=True)
     _add_solver_flags(dec)
@@ -435,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of bootstrap refits for reliability")
     ev.add_argument("--data", help="dataset to resample when bootstrapping")
     ev.add_argument("--method", action="append",
-                    choices=CHOICES["method"],
+                    choices=["locus", "fastica"],
                     help="method(s) to bootstrap (repeatable)")
     ev.add_argument("--top-fraction", type=float, default=DEFAULT_TOP_FRACTION,
                     dest="top_fraction",
@@ -453,7 +449,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            _apply_config(args, argv)
+            args = _parse_with_config(parser, args, argv)
         return args.func(args)
     except (ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

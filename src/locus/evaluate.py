@@ -213,6 +213,8 @@ def bootstrap_replicates(dataset: ConnectivityDataset, fit_fn, b: int,
     """
     if b < 2:
         raise ValidationError("bad_config", f"need B >= 2 replicates, got {b}")
+    if seed < 0:
+        raise ValidationError("bad_config", f"seed must be >= 0, got {seed}")
     indices = bootstrap_indices(dataset.n_subjects, b, seed)
     seed_stream = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     child_seeds = seed_stream.integers(0, 2 ** 31 - 1, size=b)

@@ -144,7 +144,8 @@ def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
     break toward larger phi, then larger rho (the sparser model).  Cells
     whose start or fit raises a package error or a LinAlgError are recorded
     with that error and excluded; all cells failing is an error.  Any other
-    exception is a programming error and propagates.
+    exception is a programming error and propagates.  A grid value that
+    :class:`SolverConfig` rejects, such as NaN, raises before any fit runs.
     """
     from .preprocess import whiten
 
@@ -153,6 +154,8 @@ def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
     if not phi_grid or not rho_grid:
         raise ValidationError("empty_grid", "phi and rho grids must be non-empty")
     config = config or SolverConfig()
+    configs = [replace(config, phi=float(phi), rho=float(rho))
+               for phi in phi_grid for rho in rho_grid]
     whitened = whiten(dataset, q)
     starts: dict[float, LocusModel | Exception] = {}
 
@@ -169,19 +172,17 @@ def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
         return start
 
     cells = []
-    for phi in phi_grid:
-        for rho in rho_grid:
-            cfg = replace(config, phi=float(phi), rho=float(rho))
-            try:
-                model = fit(whitened, q, cfg, init=start_for(cfg))
-                cells.append(TuningCell(phi=cfg.phi, rho=cfg.rho,
-                                        bic=bic(dataset, model),
-                                        iterations=model.iterations,
-                                        converged=model.converged,
-                                        ranks=tuple(model.ranks)))
-            except (LocusError, np.linalg.LinAlgError) as err:
-                cells.append(TuningCell(phi=cfg.phi, rho=cfg.rho, bic=math.nan,
-                                        error=f"{type(err).__name__}: {err}"))
+    for cfg in configs:
+        try:
+            model = fit(whitened, q, cfg, init=start_for(cfg))
+            cells.append(TuningCell(phi=cfg.phi, rho=cfg.rho,
+                                    bic=bic(dataset, model),
+                                    iterations=model.iterations,
+                                    converged=model.converged,
+                                    ranks=tuple(model.ranks)))
+        except (LocusError, np.linalg.LinAlgError) as err:
+            cells.append(TuningCell(phi=cfg.phi, rho=cfg.rho, bic=math.nan,
+                                    error=f"{type(err).__name__}: {err}"))
 
     ok = [c for c in cells if c.error is None and not math.isnan(c.bic)]
     if not ok:

@@ -61,8 +61,8 @@ PRUNE_RTOL = 1e-10
 
 
 def _check_penalty(phi: float, regularizer: str) -> None:
-    if phi < 0:
-        raise ValidationError("bad_config", f"phi must be >= 0, got {phi}")
+    if not 0 <= phi < np.inf:
+        raise ValidationError("bad_config", f"phi must be finite and >= 0, got {phi}")
     if regularizer not in REGULARIZERS:
         raise ValidationError("bad_config",
                               f"unknown regularizer {regularizer!r}, "
@@ -158,12 +158,14 @@ class SolverConfig:
         _check_penalty(self.phi, self.regularizer)
         if not 0 < self.rho < 1:
             raise ValidationError("bad_config", f"rho must lie in (0, 1), got {self.rho}")
-        if self.eps1 <= 0 or self.eps2 <= 0:
+        if not (self.eps1 > 0 and self.eps2 > 0):
             raise ValidationError("bad_config", "stopping tolerances must be positive")
         if self.max_iter < 1:
             raise ValidationError("bad_config", "max_iter must be >= 1")
         if self.r_max < 1:
             raise ValidationError("bad_config", "r_max must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("bad_config", f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -193,7 +195,7 @@ class LocusModel:
 
 def soft_threshold(y: np.ndarray, t: float) -> np.ndarray:
     """Elementwise sign(y) * max(|y| - t, 0); exact zeros where |y| <= t."""
-    if t < 0:
+    if not t >= 0:
         raise ValidationError("bad_threshold", f"threshold must be >= 0, got {t}")
     y = np.asarray(y, dtype=float)
     return np.sign(y) * np.maximum(np.abs(y) - t, 0.0)
@@ -614,14 +616,14 @@ def write_meta(path: str, meta: dict) -> None:
 
 
 def read_meta(path: str) -> dict:
-    """Read a file written by :func:`write_meta`; every value is a str."""
+    """Read a key=value file such as :func:`write_meta` writes; every value
+    is a str.  Keys and values are stripped, lines without ``=`` skipped."""
     meta = {}
     with open(path) as fh:
         for line in fh:
-            line = line.strip()
-            if line and "=" in line:
-                key, value = line.split("=", 1)
-                meta[key] = value
+            key, sep, value = line.partition("=")
+            if sep:
+                meta[key.strip()] = value.strip()
     return meta
 
 

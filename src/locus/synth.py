@@ -54,8 +54,10 @@ class SyntheticSpec:
             raise ValidationError("bad_scenario",
                                   f"unknown scenario {self.scenario!r}, "
                                   f"expected one of {SCENARIOS}")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValidationError("bad_config", f"sigma must be >= 0, got {self.sigma}")
+        if self.seed < 0:
+            raise ValidationError("bad_config", f"seed must be >= 0, got {self.seed}")
         if self.n_subjects < 1 or self.q < 1:
             raise ValidationError("bad_config", "need at least one subject and one source")
         if self.node_count < 10:

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from locus.baselines import fastica
+from locus.errors import ValidationError
 from locus.evaluate import match_sources
 from locus.preprocess import WhitenedData
 
@@ -65,3 +67,8 @@ class TestFastica:
         m2 = fastica(w, 2, seed=11)
         match = match_sources(m1.sources, m2.sources)
         assert np.all(match.per_source_corr > 0.999)
+
+    def test_negative_seed_rejected(self):
+        s = non_gaussian_sources(np.random.default_rng(3), 2, 200)
+        with pytest.raises(ValidationError, match="bad_config"):
+            fastica(wrap_whitened(s), 2, seed=-1)

@@ -176,6 +176,62 @@ class TestDecompose:
         assert manifest["command"] == "decompose"
         assert manifest["max_iter"] == "5"
 
+    def test_config_bad_value_rejected_under_overriding_flag(self, sim_dir,
+                                                             tmp_path, capsys):
+        # every file line that names an option is checked, even when a
+        # command-line flag overrides it
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("phi=abc\n")
+        out = tmp_path / "x"
+        assert run(["decompose", sim_dir / "dataset.csv", "--q", 3,
+                    "--phi", 0.1, "--config", cfg, "--out", out]) == 3
+        assert "bad_config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_spacing_comments_and_hyphens_read_alike(self, sim_dir,
+                                                            tmp_path):
+        plain, spaced = tmp_path / "plain.cfg", tmp_path / "spaced.cfg"
+        plain.write_text("phi=0.02\nmax_iter=5\nseed=9\n")
+        spaced.write_text("# solver settings\nphi = 0.02\n  max-iter=5 \n"
+                          "seed =9\n")
+        manifests, trees = [], []
+        for cfg in (plain, spaced):
+            out = tmp_path / cfg.stem
+            assert run(["decompose", sim_dir / "dataset.csv", "--q", 3,
+                        "--config", cfg, "--out", out]) == 0
+            manifest = read_meta(out / "manifest")
+            for key in ("timestamp", "out"):
+                del manifest[key]
+            manifests.append(manifest)
+            trees.append(tree_bytes(out))
+        assert manifests[0] == manifests[1]
+        assert manifests[0]["max_iter"] == "5"
+        assert trees[0] == trees[1]
+
+    def test_bad_config_message_names_the_flag(self, sim_dir, tmp_path,
+                                               capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("regularizer=uniform_l1\n")
+        assert run(["decompose", sim_dir / "dataset.csv", "--q", 3,
+                    "--config", cfg, "--out", tmp_path / "x"]) == 3
+        err = capsys.readouterr().err
+        assert "bad_config" in err and str(cfg) in err
+        assert "argument --regularizer: invalid choice: 'uniform_l1'" in err
+        assert "usage:" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", -1],
+        ["decompose", "DATA", "--q", 3, "--seed", -1],
+        ["decompose", "DATA", "--q", 3, "--method", "fastica", "--seed", -1],
+        ["decompose", "DATA", "--q", 3, "--phi", "nan"],
+        ["decompose", "DATA", "--q", 3, "--eps2", "nan"],
+        ["tune", "DATA", "--q", 3, "--phi-grid", "0,nan", "--rho-grid", 0.9]])
+    def test_negative_seed_or_nan_setting_exit_3(self, sim_dir, tmp_path,
+                                                 capsys, argv):
+        argv = [sim_dir / "dataset.csv" if a == "DATA" else a for a in argv]
+        assert run([*argv, "--out", tmp_path / "x"]) == 3
+        assert "bad_config" in capsys.readouterr().err
+
     def test_numeric_error_exit_4(self, sim_dir, tmp_path, monkeypatch):
         import locus.cli as cli
         from locus.errors import NumericError
@@ -345,6 +401,45 @@ class TestEvaluate:
                     "--data", sim_dir / "dataset.csv", "--bootstrap", 3,
                     "--config", cfg, "--out", tmp_path / "bad"]) == 3
         assert "bad_config" in capsys.readouterr().err
+
+    def test_explicit_method_replaces_config_list(self, sim_dir, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("method=fastica\n")
+        out = tmp_path / "eval_cfg"
+        assert run(["evaluate", "--truth", sim_dir / "truth",
+                    "--data", sim_dir / "dataset.csv", "--bootstrap", 3,
+                    "--max-iter", 40, "--method", "locus", "--config", cfg,
+                    "--out", out]) == 0
+        lines = (out / "reliability.csv").read_text().strip().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["locus"] * 3
+        assert read_meta(out / "manifest")["method"] == "locus"
+
+    def test_config_bad_list_rejected_under_overriding_flag(self, sim_dir,
+                                                            tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("method=fastica,pca\n")
+        out = tmp_path / "x"
+        assert run(["evaluate", "--truth", sim_dir / "truth",
+                    "--method", "locus", "--config", cfg, "--out", out]) == 3
+        assert "invalid choice: 'pca'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("word, fisher", [
+        ("1", "True"), ("TRUE", "True"), ("yes", "True"),
+        ("0", "False"), ("false", "False"), ("No", "False"),
+        ("maybe", None), ("", None)])
+    def test_config_switch_takes_true_or_false_words(self, sim_dir, tmp_path,
+                                                     word, fisher):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"fisher={word}\n")
+        out = tmp_path / "x"
+        code = run(["evaluate", "--truth", sim_dir / "truth",
+                    "--config", cfg, "--out", out])
+        if fisher is None:
+            assert code == 3 and not out.exists()
+        else:
+            assert code == 0
+            assert read_meta(out / "manifest")["fisher"] == fisher
 
     def test_manifest_records_solver_and_bootstrap_options(self, sim_dir,
                                                            tmp_path):

@@ -373,3 +373,10 @@ class TestBootstrap:
         ds = self.make_dataset(rng)
         with pytest.raises(ValidationError):
             bootstrap_replicates(ds, lambda d, s: None, 1)
+
+    def test_negative_seed_rejected(self):
+        rng = np.random.default_rng(11)
+        ds = self.make_dataset(rng)
+        with pytest.raises(ValidationError, match="bad_config"):
+            bootstrap_replicates(ds, lambda d, s: np.zeros((2, ds.n_edges)),
+                                 2, seed=-1)

@@ -352,3 +352,15 @@ class TestTune:
         assert result.best[1] == 0.9
         with pytest.raises(ValidationError):
             tune(ds, 3, [0.0], [1.5], SolverConfig(seed=0, max_iter=40))
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf])
+    def test_bad_grid_value_rejected_before_any_fit(self, monkeypatch, phi):
+        import locus.modelsel as modelsel
+        ds, _ = generate(SyntheticSpec(node_count=14, q=3, n_subjects=24,
+                                       sigma=0.5, seed=6))
+        fits = []
+        monkeypatch.setattr(modelsel, "fit",
+                            lambda *args, **kwargs: fits.append(args))
+        with pytest.raises(ValidationError, match="bad_config"):
+            tune(ds, 3, [0.0, phi], [0.9], SolverConfig(seed=0, max_iter=40))
+        assert fits == []

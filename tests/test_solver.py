@@ -83,6 +83,19 @@ class TestSoftThreshold:
         with pytest.raises(ValidationError):
             soft_threshold(np.array([1.0]), -0.5)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValidationError, match="bad_threshold"):
+            soft_threshold(np.array([1.0]), np.nan)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("phi", np.nan), ("phi", np.inf), ("eps1", np.nan), ("eps2", np.nan),
+        ("seed", -1)])
+    def test_nan_infinite_or_negative_setting_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="bad_config"):
+            SolverConfig(**{field: value})
+
 
 def node_objective(x, d, v, y_proj, phi, row):
     """Eq-style node subproblem value at a candidate row."""

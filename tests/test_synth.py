@@ -95,6 +95,12 @@ class TestGenerate:
         assert mags.min() >= 0.5
         assert mags.max() <= 2.0
 
+    @pytest.mark.parametrize("field, value", [("sigma", np.nan), ("seed", -1)])
+    def test_nan_sigma_or_negative_seed_rejected(self, field, value):
+        settings = dict(node_count=10, q=3, n_subjects=5, sigma=0.0, seed=0)
+        with pytest.raises(ValidationError, match="bad_config"):
+            SyntheticSpec(**{**settings, field: value})
+
     def test_bad_scenario_rejected(self):
         with pytest.raises(ValidationError):
             SyntheticSpec(node_count=10, q=3, n_subjects=5, sigma=0.0,
