@@ -23,14 +23,15 @@ import numpy as np
 
 from . import __version__
 from .baselines import fastica
-from .connmat import load_dataset, save_dataset, unvectorize
+from .connmat import load_dataset, read_csv, save_dataset, unvectorize, write_csv
 from .errors import DegeneracyError, LocusError, ValidationError
 from .evaluate import (DEFAULT_TOP_FRACTION, bootstrap_replicates,
                        match_sources, reliability_report)
 from .modelsel import tune
 from .preprocess import unmix_to_subject_space, whiten
 from .solver import (SolverConfig, fit, load_decomposition, read_meta,
-                     read_sources, save_decomposition, save_model, write_meta)
+                     read_sources, save_decomposition, save_model, write_meta,
+                     write_sources)
 from .synth import SyntheticSpec, generate
 
 SCENARIOS = {"I": "blocks_cross", "II": "triangle_circle_square",
@@ -111,14 +112,17 @@ def _command_options(parser: argparse.ArgumentParser,
 def _config_flags(path: str, options: dict[str, argparse.Action]) -> list[str]:
     """The flags a key=value config file stands for.
 
-    Keys name options by dest (``max_iter`` or ``max-iter``); other keys are
-    skipped.  A switch takes 1/true/yes or 0/false/no, and a repeatable
-    option a comma-separated list, one ``--flag=item`` per item."""
-    flags = []
+    Keys name options by dest (``max_iter`` or ``max-iter``, but not both);
+    other keys are skipped.  A switch takes 1/true/yes or 0/false/no, and a
+    repeatable option a comma-separated list, one ``--flag=item`` per item."""
+    flags, keys = [], {}
     for key, value in read_meta(path).items():
         action = options.get(key.replace("-", "_"))
         if action is None:
             continue
+        if keys.setdefault(action.dest, key) != key:
+            raise ValidationError("bad_config", f"config file {path!r}: "
+                                  f"{keys[action.dest]!r} and {key!r} name one option")
         flag = action.option_strings[0]
         if action.nargs == 0:
             if value.lower() in ("1", "true", "yes"):
@@ -185,13 +189,9 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
                      default="uniform", help="penalty (default %(default)s)")
     sub.add_argument("--seed", type=int, default=SolverConfig.seed,
                      help="start seed (default %(default)s)")
-    sub.add_argument("--config", help="key=value file supplying defaults "
-                                      "(explicit flags win)")
 
 
 def _add_data_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=["square", "edge"], default=None,
-                     help="input layout (default: inferred)")
     sub.add_argument("--fisher", action="store_true",
                      help="apply the Fisher-Z transform to input correlations")
 
@@ -203,12 +203,8 @@ def _add_data_flags(sub: argparse.ArgumentParser) -> None:
 def _write_truth(out_dir: str, truth, node_count: int, spec: SyntheticSpec) -> None:
     truth_dir = os.path.join(out_dir, "truth")
     os.makedirs(truth_dir, exist_ok=True)
-    for ell in range(truth.sources.shape[0]):
-        np.savetxt(os.path.join(truth_dir, f"S_{ell + 1}.csv"),
-                   unvectorize(truth.sources[ell], node_count),
-                   delimiter=",", fmt="%.17g")
-    np.savetxt(os.path.join(truth_dir, "loadings.csv"), truth.loadings,
-               delimiter=",", fmt="%.17g")
+    write_sources(truth_dir, truth.sources, node_count)
+    write_csv(os.path.join(truth_dir, "loadings.csv"), truth.loadings)
     write_meta(os.path.join(truth_dir, "spec"),
                {"V": node_count, "q": truth.sources.shape[0],
                 "N": truth.loadings.shape[0], "sigma": truth.noise_sd,
@@ -232,7 +228,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_decompose(args) -> int:
-    dataset = load_dataset(args.data, format=args.format, fisher=args.fisher)
+    dataset = load_dataset(args.data, fisher=args.fisher)
     whitened = whiten(dataset, args.q)
     os.makedirs(args.out, exist_ok=True)
 
@@ -269,7 +265,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def cmd_tune(args) -> int:
-    dataset = load_dataset(args.data, format=args.format, fisher=args.fisher)
+    dataset = load_dataset(args.data, fisher=args.fisher)
     config = _solver_config(args)
     result = tune(dataset, args.q, args.phi_grid, args.rho_grid, config)
     os.makedirs(args.out, exist_ok=True)
@@ -296,9 +292,7 @@ def _read_truth(truth_dir: str) -> tuple[np.ndarray, np.ndarray | None]:
     spec = read_meta(os.path.join(truth_dir, "spec"))
     sources, _ = read_sources(truth_dir, int(spec["q"]))
     loadings_path = os.path.join(truth_dir, "loadings.csv")
-    loadings = None
-    if os.path.isfile(loadings_path):
-        loadings = np.loadtxt(loadings_path, delimiter=",", ndmin=2)
+    loadings = read_csv(loadings_path) if os.path.isfile(loadings_path) else None
     return sources, loadings
 
 
@@ -352,8 +346,7 @@ def cmd_evaluate(args) -> int:
         if not args.data:
             raise ValidationError("missing_data",
                                   "--bootstrap needs --data to refit from")
-        dataset = load_dataset(args.data, format=args.format,
-                               fisher=args.fisher)
+        dataset = load_dataset(args.data, fisher=args.fisher)
         q = truth.shape[0]
         methods = args.method or ["locus"]
         rows = []
@@ -440,6 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(ev)
     _add_data_flags(ev)
     ev.set_defaults(func=cmd_evaluate)
+
+    for command in sub.choices.values():
+        command.add_argument("--config", help="key=value file supplying "
+                                              "defaults (explicit flags win)")
     return parser
 
 
@@ -448,7 +445,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
+        if args.config:
             args = _parse_with_config(parser, args, argv)
         return args.func(args)
     except (ValidationError, OSError) as err:

@@ -108,12 +108,10 @@ class ConnectivityDataset:
 
     data : (N, p) array, row i the edge vector of subject i
     node_count : V, with p = V(V-1)/2
-    subject_ids : optional list of N identifiers
     """
 
     data: np.ndarray
     node_count: int
-    subject_ids: list[str] | None = None
 
     def __post_init__(self):
         if self.node_count < 2:
@@ -131,10 +129,6 @@ class ConnectivityDataset:
                 f"implies p={p}")
         if not np.all(np.isfinite(data)):
             raise ValidationError("non_finite", "dataset contains NaN or Inf entries")
-        if self.subject_ids is not None and len(self.subject_ids) != data.shape[0]:
-            raise DimensionError("dimension_mismatch",
-                                 f"{len(self.subject_ids)} subject ids for "
-                                 f"{data.shape[0]} data rows")
         data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -154,14 +148,29 @@ def edge_labels(node_count: int) -> list[str]:
     return [f"{u + 1}_{v + 1}" for u, v in zip(r, c)]
 
 
-def _load_square_dir(path: str) -> tuple[np.ndarray, int, list[str]]:
+def read_csv(path: str, skiprows: int = 0) -> np.ndarray:
+    """Read a comma-separated table of floats as a 2-D array; a file that
+    does not parse raises ``bad_csv`` naming it."""
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+    except ValueError as err:
+        raise ValidationError("bad_csv", f"{path}: {err}") from err
+
+
+def write_csv(path: str, values: np.ndarray, header: str = "") -> None:
+    """Write comma-separated ``%.17g`` floats, lossless for float64."""
+    np.savetxt(path, values, delimiter=",", fmt="%.17g", header=header,
+               comments="")
+
+
+def _load_square_dir(path: str) -> tuple[np.ndarray, int]:
     files = sorted(f for f in os.listdir(path) if f.lower().endswith(".csv"))
     if not files:
         raise ValidationError("empty", f"no CSV files in {path!r}")
-    rows, ids = [], []
+    rows = []
     node_count = None
     for fname in files:
-        m = np.loadtxt(os.path.join(path, fname), delimiter=",", ndmin=2)
+        m = read_csv(os.path.join(path, fname))
         if node_count is None:
             node_count = m.shape[0]
         elif m.shape[0] != node_count:
@@ -172,11 +181,10 @@ def _load_square_dir(path: str) -> tuple[np.ndarray, int, list[str]]:
             rows.append(vectorize(m))
         except ValidationError as err:
             raise ValidationError(err.code, f"{fname}: {err.args[0]}") from err
-        ids.append(os.path.splitext(fname)[0])
-    return np.vstack(rows), int(node_count), ids
+    return np.vstack(rows), int(node_count)
 
 
-def _load_edge_csv(path: str) -> tuple[np.ndarray, int, None]:
+def _load_edge_csv(path: str) -> tuple[np.ndarray, int]:
     with open(path) as fh:
         header = fh.readline().strip()
     labels = [h.strip() for h in header.split(",") if h.strip()]
@@ -186,42 +194,32 @@ def _load_edge_csv(path: str) -> tuple[np.ndarray, int, None]:
             "bad_header",
             f"edge CSV header does not follow the 1-based u_v enumeration "
             f"order for V={node_count}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = read_csv(path, skiprows=1)
     if data.shape[1] != len(labels):
         raise DimensionError("dimension_mismatch",
                              f"data rows have {data.shape[1]} fields, header has {len(labels)}")
-    return data, node_count, None
+    return data, node_count
 
 
-def load_dataset(path: str, format: str | None = None,
-                 fisher: bool = False) -> ConnectivityDataset:
-    """Load a dataset from disk.
+def load_dataset(path: str, fisher: bool = False) -> ConnectivityDataset:
+    """Load a dataset from disk; the path says its layout.
 
-    format "square": directory of per-subject V x V CSVs (no header,
-    filename = subject id).  format "edge": single CSV whose header row
-    holds the p edge labels "u_v" and whose N data rows are subjects.
-    Omitted format is inferred from whether ``path`` is a directory.
+    A directory holds one V x V CSV per subject (no header), read in sorted
+    file-name order.  A file is an edge CSV whose header row holds the p
+    edge labels "u_v" and whose N data rows are subjects.
 
     With ``fisher=True`` the Fisher-Z transform is applied to every edge
     value (inputs must be correlations in (-1, 1)).  Never automatic.
     """
-    if format is None:
-        format = "square" if os.path.isdir(path) else "edge"
-    if format == "square":
-        data, node_count, ids = _load_square_dir(path)
-    elif format == "edge":
-        data, node_count, ids = _load_edge_csv(path)
-    else:
-        raise ValidationError("bad_format", f"unknown format {format!r}")
+    load = _load_square_dir if os.path.isdir(path) else _load_edge_csv
+    data, node_count = load(path)
     if not np.all(np.isfinite(data)):
         raise ValidationError("non_finite", f"{path!r} contains NaN or Inf values")
     if fisher:
         data = fisher_z(data)
-    return ConnectivityDataset(data=data, node_count=node_count, subject_ids=ids)
+    return ConnectivityDataset(data=data, node_count=node_count)
 
 
 def save_dataset(dataset: ConnectivityDataset, path: str) -> None:
     """Write a dataset in edge CSV format (lossless for float64)."""
-    header = ",".join(edge_labels(dataset.node_count))
-    np.savetxt(path, dataset.data, delimiter=",", header=header,
-               comments="", fmt="%.17g")
+    write_csv(path, dataset.data, header=",".join(edge_labels(dataset.node_count)))

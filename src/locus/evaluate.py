@@ -220,13 +220,8 @@ def bootstrap_replicates(dataset: ConnectivityDataset, fit_fn, b: int,
     child_seeds = seed_stream.integers(0, 2 ** 31 - 1, size=b)
     estimates, failures = [], []
     for rep in range(b):
-        idx = indices[rep]
-        ids = None
-        if dataset.subject_ids is not None:
-            ids = [dataset.subject_ids[i] for i in idx]
-        resampled = ConnectivityDataset(data=dataset.data[idx],
-                                        node_count=dataset.node_count,
-                                        subject_ids=ids)
+        resampled = ConnectivityDataset(data=dataset.data[indices[rep]],
+                                        node_count=dataset.node_count)
         try:
             estimates.append(np.asarray(fit_fn(resampled, int(child_seeds[rep])),
                                         dtype=float))

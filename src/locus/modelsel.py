@@ -139,8 +139,8 @@ def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
     all BICs and the argmin cell.
 
     Each rho gets one start from :func:`~locus.solver.initialize` (FastICA,
-    or its seeded random fallback), built for the first cell of that rho
-    and shared by every phi, since the start does not depend on phi.  Ties
+    or its seeded random fallback), built before any cell is fitted and
+    shared by every phi, since the start does not depend on phi.  Ties
     break toward larger phi, then larger rho (the sparser model).  Cells
     whose start or fit raises a package error or a LinAlgError are recorded
     with that error and excluded; all cells failing is an error.  Any other
@@ -157,24 +157,23 @@ def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
     configs = [replace(config, phi=float(phi), rho=float(rho))
                for phi in phi_grid for rho in rho_grid]
     whitened = whiten(dataset, q)
+    # one start per rho, shared by every phi; a failed start is kept and
+    # raised again for every cell of its rho
     starts: dict[float, LocusModel | Exception] = {}
-
-    def start_for(cfg: SolverConfig) -> LocusModel:
-        # a failed start is kept and raised again for every cell of its rho
+    for cfg in configs:
         if cfg.rho not in starts:
             try:
                 starts[cfg.rho] = initialize(whitened, q, cfg)
             except (LocusError, np.linalg.LinAlgError) as err:
                 starts[cfg.rho] = err
-        start = starts[cfg.rho]
-        if isinstance(start, Exception):
-            raise start
-        return start
 
     cells = []
     for cfg in configs:
         try:
-            model = fit(whitened, q, cfg, init=start_for(cfg))
+            start = starts[cfg.rho]
+            if isinstance(start, Exception):
+                raise start
+            model = fit(whitened, q, cfg, init=start)
             cells.append(TuningCell(phi=cfg.phi, rho=cfg.rho,
                                     bic=bic(dataset, model),
                                     iterations=model.iterations,

@@ -45,7 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connmat import nodes_from_edge_count, triu_indices, unvectorize, vectorize
+from .connmat import (nodes_from_edge_count, read_csv, triu_indices, unvectorize,
+                      vectorize, write_csv)
 from .errors import (DegeneracyError, DimensionError, LocusError, NumericError,
                      ValidationError)
 from .preprocess import (WhitenedData, _polar_orthogonalize,
@@ -630,9 +631,16 @@ def read_meta(path: str) -> dict:
 def read_sources(path: str, q: int) -> tuple[np.ndarray, int]:
     """Read S_1.csv .. S_<q>.csv (V x V symmetric) from a fit or truth
     directory.  Returns their (q, p) edge vectors and V."""
-    matrices = [np.loadtxt(os.path.join(path, f"S_{ell + 1}.csv"),
-                           delimiter=",", ndmin=2) for ell in range(q)]
+    matrices = [read_csv(os.path.join(path, f"S_{ell + 1}.csv"))
+                for ell in range(q)]
     return np.vstack([vectorize(m) for m in matrices]), matrices[0].shape[0]
+
+
+def write_sources(path: str, sources: np.ndarray, node_count: int) -> None:
+    """Write (q, p) edge vectors as the files :func:`read_sources` reads."""
+    for ell, source in enumerate(sources):
+        write_csv(os.path.join(path, f"S_{ell + 1}.csv"),
+                  unvectorize(source, node_count))
 
 
 def save_decomposition(path: str, sources: np.ndarray, node_count: int,
@@ -642,18 +650,13 @@ def save_decomposition(path: str, sources: np.ndarray, node_count: int,
     (V x V symmetric), optional X_<l>.csv / d_<l>.csv, and a key=value
     meta file.  Source files are 1-indexed."""
     os.makedirs(path, exist_ok=True)
-    np.savetxt(os.path.join(path, "A.csv"), a, delimiter=",", fmt="%.17g")
-    np.savetxt(os.path.join(path, "A_tilde.csv"), a_tilde, delimiter=",", fmt="%.17g")
-    for ell in range(sources.shape[0]):
-        np.savetxt(os.path.join(path, f"S_{ell + 1}.csv"),
-                   unvectorize(sources[ell], node_count),
-                   delimiter=",", fmt="%.17g")
+    write_csv(os.path.join(path, "A.csv"), a)
+    write_csv(os.path.join(path, "A_tilde.csv"), a_tilde)
+    write_sources(path, sources, node_count)
     if factors is not None:
         for ell, src in enumerate(factors):
-            np.savetxt(os.path.join(path, f"X_{ell + 1}.csv"), src.x,
-                       delimiter=",", fmt="%.17g")
-            np.savetxt(os.path.join(path, f"d_{ell + 1}.csv"),
-                       np.atleast_1d(src.d), delimiter=",", fmt="%.17g")
+            write_csv(os.path.join(path, f"X_{ell + 1}.csv"), src.x)
+            write_csv(os.path.join(path, f"d_{ell + 1}.csv"), np.atleast_1d(src.d))
     write_meta(os.path.join(path, "meta"), meta)
 
 
@@ -687,7 +690,7 @@ def load_decomposition(path: str) -> dict:
     """
     meta = read_meta(os.path.join(path, "meta"))
     sources, node_count = read_sources(path, int(meta["q"]))
-    a = np.loadtxt(os.path.join(path, "A.csv"), delimiter=",", ndmin=2)
-    a_tilde = np.loadtxt(os.path.join(path, "A_tilde.csv"), delimiter=",", ndmin=2)
+    a = read_csv(os.path.join(path, "A.csv"))
+    a_tilde = read_csv(os.path.join(path, "A_tilde.csv"))
     return {"sources": sources, "a": a, "a_tilde": a_tilde, "meta": meta,
             "node_count": node_count}

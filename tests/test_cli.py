@@ -76,6 +76,14 @@ class TestSimulate:
         assert manifest["seed"] == "7"
         assert "timestamp" in manifest
 
+    def test_config_file_sets_options(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("V=12\nN=10\n")
+        out = tmp_path / "d"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 0
+        spec = read_meta(out / "truth" / "spec")
+        assert (spec["V"], spec["N"]) == ("12", "10")
+
 
 class TestDecompose:
     def test_locus_fit_directory_layout(self, sim_dir, tmp_path):
@@ -218,6 +226,40 @@ class TestDecompose:
         assert "bad_config" in err and str(cfg) in err
         assert "argument --regularizer: invalid choice: 'uniform_l1'" in err
         assert "usage:" not in err
+
+    def test_config_option_under_two_spellings_exit_3(self, sim_dir, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("max_iter=5\nmax-iter=7\nmax_iter=9\n")
+        out = tmp_path / "x"
+        assert run(["decompose", sim_dir / "dataset.csv", "--q", 3,
+                    "--config", cfg, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "bad_config" in err and "'max_iter'" in err and "'max-iter'" in err
+        assert not out.exists()
+
+    def test_config_repeated_spelling_keeps_last_line(self, sim_dir, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("max_iter=5\nphi=0.02\nmax_iter=3\n")
+        out = tmp_path / "x"
+        assert run(["decompose", sim_dir / "dataset.csv", "--q", 3,
+                    "--config", cfg, "--out", out]) == 0
+        assert read_meta(out / "manifest")["max_iter"] == "3"
+
+    @pytest.mark.parametrize("square", [False, True])
+    def test_unparsable_data_file_exit_3(self, tmp_path, capsys, square):
+        if square:
+            data = tmp_path / "sq"
+            data.mkdir()
+            np.savetxt(data / "a.csv", np.eye(3), delimiter=",")
+            bad = data / "b.csv"
+            bad.write_text("0,1,2\n1,0,x\n2,3,0\n")
+        else:
+            data = bad = tmp_path / "edges.csv"
+            bad.write_text("1_2,1_3,2_3\n0.1,0.2,0.3\n0.4,abc,0.6\n")
+        assert run(["decompose", data, "--q", 1, "--out", tmp_path / "x"]) == 3
+        err = capsys.readouterr().err
+        assert "bad_csv" in err and str(bad) in err
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--seed", -1],
@@ -453,6 +495,15 @@ class TestEvaluate:
         assert manifest["phi"] == "0.05"
         assert manifest["method"] == "locus,fastica"
         assert manifest["top_fraction"] == "0.01"
+
+    def test_ragged_fit_file_exit_3(self, sim_dir, tmp_path, capsys):
+        fitdir = tmp_path / "ragged"
+        write_self_fit(fitdir, sim_dir / "truth")
+        (fitdir / "A.csv").write_text("1,2,3\n4,5\n")
+        assert run(["evaluate", fitdir, "--truth", sim_dir / "truth",
+                    "--out", tmp_path / "x"]) == 3
+        err = capsys.readouterr().err
+        assert "bad_csv" in err and str(fitdir / "A.csv") in err
 
     def test_bootstrap_without_data_exit_3(self, sim_dir, tmp_path):
         assert run(["evaluate", "--truth", sim_dir / "truth",

@@ -120,14 +120,33 @@ class TestFisherZ:
 class TestLoadSave:
     def test_square_directory(self, tmp_path):
         rng = np.random.default_rng(3)
-        for i in range(3):
+        mats = {}
+        for name in ("s2", "s10", "s1"):
             a = rng.standard_normal((4, 4))
-            np.savetxt(tmp_path / f"subj{i}.csv", a + a.T, delimiter=",")
+            mats[name] = a + a.T
+            np.savetxt(tmp_path / f"{name}.csv", mats[name], delimiter=",",
+                       fmt="%.17g")
         ds = load_dataset(str(tmp_path))
         assert ds.n_subjects == 3
         assert ds.node_count == 4
         assert ds.n_edges == 6
-        assert ds.subject_ids == ["subj0", "subj1", "subj2"]
+        # rows follow sorted file names: "s10.csv" before "s2.csv"
+        assert np.array_equal(ds.data, np.vstack(
+            [vectorize(mats[name]) for name in ("s1", "s10", "s2")]))
+
+    @pytest.mark.parametrize("square", [False, True])
+    def test_unparsable_csv_is_bad_csv(self, tmp_path, square):
+        if square:
+            np.savetxt(tmp_path / "a.csv", np.eye(3), delimiter=",")
+            bad, path = tmp_path / "b.csv", tmp_path
+            bad.write_text("0,1,2\n1,0,x\n2,3,0\n")
+        else:
+            bad = path = tmp_path / "edges.csv"
+            bad.write_text("1_2,1_3,2_3\n0.1,0.2,0.3\n0.4,abc,0.6\n")
+        with pytest.raises(ValidationError, match="bad_csv") as err:
+            load_dataset(str(path))
+        assert err.value.code == "bad_csv"
+        assert str(bad) in str(err.value)
 
     def test_edge_csv_header_infers_nodes(self, tmp_path):
         path = tmp_path / "edges.csv"

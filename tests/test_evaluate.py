@@ -297,8 +297,7 @@ class TestBootstrap:
     def make_dataset(self, rng, n=14, node_count=6):
         p = node_count * (node_count - 1) // 2
         return ConnectivityDataset(data=rng.standard_normal((n, p)),
-                                   node_count=node_count,
-                                   subject_ids=[f"s{i}" for i in range(n)])
+                                   node_count=node_count)
 
     def test_passthrough_fit_gives_identical_replicates(self):
         rng = np.random.default_rng(9)
