@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,8 +107,13 @@ def fisher_z(values: np.ndarray) -> np.ndarray:
 class ConnectivityDataset:
     """Multi-subject connectivity data in edge-vector form.
 
-    data : (N, p) array, row i the edge vector of subject i
+    data : (N, p) array, row i the edge vector of subject i; read-only
     node_count : V, with p = V(V-1)/2
+
+    A read-only, C-contiguous float64 array that owns its memory
+    (``base is None``) is adopted as it is: a caller hands over a fresh
+    array by marking it read-only and keeping no writable reference.  Any
+    other input is copied.
     """
 
     data: np.ndarray
@@ -117,7 +123,11 @@ class ConnectivityDataset:
         if self.node_count < 2:
             raise DimensionError("dimension_mismatch",
                                  f"need at least 2 nodes, got {self.node_count}")
-        data = np.asarray(self.data, dtype=float)
+        data = self.data
+        if not (isinstance(data, np.ndarray) and data.dtype == np.float64
+                and data.base is None and data.flags.c_contiguous
+                and not data.flags.writeable):
+            data = np.array(data, dtype=float)
         if data.ndim != 2:
             raise DimensionError("dimension_mismatch",
                                  f"data must be 2-D (N, p), got shape {data.shape}")
@@ -129,7 +139,6 @@ class ConnectivityDataset:
                 f"implies p={p}")
         if not np.all(np.isfinite(data)):
             raise ValidationError("non_finite", "dataset contains NaN or Inf entries")
-        data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
@@ -148,13 +157,46 @@ def edge_labels(node_count: int) -> list[str]:
     return [f"{u + 1}_{v + 1}" for u, v in zip(r, c)]
 
 
+def _count_lines(path: str) -> int:
+    """Lines in a file as text mode reads them: each of \\n, \\r and \\r\\n
+    ends one, and an unterminated last line counts too.  One buffered
+    binary pass; a file that does not exist raises FileNotFoundError."""
+    lines, last = 0, b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            lines += chunk.count(b"\n")
+            if b"\r" in chunk:  # a fast scan; most files have no \r
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last == b"\r" and chunk.startswith(b"\n"):
+                lines -= 1  # a \r\n split across two chunks
+            last = chunk[-1:]
+    return lines + (last not in (b"", b"\n", b"\r"))
+
+
 def read_csv(path: str, skiprows: int = 0) -> np.ndarray:
-    """Read a comma-separated table of floats as a 2-D array; a file that
-    does not parse raises ``bad_csv`` naming it."""
-    try:
-        return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
-    except ValueError as err:
-        raise ValidationError("bad_csv", f"{path}: {err}") from err
+    """Read a comma-separated table of floats as a 2-D array.
+
+    The lines are counted first, so numpy allocates the array once at its
+    final size instead of growing it.  A file with no lines after
+    ``skiprows``, or none holding data, raises ``empty``; a file that does
+    not parse raises ``bad_csv`` naming it, where numpy's row numbers count
+    from 0 after the skipped rows."""
+    rows = _count_lines(path) - skiprows
+    if rows > 0:
+        try:
+            with warnings.catch_warnings():
+                # blank lines are skipped as always, max_rows is never
+                # short, and a file with no data at all raises below
+                warnings.filterwarnings(
+                    "ignore", category=UserWarning,
+                    message=r"(Input line \d+|loadtxt: input) contained no data")
+                data = np.loadtxt(path, delimiter=",", skiprows=skiprows,
+                                  max_rows=rows, ndmin=2)
+        except ValueError as err:
+            raise ValidationError("bad_csv", f"{path}: {err}") from err
+        if data.size:
+            return data
+    raise ValidationError("empty", f"{path}: no data rows")
 
 
 def write_csv(path: str, values: np.ndarray, header: str = "") -> None:
@@ -167,21 +209,21 @@ def _load_square_dir(path: str) -> tuple[np.ndarray, int]:
     files = sorted(f for f in os.listdir(path) if f.lower().endswith(".csv"))
     if not files:
         raise ValidationError("empty", f"no CSV files in {path!r}")
-    rows = []
-    node_count = None
-    for fname in files:
+    data = None
+    for row, fname in enumerate(files):
         m = read_csv(os.path.join(path, fname))
-        if node_count is None:
+        if data is None:
             node_count = m.shape[0]
+            data = np.empty((len(files), edge_count(node_count)))
         elif m.shape[0] != node_count:
             raise DimensionError(
                 "dimension_mismatch",
                 f"{fname} has {m.shape[0]} nodes, earlier subjects had {node_count}")
         try:
-            rows.append(vectorize(m))
+            data[row] = vectorize(m)
         except ValidationError as err:
-            raise ValidationError(err.code, f"{fname}: {err.args[0]}") from err
-    return np.vstack(rows), int(node_count)
+            raise type(err)(err.code, f"{fname}: {err.message}") from err
+    return data, int(node_count)
 
 
 def _load_edge_csv(path: str) -> tuple[np.ndarray, int]:
@@ -213,11 +255,19 @@ def load_dataset(path: str, fisher: bool = False) -> ConnectivityDataset:
     """
     load = _load_square_dir if os.path.isdir(path) else _load_edge_csv
     data, node_count = load(path)
-    if not np.all(np.isfinite(data)):
-        raise ValidationError("non_finite", f"{path!r} contains NaN or Inf values")
+    data.setflags(write=False)  # handed over to the dataset without a copy
+    try:
+        dataset = ConnectivityDataset(data=data, node_count=node_count)
+    except ValidationError as err:
+        if err.code != "non_finite":
+            raise
+        raise ValidationError("non_finite",
+                              f"{path!r} contains NaN or Inf values") from err
     if fisher:
-        data = fisher_z(data)
-    return ConnectivityDataset(data=data, node_count=node_count)
+        z = fisher_z(dataset.data)
+        z.setflags(write=False)
+        dataset = ConnectivityDataset(data=z, node_count=node_count)
+    return dataset
 
 
 def save_dataset(dataset: ConnectivityDataset, path: str) -> None:

@@ -11,6 +11,7 @@ class LocusError(Exception):
 
     def __init__(self, code: str, message: str):
         self.code = code
+        self.message = message
         super().__init__(f"[{code}] {message}")
 
 

@@ -220,8 +220,9 @@ def bootstrap_replicates(dataset: ConnectivityDataset, fit_fn, b: int,
     child_seeds = seed_stream.integers(0, 2 ** 31 - 1, size=b)
     estimates, failures = [], []
     for rep in range(b):
-        resampled = ConnectivityDataset(data=dataset.data[indices[rep]],
-                                        node_count=dataset.node_count)
+        rows = dataset.data[indices[rep]]
+        rows.setflags(write=False)  # a fresh array, adopted without a copy
+        resampled = ConnectivityDataset(data=rows, node_count=dataset.node_count)
         try:
             estimates.append(np.asarray(fit_fn(resampled, int(child_seeds[rep])),
                                         dtype=float))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .connmat import ConnectivityDataset
 from .errors import DegeneracyError, DimensionError, LocusError, ValidationError
+from .preprocess import _centered_blocks, whiten
 from .solver import LocusModel, LowRankSource, SolverConfig, fit, initialize
 
 # edges above this fraction of their source's largest edge count toward L0
@@ -106,8 +107,9 @@ def bic(dataset: ConnectivityDataset, model: LocusModel) -> float:
     """BIC of a fitted model on (demeaned) data.
 
     The likelihood term is a spherical Gaussian with variance estimated
-    from the residuals; the complexity term counts, per source, the edges
-    whose magnitude exceeds ZERO_TOL times the source's largest edge.
+    from the residuals, summed over centred column blocks; the complexity
+    term counts, per source, the edges whose magnitude exceeds ZERO_TOL
+    times the source's largest edge.
     A perfect fit (zero residual variance) returns the -inf sentinel.
     """
     if model.a is None:
@@ -118,9 +120,11 @@ def bic(dataset: ConnectivityDataset, model: LocusModel) -> float:
     if model.a.shape != (n, model.q) or s.shape[1] != p:
         raise ValidationError("dimension_mismatch",
                               "model dimensions do not match the dataset")
-    yc = y - y.mean(axis=0)
-    resid = yc - model.a @ s
-    sigma2 = float(np.mean(resid ** 2))
+    squares = 0.0
+    for cols, resid in _centered_blocks(y, y.mean(axis=0)):
+        resid -= model.a @ s[:, cols]
+        squares += float(np.sum(resid ** 2))
+    sigma2 = squares / (n * p)
 
     l0 = 0
     for ell in range(model.q):
@@ -147,8 +151,6 @@ def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
     exception is a programming error and propagates.  A grid value that
     :class:`SolverConfig` rejects, such as NaN, raises before any fit runs.
     """
-    from .preprocess import whiten
-
     phi_grid = list(phi_grid)
     rho_grid = list(rho_grid)
     if not phi_grid or not rho_grid:

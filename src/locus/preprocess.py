@@ -8,17 +8,25 @@ trailing eigenvalues.  Eigenvalues are of Yc Yc' without any 1/p scaling;
 the whitened Gram H Yc Yc' H' is then exactly diag(l_k / (l_k - s2)).
 
 The reduction acts on the subject domain only; the p edge columns pass
-through untouched.
+through untouched.  The demeaned data is never held whole: whitening,
+mapping loadings back to subjects and the BIC each centre one block of
+columns at a time (at most ``BLOCK_BYTES``) and use it at once, so the
+dataset's own array is the only (N, p) copy alive.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .connmat import ConnectivityDataset
 from .errors import DegeneracyError, DimensionError
+
+# size of one centred column block; a dataset of at most this many bytes
+# is centred in one block
+BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -30,8 +38,8 @@ class WhitenedData:
     col_means : (p,) removed group mean
     sigma2_resid : residual variance not captured by the q components
     eigvals_top : (q,) leading Gram eigenvalues, strictly decreasing
-    y_centered : (N, p) demeaned data, kept for mapping loadings back to
-        subject space
+    data : (N, p) the dataset's own array, not a copy and not demeaned,
+        kept for mapping loadings back to subject space
     """
 
     y_tilde: np.ndarray
@@ -39,10 +47,10 @@ class WhitenedData:
     col_means: np.ndarray
     sigma2_resid: float
     eigvals_top: np.ndarray
-    y_centered: np.ndarray = field(repr=False)
+    data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("y_tilde", "h", "col_means", "eigvals_top", "y_centered"):
+        for name in ("y_tilde", "h", "col_means", "eigvals_top", "data"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -79,6 +87,22 @@ def _polar_orthogonalize(m: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
+def _centered_blocks(data: np.ndarray, col_means: np.ndarray
+                     ) -> Iterator[tuple[slice, np.ndarray]]:
+    """Consecutive column slices ``cols`` of ``data`` (N, p), each with its
+    block ``data[:, cols] - col_means[cols]``.  Every block is written into
+    one buffer of at most BLOCK_BYTES (and at least one column), so use a
+    block before taking the next; the caller may overwrite it."""
+    n, p = data.shape
+    width = min(p, max(1, BLOCK_BYTES // (data.itemsize * n)))
+    buffer = np.empty((n, width))
+    for start in range(0, p, width):
+        cols = slice(start, min(start + width, p))
+        block = buffer[:, :cols.stop - start]
+        np.subtract(data[:, cols], col_means[cols], out=block)
+        yield cols, block
+
+
 def whiten(dataset: ConnectivityDataset, q: int) -> WhitenedData:
     """Demean, reduce to q dimensions and whiten the group data.
 
@@ -91,9 +115,9 @@ def whiten(dataset: ConnectivityDataset, q: int) -> WhitenedData:
         raise DimensionError("dimension_mismatch",
                              f"q must satisfy 1 <= q < N={n}, got {q}")
     col_means = y.mean(axis=0)
-    yc = y - col_means
-
-    gram = yc @ yc.T
+    gram = np.zeros((n, n))
+    for _, block in _centered_blocks(y, col_means):
+        gram += block @ block.T
     gram = (gram + gram.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(gram)
     order = np.argsort(eigvals)[::-1]
@@ -111,16 +135,20 @@ def whiten(dataset: ConnectivityDataset, q: int) -> WhitenedData:
             f"variance ({sigma2:.3e}); lower q")
 
     h = (1.0 / np.sqrt(top - sigma2))[:, None] * eigvecs[:, :q].T
-    y_tilde = h @ yc
+    y_tilde = np.empty((q, y.shape[1]))
+    for cols, block in _centered_blocks(y, col_means):
+        y_tilde[:, cols] = h @ block
     return WhitenedData(y_tilde=y_tilde, h=h, col_means=col_means,
-                        sigma2_resid=sigma2, eigvals_top=top, y_centered=yc)
+                        sigma2_resid=sigma2, eigvals_top=top, data=y)
 
 
-def _regress_on_sources(y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients Y S' (S S')^(-1) of the rows of ``y`` on
-    the source rows ``s`` (q, p).  Raises DegeneracyError naming the
-    sources that are not finite or zero (norm <= 1e-14 * max(max norm,
-    1)), or the most correlated pair when s_min(S S') <= 1e-12 s_max."""
+def _source_gram_inverse(s: np.ndarray) -> np.ndarray:
+    """(S S')^(-1) of the source rows ``s`` (q, p), the right factor of
+    every least-squares regression Y S' (S S')^(-1) on the sources.
+    Raises DegeneracyError
+    naming the sources that are not finite or zero (norm <= 1e-14 *
+    max(max norm, 1)), or the most correlated pair when
+    s_min(S S') <= 1e-12 s_max."""
     norms = np.linalg.norm(s, axis=1)
     finite = np.isfinite(norms)
     scale = max(norms[finite].max(initial=0.0), 1.0)
@@ -137,18 +165,23 @@ def _regress_on_sources(y: np.ndarray, s: np.ndarray) -> np.ndarray:
         raise DegeneracyError("singular_sources",
                               f"sources {i} and {j} are linearly dependent "
                               f"(|corr| = {abs(corr[i, j]):.6f})")
-    return y @ s.T @ np.linalg.inv(gram)
+    return np.linalg.inv(gram)
 
 
 def unmix_to_subject_space(whitened: WhitenedData,
                            sources: np.ndarray) -> np.ndarray:
     """Subject-level loadings A = Yc S' (S S')^(-1) of the (q, p) sources:
-    least squares of the demeaned data on the source matrix.  Degenerate
-    sources raise DegeneracyError.
+    least squares of the demeaned data on the source matrix, with Yc S'
+    summed over centred column blocks.  Degenerate sources raise
+    DegeneracyError.
     """
     s = np.asarray(sources, dtype=float)
     if s.shape != (whitened.q, whitened.n_edges):
         raise DimensionError("dimension_mismatch",
                              f"sources must be {whitened.q} x "
                              f"{whitened.n_edges}, got {s.shape}")
-    return _regress_on_sources(whitened.y_centered, s)
+    inverse = _source_gram_inverse(s)
+    ys = np.zeros((whitened.data.shape[0], whitened.q))
+    for cols, block in _centered_blocks(whitened.data, whitened.col_means):
+        ys += block @ s[:, cols].T
+    return ys @ inverse

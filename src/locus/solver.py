@@ -50,7 +50,7 @@ from .connmat import (nodes_from_edge_count, read_csv, triu_indices, unvectorize
 from .errors import (DegeneracyError, DimensionError, LocusError, NumericError,
                      ValidationError)
 from .preprocess import (WhitenedData, _polar_orthogonalize,
-                         _regress_on_sources, unmix_to_subject_space)
+                         _source_gram_inverse, unmix_to_subject_space)
 
 logger = logging.getLogger(__name__)
 
@@ -358,7 +358,7 @@ def update_mixing(whitened: WhitenedData, sources: list[LowRankSource]) -> np.nd
     """Least-squares mixing estimate Y~ S' (S S')^(-1), then symmetric
     orthogonalization.  The result satisfies A~' A~ = I to 1e-10."""
     s = np.vstack([src.edge_vector() for src in sources])
-    return _polar_orthogonalize(_regress_on_sources(whitened.y_tilde, s))
+    return _polar_orthogonalize(whitened.y_tilde @ s.T @ _source_gram_inverse(s))
 
 
 def _nuclear_norm(source: LowRankSource) -> float:

@@ -161,7 +161,10 @@ def generate(spec: SyntheticSpec) -> tuple[ConnectivityDataset, GroundTruth]:
 
     y = loadings @ sources
     if spec.sigma > 0:
-        y = y + rng.normal(0.0, spec.sigma, size=y.shape)
+        # row by row draws the same stream as one (N, p) draw
+        for row in y:
+            row += rng.normal(0.0, spec.sigma, size=row.shape)
+    y.setflags(write=False)  # handed over to the dataset without a copy
     dataset = ConnectivityDataset(data=y, node_count=spec.node_count)
     return dataset, GroundTruth(sources=sources, loadings=loadings,
                                 noise_sd=spec.sigma)

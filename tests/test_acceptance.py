@@ -130,7 +130,7 @@ def test_criterion_02_objective_domain_equivalence():
                              h=np.zeros((q, 4)), col_means=np.zeros(p),
                              sigma2_resid=0.0,
                              eigvals_top=np.arange(q, 0, -1).astype(float),
-                             y_centered=np.zeros((4, p)))
+                             data=np.zeros((4, p)))
             model = LocusModel(sources=sources, a_tilde=a)
             phi = float(rng.uniform(0, 2))
             lhs = data_domain_objective(w, model, phi)

@@ -12,7 +12,7 @@ def wrap_whitened(y_tilde):
     return WhitenedData(y_tilde=y_tilde, h=np.zeros((q, 4)),
                         col_means=np.zeros(p), sigma2_resid=0.0,
                         eigvals_top=np.arange(q, 0, -1).astype(float),
-                        y_centered=np.zeros((4, p)))
+                        data=np.zeros((4, p)))
 
 
 def non_gaussian_sources(rng, q, p):

@@ -3,7 +3,8 @@ import pytest
 
 from locus.connmat import (ConnectivityDataset, edge_count, edge_labels,
                            fisher_z, load_dataset, nodes_from_edge_count,
-                           save_dataset, triu_indices, unvectorize, vectorize)
+                           read_csv, save_dataset, triu_indices, unvectorize,
+                           vectorize)
 from locus.errors import DimensionError, ValidationError
 
 
@@ -102,6 +103,22 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.data[0, 0] = 1.0
 
+    def test_read_only_owned_array_adopted_without_copy(self):
+        arr = np.ones((2, 6))
+        arr.setflags(write=False)
+        assert ConnectivityDataset(data=arr, node_count=4).data is arr
+
+    def test_other_inputs_copied(self):
+        writable = np.arange(12.0).reshape(2, 6)
+        ds = ConnectivityDataset(data=writable, node_count=4)
+        assert ds.data is not writable and writable.flags.writeable
+        writable[0, 0] = 99.0
+        assert ds.data[0, 0] == 0.0
+        # a read-only view does not own its memory
+        view = np.arange(24.0).reshape(4, 6)[::2]
+        view.setflags(write=False)
+        assert ConnectivityDataset(data=view, node_count=4).data is not view
+
     def test_nodes_from_edge_count_rejects_non_triangular(self):
         assert nodes_from_edge_count(6) == 4
         with pytest.raises(DimensionError):
@@ -115,6 +132,45 @@ class TestFisherZ:
     def test_domain_violation(self):
         with pytest.raises(ValidationError, match="fisher_z_domain"):
             fisher_z(np.array([0.2, 1.0]))
+
+
+class TestReadCsv:
+    TABLE = "1,2,3\n4.5,-6,7e-3\n8,9,10\n"
+
+    @pytest.mark.parametrize("text", [
+        TABLE,
+        TABLE.replace("\n", "\r\n"),
+        TABLE.replace("\n", "\r"),
+        TABLE.rstrip("\n"),
+        "\n1,2,3\n\n4.5,-6,7e-3\n\n\n8,9,10\n\n",
+        "# a comment line\n1,2,3\n4.5,-6,7e-3\n# another\n8,9,10",
+        "1,2,3\r\n4.5,-6,7e-3\r8,9,10\n",
+    ], ids=["lf", "crlf", "cr", "no_final_newline", "blank_lines",
+            "comments", "mixed"])
+    @pytest.mark.parametrize("skiprows", [0, 1])
+    def test_equals_loadtxt(self, tmp_path, text, skiprows):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        expected = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+        got = read_csv(str(path), skiprows=skiprows)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    def test_crlf_split_across_read_chunks(self, tmp_path):
+        # the first read ends on the \r of a \r\n pair
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"0" * ((1 << 20) - 1) + b"\r\n5\r\n")
+        assert read_csv(str(path)).tolist() == [[0.0], [5.0]]
+
+    @pytest.mark.parametrize("text", ["1_2,1_3,2_3\n", "1_2,1_3,2_3",
+                                      "1_2,1_3,2_3\n\n"])
+    def test_no_data_rows_is_empty(self, tmp_path, text):
+        path = tmp_path / "edges.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as err:
+            load_dataset(str(path))
+        assert err.value.code == "empty"
+        assert str(err.value) == f"[empty] {path}: no data rows"
 
 
 class TestLoadSave:
@@ -147,6 +203,38 @@ class TestLoadSave:
             load_dataset(str(path))
         assert err.value.code == "bad_csv"
         assert str(bad) in str(err.value)
+
+    def test_square_directory_errors_name_the_code_once(self, tmp_path):
+        (tmp_path / "a.csv").write_text("")
+        with pytest.raises(ValidationError) as err:
+            load_dataset(str(tmp_path))
+        assert str(err.value).count(f"[{err.value.code}]") == 1
+        (tmp_path / "a.csv").write_text("0,1\n2,0\n")
+        with pytest.raises(ValidationError) as err:
+            load_dataset(str(tmp_path))
+        assert str(err.value).startswith(
+            "[asymmetric] a.csv: matrix asymmetric at entry")
+        (tmp_path / "a.csv").write_text("5\n")
+        with pytest.raises(DimensionError,
+                           match=r"^\[dimension_mismatch\] a.csv: need at least"):
+            load_dataset(str(tmp_path))
+
+    def test_square_directory_fills_one_array(self, tmp_path):
+        for name in ("a", "b"):
+            np.savetxt(tmp_path / f"{name}.csv", np.ones((3, 3)), delimiter=",")
+        ds = load_dataset(str(tmp_path))
+        assert ds.data.base is None and not ds.data.flags.writeable
+
+    def test_non_finite_file_named(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("1_2,1_3,2_3\n0.1,nan,0.3\n")
+        with pytest.raises(ValidationError) as err:
+            load_dataset(str(path))
+        assert str(err.value) == f"[non_finite] {str(path)!r} contains NaN or Inf values"
+        # the check precedes the Fisher-Z transform, so Inf is non_finite too
+        path.write_text("1_2,1_3,2_3\n0.1,inf,0.3\n")
+        with pytest.raises(ValidationError, match="non_finite"):
+            load_dataset(str(path), fisher=True)
 
     def test_edge_csv_header_infers_nodes(self, tmp_path):
         path = tmp_path / "edges.csv"

@@ -1,9 +1,16 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from locus.connmat import ConnectivityDataset
 from locus.errors import DegeneracyError, DimensionError
-from locus.preprocess import unmix_to_subject_space, whiten
+from locus.modelsel import ZERO_TOL, bic
+from locus.preprocess import (BLOCK_BYTES, _fix_eigvec_signs,
+                              unmix_to_subject_space, whiten)
+from locus.solver import LocusModel, LowRankSource, SolverConfig, fit
+from locus.synth import SyntheticSpec, generate
 
 
 def make_dataset(rng, n=12, node_count=8):
@@ -19,7 +26,7 @@ class TestWhiten:
         w = whiten(ds, 3)
         yc = ds.data - w.col_means
         assert np.max(np.abs(yc.mean(axis=0))) < 1e-12
-        assert np.array_equal(w.y_centered, yc)
+        assert w.data is ds.data
 
     def test_whitened_gram_diagonal_with_eigenvalue_ratio(self):
         # independent oracle: eigendecompose the demeaned Gram from scratch
@@ -125,7 +132,7 @@ class TestUnmixToSubjectSpace:
         w = WhitenedData(y_tilde=np.zeros((1, p)), h=np.zeros((1, 4)),
                          col_means=data[0], sigma2_resid=0.0,
                          eigvals_top=np.array([1.0]),
-                         y_centered=np.zeros((4, p)))
+                         data=data)
         s = np.ones((1, p))
         a_hat = unmix_to_subject_space(w, s)
         assert not a_hat.any()
@@ -146,3 +153,69 @@ class TestUnmixToSubjectSpace:
             s[0, 3] = bad
             with pytest.raises(DegeneracyError, match=r"sources \[0\]"):
                 unmix_to_subject_space(w, s)
+
+
+class TestColumnBlocks:
+    """whiten, unmix_to_subject_space and bic centre one column block at a
+    time and share the dataset's array instead of holding a demeaned copy."""
+
+    @staticmethod
+    def multi_block(node_count, n, seed=0):
+        ds, _ = generate(SyntheticSpec(node_count=node_count, q=3,
+                                       n_subjects=n, sigma=1.0, seed=seed))
+        assert ds.data.nbytes > BLOCK_BYTES  # more than one block
+        return ds
+
+    @staticmethod
+    def rel_err(got, expected):
+        return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
+
+    def test_whitened_data_is_the_dataset_array(self):
+        ds = make_dataset(np.random.default_rng(12))
+        assert whiten(ds, 3).data is ds.data
+
+    def test_multi_block_matches_dense_formulas(self):
+        ds, q = self.multi_block(200, 20), 3
+        w = whiten(ds, q)
+        # whiten, as one dense demeaned copy
+        yc = ds.data - ds.data.mean(axis=0)
+        gram = yc @ yc.T
+        lam, vecs = np.linalg.eigh((gram + gram.T) / 2.0)
+        lam, vecs = lam[::-1], _fix_eigvec_signs(vecs[:, ::-1])
+        sigma2 = float(np.mean(lam[q:]))
+        h = (1.0 / np.sqrt(lam[:q] - sigma2))[:, None] * vecs[:, :q].T
+        assert self.rel_err(w.h, h) < 1e-12
+        assert self.rel_err(w.y_tilde, h @ yc) < 1e-12
+        assert abs(w.sigma2_resid - sigma2) < 1e-12 * sigma2
+        # unmix_to_subject_space
+        rng = np.random.default_rng(13)
+        s = rng.standard_normal((q, ds.n_edges))
+        a = yc @ s.T @ np.linalg.inv(s @ s.T)
+        assert self.rel_err(unmix_to_subject_space(w, s), a) < 1e-12
+        # bic
+        sources = [LowRankSource(rng.standard_normal((200, 2)), [1.0, -0.5])
+                   for _ in range(q)]
+        model = LocusModel(sources=sources, a_tilde=np.eye(q), a=a)
+        s = model.source_matrix()
+        resid2 = float(np.mean((yc - a @ s) ** 2))
+        n, p = ds.data.shape
+        l0 = sum(int(np.count_nonzero(np.abs(row) > ZERO_TOL * np.max(np.abs(row))))
+                 for row in s)
+        dense = n * p * (math.log(2.0 * math.pi * resid2) + 1.0) + math.log(n) * l0
+        assert abs(bic(ds, model) - dense) < 1e-12 * abs(dense)
+
+    def test_decompose_holds_no_second_copy(self):
+        # whiten -> fit -> loadings, traced above the dataset it is given;
+        # a shape where the data outweighs the (N, N) and (V, V) work
+        # arrays of the eigen-decompositions
+        ds = self.multi_block(150, 300, seed=1)
+        config = SolverConfig(phi=0.01, rho=0.9, max_iter=2)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            model = fit(whiten(ds, 3), 3, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.a.shape == (300, 3)
+        assert peak - held < 0.5 * ds.data.nbytes

@@ -55,7 +55,7 @@ def make_whitened(rng, q, node_count):
     return WhitenedData(y_tilde=y_tilde, h=np.zeros((q, 4)),
                         col_means=np.zeros(p), sigma2_resid=0.0,
                         eigvals_top=np.arange(q, 0, -1).astype(float),
-                        y_centered=np.zeros((4, p)))
+                        data=np.zeros((4, p)))
 
 
 class TestSoftThreshold:
@@ -463,7 +463,7 @@ class TestUpdateMixing:
         w = WhitenedData(y_tilde=q_mat @ s, h=np.zeros((q, 4)),
                          col_means=np.zeros(s.shape[1]), sigma2_resid=0.0,
                          eigvals_top=np.arange(q, 0, -1).astype(float),
-                         y_centered=np.zeros((4, s.shape[1])))
+                         data=np.zeros((4, s.shape[1])))
 
         class Stub:
             def __init__(self, vec):
@@ -512,7 +512,7 @@ class TestObjective:
         w = WhitenedData(y_tilde=a @ s, h=np.zeros((q, 4)),
                          col_means=np.zeros(s.shape[1]), sigma2_resid=0.0,
                          eigvals_top=np.arange(q, 0, -1).astype(float),
-                         y_centered=np.zeros((4, s.shape[1])))
+                         data=np.zeros((4, s.shape[1])))
         model = LocusModel(sources=sources, a_tilde=a)
         assert objective(w, model, 0.0) < 1e-16
 

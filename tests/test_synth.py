@@ -70,6 +70,16 @@ class TestGenerate:
         assert np.array_equal(ds1.data, ds2.data)
         assert np.array_equal(t1.loadings, t2.loadings)
 
+    def test_noise_rows_follow_one_draw_and_data_is_adopted(self):
+        spec = SyntheticSpec(node_count=12, q=3, n_subjects=7, sigma=0.7,
+                             seed=9)
+        ds, truth = generate(spec)
+        rng = np.random.default_rng(9)
+        rng.uniform(size=(7, 3)), rng.choice([-1.0, 1.0], size=(7, 3))
+        noise = rng.normal(0.0, 0.7, size=ds.data.shape)
+        assert np.array_equal(ds.data, truth.loadings @ truth.sources + noise)
+        assert ds.data.base is None and not ds.data.flags.writeable
+
     def test_noise_sd_monte_carlo(self):
         # zero out the loadings: observed edge SD must track sigma within 2%
         spec = SyntheticSpec(node_count=10, q=3, n_subjects=10_000, sigma=1.5,
