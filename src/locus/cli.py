@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .baselines import fastica
 from .connmat import load_dataset, read_csv, save_dataset, unvectorize, write_csv
-from .errors import DegeneracyError, LocusError, ValidationError
+from .errors import DegeneracyError, DimensionError, LocusError, ValidationError
 from .evaluate import (DEFAULT_TOP_FRACTION, bootstrap_replicates,
                        match_sources, reliability_report)
 from .modelsel import tune
@@ -289,10 +289,12 @@ def cmd_tune(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_truth(truth_dir: str) -> tuple[np.ndarray, np.ndarray | None]:
-    spec = read_meta(os.path.join(truth_dir, "spec"))
-    sources, _ = read_sources(truth_dir, int(spec["q"]))
+    _, sources, _ = read_sources(truth_dir, "spec")
     loadings_path = os.path.join(truth_dir, "loadings.csv")
     loadings = read_csv(loadings_path) if os.path.isfile(loadings_path) else None
+    if loadings is not None and loadings.shape[1] != sources.shape[0]:
+        raise DimensionError("dimension_mismatch", f"{loadings_path} has "
+                             f"{loadings.shape[1]} columns, expected q={sources.shape[0]}")
     return sources, loadings
 
 

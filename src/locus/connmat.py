@@ -45,22 +45,6 @@ def nodes_from_edge_count(p: int) -> int:
     return v
 
 
-def _check_symmetric(m: np.ndarray) -> np.ndarray:
-    """Validate near-symmetry and return the symmetrized matrix (M+M')/2."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError("not_square", f"expected a square matrix, got shape {m.shape}")
-    gap = np.abs(m - m.T)
-    scale = max(float(np.max(np.abs(m))), np.finfo(float).tiny)
-    worst = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    if gap[worst] > SYMMETRY_RTOL * scale:
-        u, v = int(worst[0]), int(worst[1])
-        raise ValidationError(
-            "asymmetric",
-            f"matrix asymmetric at entry ({u + 1}, {v + 1}): "
-            f"{m[u, v]!r} vs {m[v, u]!r} (relative gap {gap[worst] / scale:.3e})")
-    return (m + m.T) / 2.0
-
-
 def vectorize(m: np.ndarray) -> np.ndarray:
     """Map a symmetric V x V matrix to its p = V(V-1)/2 upper-triangle vector.
 
@@ -73,9 +57,17 @@ def vectorize(m: np.ndarray) -> np.ndarray:
         raise ValidationError("not_square", f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 2:
         raise DimensionError("dimension_mismatch", "need at least 2 nodes")
-    m = _check_symmetric(m)
+    gap = np.abs(m - m.T)
+    scale = max(float(np.max(np.abs(m))), np.finfo(float).tiny)
+    worst = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    if gap[worst] > SYMMETRY_RTOL * scale:
+        u, v = int(worst[0]), int(worst[1])
+        raise ValidationError(
+            "asymmetric",
+            f"matrix asymmetric at entry ({u + 1}, {v + 1}): "
+            f"{m[u, v]!r} vs {m[v, u]!r} (relative gap {gap[worst] / scale:.3e})")
     r, c = triu_indices(m.shape[0])
-    return m[r, c]
+    return ((m + m.T) / 2.0)[r, c]
 
 
 def unvectorize(s: np.ndarray, node_count: int) -> np.ndarray:

@@ -168,6 +168,17 @@ def _source_gram_inverse(s: np.ndarray) -> np.ndarray:
     return np.linalg.inv(gram)
 
 
+def _source_rows(whitened: WhitenedData, sources: np.ndarray) -> np.ndarray:
+    """``sources`` as a float array; DimensionError unless it is (q, p) for
+    the whitened data."""
+    s = np.asarray(sources, dtype=float)
+    if s.shape != (whitened.q, whitened.n_edges):
+        raise DimensionError("dimension_mismatch",
+                             f"sources must be {whitened.q} x "
+                             f"{whitened.n_edges}, got {s.shape}")
+    return s
+
+
 def unmix_to_subject_space(whitened: WhitenedData,
                            sources: np.ndarray) -> np.ndarray:
     """Subject-level loadings A = Yc S' (S S')^(-1) of the (q, p) sources:
@@ -175,11 +186,7 @@ def unmix_to_subject_space(whitened: WhitenedData,
     summed over centred column blocks.  Degenerate sources raise
     DegeneracyError.
     """
-    s = np.asarray(sources, dtype=float)
-    if s.shape != (whitened.q, whitened.n_edges):
-        raise DimensionError("dimension_mismatch",
-                             f"sources must be {whitened.q} x "
-                             f"{whitened.n_edges}, got {s.shape}")
+    s = _source_rows(whitened, sources)
     inverse = _source_gram_inverse(s)
     ys = np.zeros((whitened.data.shape[0], whitened.q))
     for cols, block in _centered_blocks(whitened.data, whitened.col_means):

@@ -1,13 +1,14 @@
 """Iterative node-rotation solver for sparse low-rank source separation.
 
 Each latent source is a symmetric low-rank factorization X diag(d) X' whose
-upper-triangle vector lives in edge space.  One outer iteration updates the
-latent node coordinates one node at a time (conditioning on all other
-nodes, Gauss-Seidel), then the diagonal weights of every source, and
-finally re-estimates the reduced mixing matrix and orthogonalizes it.  The
-targets are fixed while the sources update, so the sources' node blocks are
-independent: one sweep over the nodes updates node v of every source at
-once (:func:`sweep_nodes`).
+upper-triangle vector lives in edge space; stacked, they are the (q, p)
+source rows S.  :func:`fit` is a start, one step per outer iteration and a
+stopping rule.  A step (:func:`_step`) updates, against fixed targets
+A~' Y~, the latent node coordinates one node at a time (Gauss-Seidel) and
+then the diagonal weights of every source; with the targets fixed, one
+sweep updates node v of every source at once (:func:`sweep_nodes`).
+:func:`fit` then stacks the rows once, re-estimates and orthogonalizes the
+reduced mixing matrix from them, and computes the next targets once.
 
 Each node block is a least-squares solve against X(-v)' X(-v), X'X less
 one rank-1 downdate.  The sweep's certified path solves it from a tracked
@@ -22,11 +23,11 @@ and the (V, V) target (:func:`update_d`), so no p x R matrix is built.
 The three regularizers share this loop.  Both block updates least-squares
 project onto the current low-rank span; the variants differ only in the
 penalty term (:data:`PENALTIES`) and in where one soft-threshold at phi/2
-lands.  :func:`fit` reads the regularizer once and hands each block kernel
+lands.  :func:`_step` reads the regularizer and hands each block kernel
 a plain threshold (0 where the variant puts none):
 
 * ``uniform_l1`` (default): element-wise L1 on the reconstructed source's
-  edges.  :func:`fit` thresholds the projected targets' edges before both
+  edges.  :func:`_step` thresholds the projected targets' edges before both
   block updates.
 * ``vector_l1``: L1 on the entries of the coordinate matrices X.  Each node
   row is thresholded after its unpenalized least-squares step (the
@@ -45,12 +46,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import baselines
 from .connmat import (nodes_from_edge_count, read_csv, triu_indices, unvectorize,
                       vectorize, write_csv)
 from .errors import (DegeneracyError, DimensionError, LocusError, NumericError,
                      ValidationError)
-from .preprocess import (WhitenedData, _polar_orthogonalize,
-                         _source_gram_inverse, unmix_to_subject_space)
+from .preprocess import (WhitenedData, _polar_orthogonalize, _source_gram_inverse,
+                         _source_rows, unmix_to_subject_space)
 
 logger = logging.getLogger(__name__)
 
@@ -354,10 +356,12 @@ def update_d(x: np.ndarray, target: np.ndarray,
     return d
 
 
-def update_mixing(whitened: WhitenedData, sources: list[LowRankSource]) -> np.ndarray:
-    """Least-squares mixing estimate Y~ S' (S S')^(-1), then symmetric
-    orthogonalization.  The result satisfies A~' A~ = I to 1e-10."""
-    s = np.vstack([src.edge_vector() for src in sources])
+def update_mixing(whitened: WhitenedData, s: np.ndarray) -> np.ndarray:
+    """Least-squares mixing estimate Y~ S' (S S')^(-1) on the (q, p) source
+    rows ``s``, then symmetric orthogonalization.  The result satisfies
+    A~' A~ = I to 1e-10; zero or dependent rows raise DegeneracyError, rows
+    of the wrong shape DimensionError."""
+    s = _source_rows(whitened, s)
     return _polar_orthogonalize(whitened.y_tilde @ s.T @ _source_gram_inverse(s))
 
 
@@ -387,6 +391,12 @@ def penalty(sources: list[LowRankSource], phi: float, regularizer: str) -> float
     return phi * sum(PENALTIES[regularizer](s) for s in sources)
 
 
+def _objective(targets: np.ndarray, s: np.ndarray, sources: list[LowRankSource],
+               phi: float, regularizer: str) -> float:
+    """|targets - s|_F^2 plus the penalty of ``sources``, whose rows are s."""
+    return float(np.sum((targets - s) ** 2)) + penalty(sources, phi, regularizer)
+
+
 def objective(whitened: WhitenedData, model: LocusModel, phi: float,
               regularizer: str = "uniform_l1") -> float:
     """Source-domain objective: sum_l |Y~' A~_l - s_l|^2 plus the penalty.
@@ -394,10 +404,8 @@ def objective(whitened: WhitenedData, model: LocusModel, phi: float,
     By the orthogonality of the mixing matrix this equals the data-domain
     residual |Y~ - A~ S|_F^2 plus the same penalty.
     """
-    targets = model.a_tilde.T @ whitened.y_tilde
-    s = model.source_matrix()
-    fidelity = float(np.sum((targets - s) ** 2))
-    return fidelity + penalty(model.sources, phi, regularizer)
+    return _objective(model.a_tilde.T @ whitened.y_tilde, model.source_matrix(),
+                      model.sources, phi, regularizer)
 
 
 def data_domain_objective(whitened: WhitenedData, model: LocusModel, phi: float,
@@ -431,14 +439,12 @@ def initialize(whitened: WhitenedData, q: int, config: SolverConfig) -> LocusMod
     ``seed``, ``rho`` and ``r_max`` of ``config``, not ``phi``; ``seed``
     seeds FastICA and the random fallback.
     """
-    from . import baselines
     from .modelsel import select_rank
 
     if q != whitened.q:
         raise DimensionError("dimension_mismatch",
                              f"q={q} does not match whitened data (q={whitened.q})")
     node_count = nodes_from_edge_count(whitened.n_edges)
-    r_max = min(config.r_max, node_count - 1)
 
     try:
         ica = baselines.fastica(whitened, q, seed=config.seed)
@@ -456,7 +462,7 @@ def initialize(whitened: WhitenedData, q: int, config: SolverConfig) -> LocusMod
     for ell in range(q):
         try:
             _, src = select_rank(unvectorize(raw[ell], node_count), config.rho,
-                                 r_max)
+                                 config.r_max)
         except DegeneracyError:
             warnings.warn(f"initial source {ell} is zero; re-seeding",
                           DegenerateSourceWarning)
@@ -474,135 +480,137 @@ def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(diff / denom)
 
 
-def fit(whitened: WhitenedData, q: int, config: SolverConfig,
-        init: LocusModel | None = None) -> LocusModel:
-    """Run the node-rotation algorithm on whitened data.
-
-    Iterates the three block updates until the relative changes of the
-    mixing matrix and the source matrix drop below eps1/eps2 or max_iter is
-    reached.  Each iteration takes every source through one path: its rank
-    is re-selected from the thresholded unstructured source (a rank change
-    restarts its factors from the truncated eigendecomposition of that
-    target), its nodes are swept, its weights are re-fitted and zero
-    weights pruned.  A source whose target or weights are all zero is
-    re-seeded at the end of its step from the dominant eigenpair of its
-    projected target, with one DegenerateSourceWarning per source.  The
-    iterations draw no random numbers.  Subject loadings are filled in by
-    least squares against the final sources.  ``init`` is the start
-    (default: :func:`initialize`).
-    """
+def _step(config: SolverConfig, sources: list[LowRankSource],
+          targets: np.ndarray, it: int) -> tuple[list[LowRankSource], list[int]]:
+    """The source blocks of outer iteration ``it`` against the (q, p)
+    ``targets`` A~' Y~: threshold (uniform_l1), re-select each rank (a
+    change restarts the factors from the truncated eigendecomposition),
+    sweep the nodes of the sources with nonzero targets, re-fit and prune
+    the weights.  A zero target or zero weights re-seed the source from
+    its unthresholded target's dominant eigenpair.  Returns the new
+    sources and the re-seeded indices; ``it`` labels errors."""
     from .modelsel import select_rank
 
+    sources = list(sources)
+    node_count = sources[0].node_count
+    phi, regularizer = config.phi, config.regularizer
+    # the one phi/2 soft-threshold: on the targets' edges, node rows or weights
+    edge_shrink = phi / 2.0 if regularizer == "uniform_l1" else 0.0
+    row_shrink = phi / 2.0 if regularizer == "vector_l1" else 0.0
+    weight_shrink = phi / 2.0 if regularizer == "nuclear" else 0.0
+    s_star = soft_threshold(targets, edge_shrink) if edge_shrink else targets
+    # the (V, V) targets shared by rank selection and both block updates
+    target_mats = np.stack([unvectorize(row, node_count) for row in s_star])
+
+    # rank re-selection; a zero target leaves its source out of the sweep
+    live = []
+    for ell, mat in enumerate(target_mats):
+        try:
+            new_rank, eig_src = select_rank(mat, config.rho, config.r_max)
+        except DegeneracyError:
+            continue
+        if new_rank != sources[ell].rank:
+            sources[ell] = eig_src
+        live.append(ell)
+
+    # one node sweep over the live sources together
+    swept = {}
+    if live:
+        swept = dict(zip(live, sweep_nodes(
+            [(sources[ell].x, sources[ell].d) for ell in live],
+            target_mats[live], row_shrink)))
+        if not all(np.all(np.isfinite(x)) for x in swept.values()):
+            raise NumericError("non_finite", f"node update overflowed at iteration {it}")
+
+    reseeded = []
+    for ell in range(len(sources)):
+        if ell in swept:
+            x = swept[ell]
+            # renormalize columns; the weight step below re-fits d
+            norms = np.linalg.norm(x, axis=0)
+            alive = norms > 0
+            x[:, alive] /= norms[alive]
+            # diagonal weights against the whole target
+            d = update_d(x, target_mats[ell], weight_shrink)
+            if not np.all(np.isfinite(d)):
+                raise NumericError("non_finite", "weight update overflowed "
+                                   f"at iteration {it}")
+            keep = d != 0
+            if keep.any():
+                if not keep.all():
+                    logger.debug("source %d: pruning %d components at "
+                                 "iteration %d", ell, int((~keep).sum()), it)
+                    x, d = x[:, keep], d[keep]
+                sources[ell] = LowRankSource(x, d)
+                continue
+
+        # a zero target or zero weights: re-seed from the projected target
+        reseeded.append(ell)
+        sources[ell] = _reseed_source(targets[ell], node_count)
+    return sources, reseeded
+
+
+def fit(whitened: WhitenedData, q: int, config: SolverConfig,
+        init: LocusModel | None = None) -> LocusModel:
+    """Run the node-rotation algorithm on whitened data: start, step, stop.
+
+    Start: ``init`` (default: :func:`initialize`); its targets A~' Y~ and
+    stacked (q, p) source rows give ``objective_trace[0]`` and feed step 1.
+    Step: :func:`_step` updates the sources; their rows are stacked once,
+    :func:`update_mixing` re-estimates A~ from them and the next targets
+    are computed once, for the objective, the relative changes and the
+    next step.  A re-seeded source warns once (DegenerateSourceWarning).
+    Stop: when the relative changes of A~ and S fall below eps1/eps2, or at
+    max_iter.  No random numbers are drawn.  Loadings are least squares on
+    the final rows.
+    """
     if q != whitened.q:
         raise DimensionError("dimension_mismatch",
                              f"q={q} does not match whitened data (q={whitened.q})")
     node_count = nodes_from_edge_count(whitened.n_edges)
-    r_max = min(config.r_max, node_count - 1)
-    phi = config.phi
-    regularizer = config.regularizer
-    # the one phi/2 soft-threshold lands on the targets' edges, on each new
-    # node row or on the diagonal weights
-    edge_shrink = phi / 2.0 if regularizer == "uniform_l1" else 0.0
-    row_shrink = phi / 2.0 if regularizer == "vector_l1" else 0.0
-    weight_shrink = phi / 2.0 if regularizer == "nuclear" else 0.0
-
     if init is None:
         init = initialize(whitened, q, config)
     if init.q != q or init.a_tilde.shape != (q, q):
         raise DimensionError("dimension_mismatch",
                              "init model does not match q")
+    for ell, src in enumerate(init.sources):
+        if src.node_count != node_count:
+            raise DimensionError("dimension_mismatch",
+                                 f"init source {ell} has V={src.node_count}, "
+                                 f"the data has V={node_count}")
 
-    sources = list(init.sources)
+    sources = init.sources
     a_tilde = np.asarray(init.a_tilde, dtype=float).copy()
-    trace = [objective(whitened, LocusModel(sources, a_tilde), phi, regularizer)]
-    prev_s = np.vstack([s.edge_vector() for s in sources])
-    converged = False
-    iterations = 0
+    targets = a_tilde.T @ whitened.y_tilde
+    s_mat = np.vstack([s.edge_vector() for s in sources])
+    trace = [_objective(targets, s_mat, sources, config.phi, config.regularizer)]
     warned_degenerate: set[int] = set()
 
     for it in range(1, config.max_iter + 1):
-        iterations = it
-        targets = a_tilde.T @ whitened.y_tilde
-        s_star = soft_threshold(targets, edge_shrink) if edge_shrink else targets
-        # the (V, V) targets shared by rank selection and both block updates
-        target_mats = np.stack([unvectorize(row, node_count) for row in s_star])
-
-        # adaptive rank re-selection against the unstructured sources; a
-        # zero target leaves its source out of the sweep
-        live = []
-        for ell in range(q):
-            try:
-                new_rank, eig_src = select_rank(target_mats[ell], config.rho,
-                                                r_max)
-            except DegeneracyError:
-                continue
-            if new_rank != sources[ell].rank:
-                sources[ell] = eig_src
-            live.append(ell)
-
-        # Step 1: node sweep over the live sources together, freshest
-        # coordinates within the sweep
-        swept = {}
-        if live:
-            swept = dict(zip(live, sweep_nodes(
-                [(sources[ell].x, sources[ell].d) for ell in live],
-                target_mats[live], row_shrink)))
-            if not all(np.all(np.isfinite(x)) for x in swept.values()):
-                raise NumericError("non_finite",
-                                   f"node update overflowed at iteration {it}")
-
-        for ell in range(q):
-            if ell in swept:
-                x = swept[ell]
-                # renormalize columns; the weight step below re-fits d
-                norms = np.linalg.norm(x, axis=0)
-                alive = norms > 0
-                x[:, alive] /= norms[alive]
-
-                # Step 2: diagonal weights against the whole target
-                d = update_d(x, target_mats[ell], weight_shrink)
-                if not np.all(np.isfinite(d)):
-                    raise NumericError("non_finite", "weight update overflowed "
-                                       f"at iteration {it}")
-                keep = d != 0
-                if keep.any():
-                    if not keep.all():
-                        logger.debug("source %d: pruning %d components at "
-                                     "iteration %d", ell, int((~keep).sum()), it)
-                        x, d = x[:, keep], d[keep]
-                    sources[ell] = LowRankSource(x, d)
-                    continue
-
-            # a zero target or zero weights: re-seed from the projected target
+        sources, reseeded = _step(config, sources, targets, it)
+        for ell in reseeded:
             if ell not in warned_degenerate:
                 warnings.warn(f"source {ell} collapsed to zero at iteration "
                               f"{it}; re-seeding", DegenerateSourceWarning)
                 warned_degenerate.add(ell)
             else:
                 logger.debug("source %d collapsed again at iteration %d", ell, it)
-            sources[ell] = _reseed_source(targets[ell], node_count)
 
-        # Step 3: mixing matrix
-        a_new = update_mixing(whitened, sources)
+        s_new = np.vstack([s.edge_vector() for s in sources])
+        a_new = update_mixing(whitened, s_new)
         if not np.all(np.isfinite(a_new)):
-            raise NumericError("non_finite",
-                               f"mixing update overflowed at iteration {it}")
-
-        s_mat = np.vstack([s.edge_vector() for s in sources])
-        trace.append(objective(whitened, LocusModel(sources, a_new), phi,
-                               regularizer))
+            raise NumericError("non_finite", f"mixing update overflowed at iteration {it}")
+        targets = a_new.T @ whitened.y_tilde
+        trace.append(_objective(targets, s_new, sources, config.phi, config.regularizer))
         rel_a = _relative_change(a_new, a_tilde)
-        rel_s = _relative_change(s_mat, prev_s)
-        a_tilde, prev_s = a_new, s_mat
-        if rel_a < config.eps1 and rel_s < config.eps2:
-            converged = True
+        rel_s = _relative_change(s_new, s_mat)
+        a_tilde, s_mat = a_new, s_new
+        converged = rel_a < config.eps1 and rel_s < config.eps2
+        if converged:
             break
 
-    model = LocusModel(sources=sources, a_tilde=a_tilde,
-                       objective_trace=np.asarray(trace),
-                       converged=converged, iterations=iterations)
-    model.a = unmix_to_subject_space(whitened, prev_s)
-    return model
+    return LocusModel(sources, a_tilde, unmix_to_subject_space(whitened, s_mat),
+                      np.asarray(trace), converged=converged, iterations=it)
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +636,31 @@ def read_meta(path: str) -> dict:
     return meta
 
 
-def read_sources(path: str, q: int) -> tuple[np.ndarray, int]:
-    """Read S_1.csv .. S_<q>.csv (V x V symmetric) from a fit or truth
-    directory.  Returns their (q, p) edge vectors and V."""
-    matrices = [read_csv(os.path.join(path, f"S_{ell + 1}.csv"))
-                for ell in range(q)]
-    return np.vstack([vectorize(m) for m in matrices]), matrices[0].shape[0]
+def read_sources(path: str, meta_name: str) -> tuple[dict, np.ndarray, int]:
+    """Read a fit or truth directory: its key=value file ``meta_name`` and
+    S_1.csv .. S_<q>.csv (V x V symmetric), q read from that file.  Returns
+    the key=value dict, the (q, p) edge vectors and V.  A q that is missing
+    or not a positive integer raises ValidationError, an S_<l> whose shape
+    differs from S_1's DimensionError, each naming the file."""
+    meta_path = os.path.join(path, meta_name)
+    meta = read_meta(meta_path)
+    try:
+        q = int(meta["q"])
+    except (KeyError, ValueError):
+        q = 0
+    if q < 1:
+        got = repr(meta["q"]) if "q" in meta else "no q line"
+        raise ValidationError("bad_meta", f"{meta_path}: q must be a positive "
+                              f"integer, got {got}")
+    matrices = []
+    for ell in range(q):
+        name = os.path.join(path, f"S_{ell + 1}.csv")
+        matrices.append(read_csv(name))
+        if matrices[-1].shape != matrices[0].shape:
+            raise DimensionError("dimension_mismatch",
+                                 f"{name} is {matrices[-1].shape}, S_1.csv "
+                                 f"is {matrices[0].shape}")
+    return meta, np.vstack([vectorize(m) for m in matrices]), matrices[0].shape[0]
 
 
 def write_sources(path: str, sources: np.ndarray, node_count: int) -> None:
@@ -686,11 +713,19 @@ def load_decomposition(path: str) -> dict:
     """Read back a fit directory written by :func:`save_decomposition`.
 
     Returns a dict with keys "sources" (q, p), "a", "a_tilde", "meta" and
-    "node_count".
+    "node_count".  Checks q and the sources as :func:`read_sources` does,
+    and raises DimensionError naming A.csv unless it has q columns, or
+    A_tilde.csv unless it is q x q.
     """
-    meta = read_meta(os.path.join(path, "meta"))
-    sources, node_count = read_sources(path, int(meta["q"]))
+    meta, sources, node_count = read_sources(path, "meta")
+    q = sources.shape[0]
     a = read_csv(os.path.join(path, "A.csv"))
     a_tilde = read_csv(os.path.join(path, "A_tilde.csv"))
+    for name, got, want in (("A.csv", a, (a.shape[0], q)),
+                            ("A_tilde.csv", a_tilde, (q, q))):
+        if got.shape != want:
+            raise DimensionError("dimension_mismatch",
+                                 f"{os.path.join(path, name)} is {got.shape}, "
+                                 f"expected {want} for q={q}")
     return {"sources": sources, "a": a, "a_tilde": a_tilde, "meta": meta,
             "node_count": node_count}

@@ -352,6 +352,25 @@ def write_self_fit(fitdir, truth_dir, meta="q=3\n"):
     (fitdir / "meta").write_text(meta)
 
 
+def keep_block(rows, cols):
+    """Damage a CSV file by keeping only its leading rows x cols block."""
+    def damage(path):
+        block = np.loadtxt(path, delimiter=",", ndmin=2)[:rows, :cols]
+        np.savetxt(path, block, delimiter=",", fmt="%.17g")
+    return damage
+
+
+# case: (file of a self fit, how it is damaged)
+MALFORMED_FITS = {
+    "meta_without_q": ("meta", lambda path: path.write_text("ranks=1,1,1\n")),
+    "meta_q_abc": ("meta", lambda path: path.write_text("q=abc\n")),
+    "meta_q_0": ("meta", lambda path: path.write_text("q=0\n")),
+    "S_2_of_V_12": ("S_2.csv", keep_block(12, 12)),
+    "A_with_2_columns": ("A.csv", keep_block(None, 2)),
+    "A_tilde_3_by_2": ("A_tilde.csv", keep_block(None, 2)),
+}
+
+
 class TestEvaluate:
     def test_truth_against_itself_scores_one(self, sim_dir, tmp_path):
         fitdir = tmp_path / "selffit"
@@ -504,6 +523,42 @@ class TestEvaluate:
                     "--out", tmp_path / "x"]) == 3
         err = capsys.readouterr().err
         assert "bad_csv" in err and str(fitdir / "A.csv") in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FITS))
+    def test_malformed_fit_directory_exit_3(self, sim_dir, tmp_path, capsys,
+                                            case):
+        name, damage = MALFORMED_FITS[case]
+        fitdir = tmp_path / "fit"
+        write_self_fit(fitdir, sim_dir / "truth")
+        damage(fitdir / name)
+        assert run(["evaluate", fitdir, "--truth", sim_dir / "truth",
+                    "--out", tmp_path / "x"]) == 3
+        assert str(fitdir / name) in capsys.readouterr().err
+
+    def test_truth_spec_q_not_an_integer_exit_3(self, sim_dir, tmp_path,
+                                                 capsys):
+        truth = tmp_path / "truth"
+        shutil.copytree(sim_dir / "truth", truth)
+        spec = (truth / "spec").read_text()
+        assert "\nq=3\n" in spec
+        (truth / "spec").write_text(spec.replace("\nq=3\n", "\nq=abc\n"))
+        fitdir = tmp_path / "fit"
+        write_self_fit(fitdir, sim_dir / "truth")
+        assert run(["evaluate", fitdir, "--truth", truth,
+                    "--out", tmp_path / "x"]) == 3
+        err = capsys.readouterr().err
+        assert "bad_meta" in err and str(truth / "spec") in err
+
+    def test_truth_loadings_with_too_few_columns_exit_3(self, sim_dir,
+                                                         tmp_path, capsys):
+        truth = tmp_path / "truth"
+        shutil.copytree(sim_dir / "truth", truth)
+        keep_block(None, 2)(truth / "loadings.csv")
+        fitdir = tmp_path / "fit"
+        write_self_fit(fitdir, sim_dir / "truth")
+        assert run(["evaluate", fitdir, "--truth", truth,
+                    "--out", tmp_path / "x"]) == 3
+        assert str(truth / "loadings.csv") in capsys.readouterr().err
 
     def test_bootstrap_without_data_exit_3(self, sim_dir, tmp_path):
         assert run(["evaluate", "--truth", sim_dir / "truth",

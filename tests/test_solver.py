@@ -9,10 +9,10 @@ import locus
 from locus.connmat import (ConnectivityDataset, triu_indices, unvectorize,
                            vectorize)
 from locus.errors import DegeneracyError, DimensionError, ValidationError
-from locus.preprocess import WhitenedData, whiten
-from locus.solver import (PINV_RTOL, PRUNE_RTOL, DegenerateSourceWarning,
-                          LocusModel, LowRankSource, SolverConfig,
-                          _polar_orthogonalize,
+from locus.preprocess import WhitenedData, unmix_to_subject_space, whiten
+from locus.solver import (PINV_RTOL, PRUNE_RTOL, REGULARIZERS,
+                          DegenerateSourceWarning, LocusModel, LowRankSource,
+                          SolverConfig, _polar_orthogonalize,
                           data_domain_objective, fit, initialize,
                           load_decomposition, objective, save_model,
                           soft_threshold, sweep_nodes, update_d, update_mixing)
@@ -458,29 +458,19 @@ class TestUpdateMixing:
         s = np.vstack([src.edge_vector() for src in sources])
         # orthonormalize rows so the least-squares factor is exactly Q
         s = np.linalg.qr(s.T)[0].T
-        sources = None  # rebuild factor-free via direct stack below
         q_mat = random_orthogonal(rng, q)
         w = WhitenedData(y_tilde=q_mat @ s, h=np.zeros((q, 4)),
                          col_means=np.zeros(s.shape[1]), sigma2_resid=0.0,
                          eigvals_top=np.arange(q, 0, -1).astype(float),
                          data=np.zeros((4, s.shape[1])))
-
-        class Stub:
-            def __init__(self, vec):
-                self.vec = vec
-
-            def edge_vector(self):
-                return self.vec
-
-        got = update_mixing(w, [Stub(row) for row in s])
-        assert np.allclose(got, q_mat, atol=1e-8)
+        assert np.allclose(update_mixing(w, s), q_mat, atol=1e-8)
 
     def test_orthogonality_postcondition(self):
         rng = np.random.default_rng(8)
         q, node_count = 4, 12
         sources = [random_source(rng, node_count, 2) for _ in range(q)]
         w = make_whitened(rng, q, node_count)
-        a = update_mixing(w, sources)
+        a = update_mixing(w, np.vstack([src.edge_vector() for src in sources]))
         assert np.linalg.norm(a.T @ a - np.eye(q)) < 1e-10
 
     def test_matches_polar_factor_oracle(self):
@@ -491,7 +481,7 @@ class TestUpdateMixing:
         s = np.vstack([src.edge_vector() for src in sources])
         a_raw = w.y_tilde @ s.T @ np.linalg.inv(s @ s.T)
         u, _, vt = np.linalg.svd(a_raw)
-        assert np.allclose(update_mixing(w, sources), u @ vt, atol=1e-8)
+        assert np.allclose(update_mixing(w, s), u @ vt, atol=1e-8)
 
     def test_zero_source_reported_with_index(self):
         rng = np.random.default_rng(10)
@@ -499,7 +489,13 @@ class TestUpdateMixing:
         zero = LowRankSource(np.eye(8)[:, :1], np.array([1e-300]))
         w = make_whitened(rng, 2, 8)
         with pytest.raises(DegeneracyError, match="1"):
-            update_mixing(w, [good, zero])
+            update_mixing(w, np.vstack([good.edge_vector(), zero.edge_vector()]))
+
+    @pytest.mark.parametrize("shape", [(3, 44), (2, 45), (45,)])
+    def test_rows_of_the_wrong_shape_rejected(self, shape):
+        w = make_whitened(np.random.default_rng(39), 3, 10)
+        with pytest.raises(DimensionError, match="sources must be 3 x 45"):
+            update_mixing(w, np.ones(shape))
 
 
 class TestObjective:
@@ -712,6 +708,36 @@ class TestFit:
         ds, gt, w = scenario_whitened(1.0, 30)
         with pytest.raises(DimensionError):
             fit(w, 2, SolverConfig())
+
+    @pytest.mark.parametrize("wrong", [[1], [0, 1, 2]])
+    def test_init_node_count_validated(self, wrong):
+        # a start fitted at another V is named, not left to numpy
+        _, _, w = scenario_whitened(1.0, 30)
+        config = SolverConfig(max_iter=2)
+        start = initialize(w, 3, config)
+        rng = np.random.default_rng(38)
+        sources = [random_source(rng, 12, 2) if ell in wrong else src
+                   for ell, src in enumerate(start.sources)]
+        with pytest.raises(DimensionError,
+                           match=f"init source {wrong[0]} has V=12, the data has V=20"):
+            fit(w, 3, config, init=LocusModel(sources, start.a_tilde))
+
+    @pytest.mark.parametrize("regularizer", REGULARIZERS)
+    @pytest.mark.parametrize("max_iter", [1, 2, 7])
+    def test_shared_products_match_a_fresh_score(self, regularizer, max_iter):
+        # fit reuses each iteration's targets and stacked rows; scoring the
+        # start and the returned model from scratch gives the same bits
+        _, _, w = scenario_whitened(1.0, 37)
+        config = SolverConfig(phi=0.05, rho=0.9, seed=0, max_iter=max_iter,
+                              regularizer=regularizer)
+        start = initialize(w, 3, config)
+        model = fit(w, 3, config, init=start)
+        assert model.objective_trace[0] == objective(w, start, config.phi,
+                                                     regularizer)
+        assert model.objective_trace[-1] == objective(w, model, config.phi,
+                                                      regularizer)
+        assert np.array_equal(model.a,
+                              unmix_to_subject_space(w, model.source_matrix()))
 
 
 class TestInitialize:
