@@ -65,7 +65,8 @@ def vectorize(m: np.ndarray) -> np.ndarray:
         raise ValidationError(
             "asymmetric",
             f"matrix asymmetric at entry ({u + 1}, {v + 1}): "
-            f"{m[u, v]!r} vs {m[v, u]!r} (relative gap {gap[worst] / scale:.3e})")
+            f"{m[u, v]:.17g} vs {m[v, u]:.17g} "
+            f"(relative gap {gap[worst] / scale:.3e})")
     r, c = triu_indices(m.shape[0])
     return ((m + m.T) / 2.0)[r, c]
 

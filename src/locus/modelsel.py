@@ -16,9 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .connmat import ConnectivityDataset
-from .errors import DegeneracyError, DimensionError, LocusError, ValidationError
+from .errors import DegeneracyError, DimensionError, ValidationError
 from .preprocess import _centered_blocks, whiten
-from .solver import LocusModel, LowRankSource, SolverConfig, fit, initialize
+from .solver import (CELL_ERRORS, LocusModel, LowRankSource, SolverConfig,
+                     _fit_cells, _mixing_start, _truncated_start)
 
 # edges above this fraction of their source's largest edge count toward L0
 ZERO_TOL = 1e-3
@@ -139,17 +140,22 @@ def bic(dataset: ConnectivityDataset, model: LocusModel) -> float:
 
 def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
          config: SolverConfig | None = None) -> TuningResult:
-    """Full factorial fit over (phi, rho), sharing one whitening; returns
-    all BICs and the argmin cell.
+    """Full factorial fit over (phi, rho), sharing one whitening and one
+    FastICA run; returns all BICs and the argmin cell.
 
-    Each rho gets one start from :func:`~locus.solver.initialize` (FastICA,
-    or its seeded random fallback), built before any cell is fitted and
-    shared by every phi, since the start does not depend on phi.  Ties
-    break toward larger phi, then larger rho (the sparser model).  Cells
-    whose start or fit raises a package error or a LinAlgError are recorded
-    with that error and excluded; all cells failing is an error.  Any other
-    exception is a programming error and propagates.  A grid value that
-    :class:`SolverConfig` rejects, such as NaN, raises before any fit runs.
+    FastICA (or its seeded random fallback) runs once, since it reads
+    neither phi nor rho, and each rho truncates it to one start, built
+    before any cell is fitted and shared by every phi.  The cells are then
+    fitted in lockstep (:func:`~locus.solver._fit_cells`): each outer
+    iteration makes one node sweep per batch of cells of equal width, and
+    every cell's model is bit for bit the one :func:`~locus.solver.fit`
+    returns from the same start.  Ties break toward larger phi, then
+    larger rho (the sparser model).  Cells whose start or fit raises a
+    package error or a LinAlgError are recorded with that error and
+    excluded; the other cells run on unaffected.  All cells failing is an
+    error.  Any other exception is a programming error and propagates.  A
+    grid value that :class:`SolverConfig` rejects, such as NaN, raises
+    before any fit runs.
     """
     phi_grid = list(phi_grid)
     rho_grid = list(rho_grid)
@@ -160,28 +166,39 @@ def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
                for phi in phi_grid for rho in rho_grid]
     whitened = whiten(dataset, q)
     # one start per rho, shared by every phi; a failed start is kept and
-    # raised again for every cell of its rho
+    # recorded for every cell of its rho
     starts: dict[float, LocusModel | Exception] = {}
+    try:
+        mixing = _mixing_start(whitened, q, config.seed)
+    except CELL_ERRORS as err:
+        mixing = err
     for cfg in configs:
         if cfg.rho not in starts:
             try:
-                starts[cfg.rho] = initialize(whitened, q, cfg)
-            except (LocusError, np.linalg.LinAlgError) as err:
+                if isinstance(mixing, Exception):
+                    raise mixing
+                starts[cfg.rho] = _truncated_start(whitened, *mixing, cfg)
+            except CELL_ERRORS as err:
                 starts[cfg.rho] = err
 
+    outcomes = [starts[cfg.rho] for cfg in configs]
+    runnable = [i for i, start in enumerate(outcomes)
+                if not isinstance(start, Exception)]
+    fitted = _fit_cells(whitened, [(configs[i], outcomes[i]) for i in runnable])
+    for i, model in zip(runnable, fitted):
+        outcomes[i] = model
+
     cells = []
-    for cfg in configs:
+    for cfg, model in zip(configs, outcomes):
         try:
-            start = starts[cfg.rho]
-            if isinstance(start, Exception):
-                raise start
-            model = fit(whitened, q, cfg, init=start)
+            if isinstance(model, Exception):
+                raise model
             cells.append(TuningCell(phi=cfg.phi, rho=cfg.rho,
                                     bic=bic(dataset, model),
                                     iterations=model.iterations,
                                     converged=model.converged,
                                     ranks=tuple(model.ranks)))
-        except (LocusError, np.linalg.LinAlgError) as err:
+        except CELL_ERRORS as err:
             cells.append(TuningCell(phi=cfg.phi, rho=cfg.rho, bic=math.nan,
                                     error=f"{type(err).__name__}: {err}"))
 

@@ -2,13 +2,15 @@
 
 Each latent source is a symmetric low-rank factorization X diag(d) X' whose
 upper-triangle vector lives in edge space; stacked, they are the (q, p)
-source rows S.  :func:`fit` is a start, one step per outer iteration and a
-stopping rule.  A step (:func:`_step`) updates, against fixed targets
-A~' Y~, the latent node coordinates one node at a time (Gauss-Seidel) and
-then the diagonal weights of every source; with the targets fixed, one
-sweep updates node v of every source at once (:func:`sweep_nodes`).
-:func:`fit` then stacks the rows once, re-estimates and orthogonalizes the
-reduced mixing matrix from them, and computes the next targets once.
+source rows S.  A fit is a start, one step per outer iteration and a
+stopping rule, and :func:`_fit_cells` runs any number of fits (cells, such
+as a tuning grid's) in lockstep; :func:`fit` is its one-cell call.  A step
+(:func:`_step`) updates, against fixed targets A~' Y~, the latent node
+coordinates one node at a time (Gauss-Seidel) and then the diagonal
+weights of every source; with the targets fixed, one sweep updates node v
+of every source of every cell in a batch at once (:func:`sweep_nodes`).
+Each cell then stacks its rows once, re-estimates and orthogonalizes its
+reduced mixing matrix from them, and computes its next targets once.
 
 Each node block is a least-squares solve against X(-v)' X(-v), X'X less
 one rank-1 downdate.  The sweep's certified path solves it from a tracked
@@ -214,8 +216,52 @@ def _pinv_rule(eigvals: np.ndarray) -> np.ndarray:
     return large / np.where(large, eigvals, 1.0)
 
 
+def _each_cell(reduce, mask: np.ndarray, starts: np.ndarray, sizes) -> np.ndarray:
+    """Reduce the per-source ``mask`` over each cell's run of sources with
+    the ufunc ``reduce`` and repeat the result for every source of the
+    cell."""
+    return np.repeat(reduce.reduceat(mask.reshape(-1), starts), sizes)
+
+
+def _exact_rows(x, x_v, rhs, inv_d, pad_eye, pad_cells):
+    """New node rows from an eigendecomposition of X(-v)' X(-v) under the
+    PINV_RTOL rule; also returns its eigenvalues, eigenvectors and
+    reciprocals for the restart.  ``pad_eye`` fills the padded columns'
+    Gram block; ``pad_cells`` (None: every source) marks the sources whose
+    cell has padding, the only ones a lone sweep of that cell pads."""
+    gram = np.matmul(x.transpose(0, 2, 1), x) - x_v.transpose(0, 2, 1) * x_v
+    if pad_eye is not None:
+        top = np.diagonal(gram, axis1=1, axis2=2).max(axis=1)
+        padded = gram + pad_eye * top[:, None, None]
+        gram = padded if pad_cells is None else np.where(pad_cells, padded, gram)
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    inv = _pinv_rule(eigvals)[:, None, :]
+    row = (np.matmul(np.matmul(rhs, eigvecs) * inv, eigvecs.transpose(0, 2, 1))
+           * inv_d)
+    return row, eigvals, eigvecs, inv
+
+
+def _within_cert(eigvals: np.ndarray) -> np.ndarray:
+    """Per source: whether the Gram with these ascending eigenvalues is
+    positive definite with condition number at most CERT."""
+    return (eigvals[:, 0] > 0) & (eigvals[:, -1] <= CERT * eigvals[:, 0])
+
+
+def _restart(eigvals, eigvecs, inv, restart):
+    """Tracked inverse and bounds (h, cap, hi) from an exact solve for the
+    sources where the per-source ``restart`` holds; elsewhere h = 0,
+    cap = 0 and hi = inf, which no node certifies."""
+    h = np.matmul(eigvecs * inv, eigvecs.transpose(0, 2, 1))
+    cap, hi = CERT * eigvals[:, None, :1], eigvals[:, None, -1:]
+    if restart.all():
+        return h, cap, hi
+    restart = np.reshape(restart, (-1, 1, 1))
+    return (np.where(restart, h, 0.0), np.where(restart, cap, 0.0),
+            np.where(restart, hi, np.inf))
+
+
 def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
-                nodes=None) -> list[np.ndarray]:
+                nodes=None, cells=None) -> list[np.ndarray]:
     """One Gauss-Seidel pass over the nodes, updating node v of every source
     together.
 
@@ -244,7 +290,16 @@ def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
     new row r is added to H as a rank-1 update, and the bounds stay bounds
     as lo <- lo s after a certified node (lambda_min(G - x_v x_v') >=
     s lambda_min(G)) and hi <- hi + |r|^2.  At DEBUG level each sweep logs
-    its certified, exact and pseudo-inverse solves.
+    its certified, exact and pseudo-inverse solves (a node where some cells
+    certify and others do not counts as one of each).
+
+    ``cells`` splits the sources into consecutive runs, one per fit (cell),
+    by their counts (default: one cell of all q).  The cells share every
+    batched product but nothing else: "every source" above means every
+    source of the cell, so each cell takes the certified or exact path,
+    restarts its tracking and pads its Gram on its own.  A cell's rows then
+    equal those of a sweep over that cell alone, bit for bit, provided its
+    widest rank is the widest of the batch.
     """
     q = len(factors)
     node_count = np.shape(factors[0][0])[0]
@@ -252,6 +307,10 @@ def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
         raise DimensionError("dimension_mismatch",
                              f"targets of shape {targets.shape}, expected "
                              f"{(q, node_count, node_count)}")
+    sizes = [q] if cells is None else list(cells)
+    if sum(sizes) != q or min(sizes) < 1:
+        raise DimensionError("dimension_mismatch",
+                             f"cells of sizes {sizes} do not split {q} sources")
     ranks = [np.shape(x)[1] for x, _ in factors]
     width = max(ranks)
     x = np.zeros((q, node_count, width))
@@ -267,43 +326,71 @@ def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
     if logger.isEnabledFor(logging.DEBUG) and not keep[~pad].all():
         logger.debug("%d near-zero weights skipped in the node projection",
                      int((~keep[~pad]).sum()))
+    # with several cells: where each cell's run of sources starts, and
+    # which sources belong to a cell with padding (None: all of them)
+    starts = pad_cells = None
+    if len(sizes) > 1:
+        starts = np.cumsum([0] + sizes[:-1])
+        if pad_eye is not None:
+            padded = _each_cell(np.logical_or, pad.any(axis=1), starts, sizes)
+            if not padded.all():
+                pad_cells = padded[:, None, None]
 
+    # tracked inverses and bounds; None until a cell restarts, then zero
+    # (never certified) in the rows of the cells that have not
     h = cap = hi = None
     certified = exact = singular = 0
     for v in (range(node_count) if nodes is None else nodes):
         x_v = x[:, v, None, :]
         x_col = x_v.transpose(0, 2, 1)
         rhs = np.matmul(targets[:, v, None, :], x)
-        ok = h is not None
-        if ok:
+        # the certified sources: True (all), False (none) or, with several
+        # cells, a per-source mask
+        ok = False
+        if h is not None:
             # cap = CERT * lo; lo and hi are positive, so hi <= cap * s
             # also requires s > 0
             w = np.matmul(x_v, h)
             s = 1.0 - np.matmul(w, x_col)
-            ok = bool((hi <= cap * s).all())
-        if ok:
+            fits = hi <= cap * s
+            ok = bool(fits.all())
+            if not ok and starts is not None:
+                ok = _each_cell(np.logical_and, fits, starts, sizes)
+                ok = ok if ok.any() else False
+        if ok is not False:
             certified += 1
+            if ok is not True:
+                # the other cells' rows and tracking come from the exact
+                # solve below; s = 1 keeps their throwaway values finite
+                s = np.where(ok[:, None, None], s, 1.0)
             c = np.matmul(rhs, h)
             row = (c + np.matmul(c, x_col) / s * w) * inv_d
             # downdate by x_v
             h = h + w.transpose(0, 2, 1) * (w / s)
             cap = cap * s
-        else:
+        if ok is not True:
             exact += 1
-            gram = np.matmul(x.transpose(0, 2, 1), x) - x_col * x_v
-            if pad_eye is not None:
-                top = np.diagonal(gram, axis1=1, axis2=2).max(axis=1)
-                gram = gram + pad_eye * top[:, None, None]
-            eigvals, eigvecs = np.linalg.eigh(gram)
-            inv = _pinv_rule(eigvals)[:, None, :]
+            es = slice(None) if ok is False else np.flatnonzero(~ok)
+            row_e, eigvals, eigvecs, inv = _exact_rows(
+                x[es], x_v[es], rhs[es], inv_d[es],
+                None if pad_eye is None else pad_eye[es],
+                None if pad_cells is None else pad_cells[es])
             singular += int(np.count_nonzero((inv == 0).any(axis=2)))
-            eigvecs_t = eigvecs.transpose(0, 2, 1)
-            row = np.matmul(np.matmul(rhs, eigvecs) * inv, eigvecs_t) * inv_d
-            h = None
-            if (eigvals[:, 0].min() > 0
-                    and (eigvals[:, -1] <= CERT * eigvals[:, 0]).all()):
-                h = np.matmul(eigvecs * inv, eigvecs_t)
-                cap, hi = CERT * eigvals[:, None, :1], eigvals[:, None, -1:]
+            within = _within_cert(eigvals)
+            if ok is False:
+                row = row_e
+                restart = (within.all() if starts is None
+                           else _each_cell(np.logical_and, within, starts, sizes))
+                h = cap = hi = None
+                if restart.any():
+                    h, cap, hi = _restart(eigvals, eigvecs, inv, restart)
+            else:
+                row[es] = row_e
+                # a cell restarts when all of its sources are within CERT
+                everyone = np.ones(q, dtype=bool)
+                everyone[es] = within
+                restart = _each_cell(np.logical_and, everyone, starts, sizes)[es]
+                h[es], cap[es], hi[es] = _restart(eigvals, eigvecs, inv, restart)
         if shrink:
             row = soft_threshold(row, shrink)
         x[:, v, None, :] = row
@@ -426,6 +513,47 @@ def _reseed_source(y_src: np.ndarray, node_count: int) -> LowRankSource:
     return LowRankSource(eigvecs[:, [k]], eigvals[[k]])
 
 
+def _mixing_start(whitened: WhitenedData, q: int,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rank-free half of :func:`initialize`: FastICA's orthogonalized
+    mixing matrix and its (q, p) unstructured sources, or, if the baseline
+    fails with a package error or a LinAlgError, a random orthogonal mixing
+    matrix seeded by ``seed`` and the projected sources it implies."""
+    try:
+        ica = baselines.fastica(whitened, q, seed=seed)
+        return _polar_orthogonalize(ica.mixing), ica.sources
+    except (LocusError, np.linalg.LinAlgError) as err:
+        # fall back to a seeded random start
+        logger.warning("baseline initialization failed (%s); using random "
+                       "orthogonal start", err)
+        a_tilde = _polar_orthogonalize(
+            np.random.default_rng(seed).standard_normal((q, q)))
+        return a_tilde, a_tilde.T @ whitened.y_tilde
+
+
+def _truncated_start(whitened: WhitenedData, a_tilde: np.ndarray,
+                     raw: np.ndarray, config: SolverConfig) -> LocusModel:
+    """The per-rho half of :func:`initialize`: each unstructured source in
+    ``raw`` truncated to the rank :func:`~locus.modelsel.select_rank`
+    picks under ``config.rho`` and ``config.r_max``.  A zero source is
+    re-seeded from its projected target (:func:`_reseed_source`)."""
+    from .modelsel import select_rank
+
+    node_count = nodes_from_edge_count(whitened.n_edges)
+    sources = []
+    for ell, row in enumerate(raw):
+        try:
+            _, src = select_rank(unvectorize(row, node_count), config.rho,
+                                 config.r_max)
+        except DegeneracyError:
+            warnings.warn(f"initial source {ell} is zero; re-seeding",
+                          DegenerateSourceWarning)
+            src = _reseed_source((a_tilde.T @ whitened.y_tilde)[ell],
+                                 node_count)
+        sources.append(src)
+    return LocusModel(sources=sources, a_tilde=a_tilde)
+
+
 def initialize(whitened: WhitenedData, q: int, config: SolverConfig) -> LocusModel:
     """Starting point for :func:`fit`.
 
@@ -437,39 +565,14 @@ def initialize(whitened: WhitenedData, q: int, config: SolverConfig) -> LocusMod
     sources instead; any other exception propagates.  A zero source is
     re-seeded from its projected target (:func:`_reseed_source`).  Reads
     ``seed``, ``rho`` and ``r_max`` of ``config``, not ``phi``; ``seed``
-    seeds FastICA and the random fallback.
+    seeds FastICA and the random fallback, which do not read ``rho``, so
+    :func:`~locus.modelsel.tune` runs them once for every rho.
     """
-    from .modelsel import select_rank
-
     if q != whitened.q:
         raise DimensionError("dimension_mismatch",
                              f"q={q} does not match whitened data (q={whitened.q})")
-    node_count = nodes_from_edge_count(whitened.n_edges)
-
-    try:
-        ica = baselines.fastica(whitened, q, seed=config.seed)
-        a_tilde = _polar_orthogonalize(ica.mixing)
-        raw = ica.sources
-    except (LocusError, np.linalg.LinAlgError) as err:
-        # fall back to a seeded random start
-        logger.warning("baseline initialization failed (%s); using random "
-                       "orthogonal start", err)
-        rng = np.random.default_rng(config.seed)
-        a_tilde = _polar_orthogonalize(rng.standard_normal((q, q)))
-        raw = a_tilde.T @ whitened.y_tilde
-
-    sources = []
-    for ell in range(q):
-        try:
-            _, src = select_rank(unvectorize(raw[ell], node_count), config.rho,
-                                 config.r_max)
-        except DegeneracyError:
-            warnings.warn(f"initial source {ell} is zero; re-seeding",
-                          DegenerateSourceWarning)
-            src = _reseed_source((a_tilde.T @ whitened.y_tilde)[ell],
-                                 node_count)
-        sources.append(src)
-    return LocusModel(sources=sources, a_tilde=a_tilde)
+    return _truncated_start(whitened, *_mixing_start(whitened, q, config.seed),
+                            config)
 
 
 def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
@@ -480,29 +583,34 @@ def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(diff / denom)
 
 
-def _step(config: SolverConfig, sources: list[LowRankSource],
-          targets: np.ndarray, it: int) -> tuple[list[LowRankSource], list[int]]:
-    """The source blocks of outer iteration ``it`` against the (q, p)
-    ``targets`` A~' Y~: threshold (uniform_l1), re-select each rank (a
-    change restarts the factors from the truncated eigendecomposition),
-    sweep the nodes of the sources with nonzero targets, re-fit and prune
-    the weights.  A zero target or zero weights re-seed the source from
-    its unthresholded target's dominant eigenpair.  Returns the new
-    sources and the re-seeded indices; ``it`` labels errors."""
+# the errors that stop one cell of _fit_cells and leave the others running
+CELL_ERRORS = (LocusError, np.linalg.LinAlgError)
+
+
+def _shrinks(config: SolverConfig) -> tuple[float, float, float]:
+    """The one phi/2 soft-threshold as (edge, node row, weight) thresholds:
+    on the targets' edges, the node rows or the weights, 0 elsewhere."""
+    half, name = config.phi / 2.0, config.regularizer
+    return (half if name == "uniform_l1" else 0.0,
+            half if name == "vector_l1" else 0.0,
+            half if name == "nuclear" else 0.0)
+
+
+def _select_ranks(config: SolverConfig, sources: list[LowRankSource],
+                  targets: np.ndarray):
+    """The first block of a step for one cell: threshold the targets
+    (uniform_l1), unvectorize them and re-select each rank (a change
+    restarts the factors from the truncated eigendecomposition).  Returns
+    the new sources, the (q, V, V) target matrices and the indices of the
+    sources with nonzero targets, which go to the node sweep."""
     from .modelsel import select_rank
 
     sources = list(sources)
     node_count = sources[0].node_count
-    phi, regularizer = config.phi, config.regularizer
-    # the one phi/2 soft-threshold: on the targets' edges, node rows or weights
-    edge_shrink = phi / 2.0 if regularizer == "uniform_l1" else 0.0
-    row_shrink = phi / 2.0 if regularizer == "vector_l1" else 0.0
-    weight_shrink = phi / 2.0 if regularizer == "nuclear" else 0.0
+    edge_shrink = _shrinks(config)[0]
     s_star = soft_threshold(targets, edge_shrink) if edge_shrink else targets
     # the (V, V) targets shared by rank selection and both block updates
     target_mats = np.stack([unvectorize(row, node_count) for row in s_star])
-
-    # rank re-selection; a zero target leaves its source out of the sweep
     live = []
     for ell, mat in enumerate(target_mats):
         try:
@@ -512,16 +620,43 @@ def _step(config: SolverConfig, sources: list[LowRankSource],
         if new_rank != sources[ell].rank:
             sources[ell] = eig_src
         live.append(ell)
+    return sources, target_mats, live
 
-    # one node sweep over the live sources together
-    swept = {}
-    if live:
-        swept = dict(zip(live, sweep_nodes(
-            [(sources[ell].x, sources[ell].d) for ell in live],
-            target_mats[live], row_shrink)))
-        if not all(np.all(np.isfinite(x)) for x in swept.values()):
-            raise NumericError("non_finite", f"node update overflowed at iteration {it}")
 
+def _sweep_cells(batch, shrink: float) -> list:
+    """One :func:`sweep_nodes` call over the live sources of the cells in
+    ``batch``, each a (sources, target matrices, live indices) triple.
+    Returns per cell the swept x arrays, or the LinAlgError that stopped
+    its sweep: a failure in one cell's eigh fails the batched call, so the
+    cells are then swept one by one to find it."""
+    factors = [(sources[ell].x, sources[ell].d)
+               for sources, _, live in batch for ell in live]
+    mats = [cell_mats[live] for _, cell_mats, live in batch]
+    sizes = [len(live) for _, _, live in batch]
+    try:
+        xs = sweep_nodes(factors, np.concatenate(mats) if len(mats) > 1
+                         else mats[0], shrink, cells=sizes)
+    except np.linalg.LinAlgError as err:
+        if len(batch) == 1:
+            return [err]
+        return [out for cell in batch for out in _sweep_cells([cell], shrink)]
+    out = []
+    for size in sizes:
+        out.append(xs[:size])
+        xs = xs[size:]
+    return out
+
+
+def _weigh(config: SolverConfig, sources: list[LowRankSource],
+           targets: np.ndarray, target_mats: np.ndarray, swept: dict,
+           it: int) -> tuple[list[LowRankSource], list[int]]:
+    """The last block of a step for one cell: renormalize each swept
+    source's columns, re-fit and prune its weights; a source with a zero
+    target or zero weights is re-seeded from its unthresholded target's
+    dominant eigenpair.  Returns the sources and the re-seeded indices."""
+    if not all(np.all(np.isfinite(x)) for x in swept.values()):
+        raise NumericError("non_finite", f"node update overflowed at iteration {it}")
+    weight_shrink = _shrinks(config)[2]
     reseeded = []
     for ell in range(len(sources)):
         if ell in swept:
@@ -546,23 +681,167 @@ def _step(config: SolverConfig, sources: list[LowRankSource],
 
         # a zero target or zero weights: re-seed from the projected target
         reseeded.append(ell)
-        sources[ell] = _reseed_source(targets[ell], node_count)
+        sources[ell] = _reseed_source(targets[ell], sources[ell].node_count)
     return sources, reseeded
+
+
+def _step(cells, it: int) -> list:
+    """The source blocks of outer iteration ``it`` for every cell, each a
+    (config, sources, targets) triple with the (q, p) targets A~' Y~:
+    threshold (uniform_l1), re-select each rank, sweep the nodes of the
+    sources with nonzero targets, re-fit and prune the weights
+    (:func:`_select_ranks`, :func:`sweep_nodes`, :func:`_weigh`).
+
+    Only the sweep is shared: the cells whose live sources have the same
+    widest rank and node-row threshold make one batch, one
+    :func:`sweep_nodes` call, in which every source keeps the padding a
+    lone sweep of its cell gives it.  Returns per cell its new sources and
+    re-seeded indices, or the :data:`CELL_ERRORS` error that stopped it;
+    ``it`` labels errors.
+    """
+    out: list = [None] * len(cells)
+    selected = {}
+    batches: dict[tuple[int, float], list[int]] = {}
+    for i, (config, sources, targets) in enumerate(cells):
+        try:
+            selected[i] = _select_ranks(config, sources, targets)
+        except CELL_ERRORS as err:
+            out[i] = err
+            continue
+        sources, _, live = selected[i]
+        if live:
+            width = max(sources[ell].rank for ell in live)
+            batches.setdefault((width, _shrinks(config)[1]), []).append(i)
+
+    swept = {}
+    for (_, shrink), batch in batches.items():
+        swept.update(zip(batch, _sweep_cells([selected[i] for i in batch],
+                                             shrink)))
+
+    for i, (sources, target_mats, live) in selected.items():
+        config, _, targets = cells[i]
+        xs = swept.get(i, [])
+        try:
+            if isinstance(xs, Exception):
+                raise xs
+            out[i] = _weigh(config, sources, targets, target_mats,
+                            dict(zip(live, xs)), it)
+        except CELL_ERRORS as err:
+            out[i] = err
+    return out
+
+
+def _start(whitened: WhitenedData, config: SolverConfig,
+           init: LocusModel) -> tuple:
+    """A cell's state at the start: (sources, A~, targets A~' Y~, stacked
+    (q, p) source rows, objective trace, indices warned about).  The
+    targets and rows give ``objective_trace[0]`` and feed step 1."""
+    a_tilde = np.asarray(init.a_tilde, dtype=float).copy()
+    targets = a_tilde.T @ whitened.y_tilde
+    s_mat = np.vstack([s.edge_vector() for s in init.sources])
+    trace = [_objective(targets, s_mat, init.sources, config.phi,
+                        config.regularizer)]
+    return init.sources, a_tilde, targets, s_mat, trace, set()
+
+
+def _advance(whitened: WhitenedData, config: SolverConfig, cell: tuple,
+             stepped, it: int) -> tuple[tuple, bool]:
+    """The rest of outer iteration ``it`` for one cell, from its state
+    ``cell`` (see :func:`_start`) and its :func:`_step` result: warn
+    once per re-seeded source, stack the rows once, update the mixing,
+    compute the next targets once and score them.  Returns the cell's next
+    state and whether the relative changes of A~ and S fell below eps1 and
+    eps2."""
+    if isinstance(stepped, Exception):
+        raise stepped
+    sources, reseeded = stepped
+    _, a_tilde, _, s_mat, trace, warned = cell
+    for ell in reseeded:
+        if ell not in warned:
+            warnings.warn(f"source {ell} collapsed to zero at iteration {it}; "
+                          "re-seeding", DegenerateSourceWarning)
+            warned.add(ell)
+        else:
+            logger.debug("source %d collapsed again at iteration %d", ell, it)
+
+    s_new = np.vstack([s.edge_vector() for s in sources])
+    a_new = update_mixing(whitened, s_new)
+    if not np.all(np.isfinite(a_new)):
+        raise NumericError("non_finite", f"mixing update overflowed at iteration {it}")
+    targets = a_new.T @ whitened.y_tilde
+    trace.append(_objective(targets, s_new, sources, config.phi,
+                            config.regularizer))
+    converged = (_relative_change(a_new, a_tilde) < config.eps1
+                 and _relative_change(s_new, s_mat) < config.eps2)
+    return (sources, a_new, targets, s_new, trace, warned), converged
+
+
+def _finish(whitened: WhitenedData, cell: tuple, converged: bool,
+            it: int) -> LocusModel:
+    """A stopped cell's model; the loadings are least squares on its final
+    rows."""
+    sources, a_tilde, _, s_mat, trace, _ = cell
+    return LocusModel(sources, a_tilde, unmix_to_subject_space(whitened, s_mat),
+                      np.asarray(trace), converged=converged, iterations=it)
+
+
+def _fit_cells(whitened: WhitenedData, cells) -> list:
+    """Fit every (config, init) cell on the same whitened data in lockstep.
+
+    Each cell is a start, one step per outer iteration and a stopping rule.
+    Start (:func:`_start`): the targets A~' Y~ and stacked (q, p) source
+    rows of ``init`` give ``objective_trace[0]`` and feed step 1.  Step:
+    one :func:`_step` updates the sources of every running cell, sharing
+    the node sweeps.  Then, per cell (:func:`_advance`), the rows are
+    stacked once, :func:`update_mixing` re-estimates A~ from them and the
+    next targets are computed once, for the objective, the relative
+    changes and the next step.  A re-seeded source warns once per cell
+    (DegenerateSourceWarning).  Stop: a cell leaves when the relative
+    changes of A~ and S fall below its eps1/eps2, at its max_iter, or when
+    a :data:`CELL_ERRORS` error stops it; no other cell sees either.  Every
+    cell's model is the one :func:`fit` returns for that cell alone, bit
+    for bit.  No random numbers are drawn.  Loadings are least squares on
+    the final rows.
+
+    Returns per cell the fitted LocusModel or the error.  The inits are not
+    checked against the data; :func:`fit` does that.
+    """
+    results: list = [None] * len(cells)
+    state = {}  # per running cell, in cell order: see _start
+    for i, (config, init) in enumerate(cells):
+        try:
+            state[i] = _start(whitened, config, init)
+        except CELL_ERRORS as err:
+            results[i] = err
+
+    it = 0
+    while state:
+        it += 1
+        stepped = _step([(cells[i][0], state[i][0], state[i][2])
+                         for i in state], it)
+        for i, out in zip(list(state), stepped):
+            config = cells[i][0]
+            # popped and put back (cell order holds), so that no old state
+            # outlives the step that replaces it
+            try:
+                state[i], converged = _advance(whitened, config, state.pop(i),
+                                               out, it)
+                if converged or it == config.max_iter:
+                    results[i] = _finish(whitened, state.pop(i), converged, it)
+            except CELL_ERRORS as err:
+                results[i] = err
+    return results
 
 
 def fit(whitened: WhitenedData, q: int, config: SolverConfig,
         init: LocusModel | None = None) -> LocusModel:
     """Run the node-rotation algorithm on whitened data: start, step, stop.
 
-    Start: ``init`` (default: :func:`initialize`); its targets A~' Y~ and
-    stacked (q, p) source rows give ``objective_trace[0]`` and feed step 1.
-    Step: :func:`_step` updates the sources; their rows are stacked once,
-    :func:`update_mixing` re-estimates A~ from them and the next targets
-    are computed once, for the objective, the relative changes and the
-    next step.  A re-seeded source warns once (DegenerateSourceWarning).
-    Stop: when the relative changes of A~ and S fall below eps1/eps2, or at
-    max_iter.  No random numbers are drawn.  Loadings are least squares on
-    the final rows.
+    Checks ``q`` and ``init`` (default: :func:`initialize`) against the
+    data, then fits the one cell (config, init) with :func:`_fit_cells`,
+    the loop :func:`~locus.modelsel.tune` runs every grid cell through, and
+    raises the error that stopped it, if any.  No random numbers are drawn
+    after the start.
     """
     if q != whitened.q:
         raise DimensionError("dimension_mismatch",
@@ -578,39 +857,10 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
             raise DimensionError("dimension_mismatch",
                                  f"init source {ell} has V={src.node_count}, "
                                  f"the data has V={node_count}")
-
-    sources = init.sources
-    a_tilde = np.asarray(init.a_tilde, dtype=float).copy()
-    targets = a_tilde.T @ whitened.y_tilde
-    s_mat = np.vstack([s.edge_vector() for s in sources])
-    trace = [_objective(targets, s_mat, sources, config.phi, config.regularizer)]
-    warned_degenerate: set[int] = set()
-
-    for it in range(1, config.max_iter + 1):
-        sources, reseeded = _step(config, sources, targets, it)
-        for ell in reseeded:
-            if ell not in warned_degenerate:
-                warnings.warn(f"source {ell} collapsed to zero at iteration "
-                              f"{it}; re-seeding", DegenerateSourceWarning)
-                warned_degenerate.add(ell)
-            else:
-                logger.debug("source %d collapsed again at iteration %d", ell, it)
-
-        s_new = np.vstack([s.edge_vector() for s in sources])
-        a_new = update_mixing(whitened, s_new)
-        if not np.all(np.isfinite(a_new)):
-            raise NumericError("non_finite", f"mixing update overflowed at iteration {it}")
-        targets = a_new.T @ whitened.y_tilde
-        trace.append(_objective(targets, s_new, sources, config.phi, config.regularizer))
-        rel_a = _relative_change(a_new, a_tilde)
-        rel_s = _relative_change(s_new, s_mat)
-        a_tilde, s_mat = a_new, s_new
-        converged = rel_a < config.eps1 and rel_s < config.eps2
-        if converged:
-            break
-
-    return LocusModel(sources, a_tilde, unmix_to_subject_space(whitened, s_mat),
-                      np.asarray(trace), converged=converged, iterations=it)
+    (result,) = _fit_cells(whitened, [(config, init)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +891,8 @@ def read_sources(path: str, meta_name: str) -> tuple[dict, np.ndarray, int]:
     S_1.csv .. S_<q>.csv (V x V symmetric), q read from that file.  Returns
     the key=value dict, the (q, p) edge vectors and V.  A q that is missing
     or not a positive integer raises ValidationError, an S_<l> whose shape
-    differs from S_1's DimensionError, each naming the file."""
+    differs from S_1's DimensionError, and one that :func:`vectorize`
+    rejects (not square, asymmetric) its error, each naming the file."""
     meta_path = os.path.join(path, meta_name)
     meta = read_meta(meta_path)
     try:
@@ -652,15 +903,19 @@ def read_sources(path: str, meta_name: str) -> tuple[dict, np.ndarray, int]:
         got = repr(meta["q"]) if "q" in meta else "no q line"
         raise ValidationError("bad_meta", f"{meta_path}: q must be a positive "
                               f"integer, got {got}")
-    matrices = []
+    rows, shape = [], None
     for ell in range(q):
         name = os.path.join(path, f"S_{ell + 1}.csv")
-        matrices.append(read_csv(name))
-        if matrices[-1].shape != matrices[0].shape:
+        m = read_csv(name)
+        shape = shape or m.shape
+        if m.shape != shape:
             raise DimensionError("dimension_mismatch",
-                                 f"{name} is {matrices[-1].shape}, S_1.csv "
-                                 f"is {matrices[0].shape}")
-    return meta, np.vstack([vectorize(m) for m in matrices]), matrices[0].shape[0]
+                                 f"{name} is {m.shape}, S_1.csv is {shape}")
+        try:
+            rows.append(vectorize(m))
+        except ValidationError as err:
+            raise type(err)(err.code, f"{name}: {err.message}") from err
+    return meta, np.vstack(rows), shape[0]
 
 
 def write_sources(path: str, sources: np.ndarray, node_count: int) -> None:

@@ -317,17 +317,17 @@ class TestTune:
                                             monkeypatch):
         import csv
 
-        import locus.modelsel as modelsel
+        import locus.solver as solver
         from locus.errors import DegeneracyError
-        real_fit = modelsel.fit
+        real_weigh = solver._weigh
 
-        def flaky_fit(whitened, q, config, **kwargs):
+        def flaky_weigh(config, *args):
             if config.phi == 0.02:
                 raise DegeneracyError("singular_sources",
                                       "sources 0, 2 are linearly dependent")
-            return real_fit(whitened, q, config, **kwargs)
+            return real_weigh(config, *args)
 
-        monkeypatch.setattr(modelsel, "fit", flaky_fit)
+        monkeypatch.setattr(solver, "_weigh", flaky_weigh)
         out = tmp_path / "tune"
         assert run(["tune", sim_dir / "dataset.csv", "--q", 3,
                     "--phi-grid", "0,0.02", "--rho-grid", "0.9",
@@ -360,6 +360,16 @@ def keep_block(rows, cols):
     return damage
 
 
+def edit_entry(row, col, delta):
+    """Damage a CSV matrix by adding ``delta`` to one entry, which leaves
+    it asymmetric."""
+    def damage(path):
+        m = np.loadtxt(path, delimiter=",", ndmin=2)
+        m[row, col] += delta
+        np.savetxt(path, m, delimiter=",", fmt="%.17g")
+    return damage
+
+
 # case: (file of a self fit, how it is damaged)
 MALFORMED_FITS = {
     "meta_without_q": ("meta", lambda path: path.write_text("ranks=1,1,1\n")),
@@ -368,6 +378,8 @@ MALFORMED_FITS = {
     "S_2_of_V_12": ("S_2.csv", keep_block(12, 12)),
     "A_with_2_columns": ("A.csv", keep_block(None, 2)),
     "A_tilde_3_by_2": ("A_tilde.csv", keep_block(None, 2)),
+    "S_1_not_square": ("S_1.csv", keep_block(None, 15)),
+    "S_2_one_entry_edited": ("S_2.csv", edit_entry(0, 5, 1.0)),
 }
 
 
@@ -534,6 +546,21 @@ class TestEvaluate:
         assert run(["evaluate", fitdir, "--truth", sim_dir / "truth",
                     "--out", tmp_path / "x"]) == 3
         assert str(fitdir / name) in capsys.readouterr().err
+
+    def test_asymmetric_source_error_names_file_and_plain_values(
+            self, sim_dir, tmp_path, capsys):
+        fitdir = tmp_path / "fit"
+        write_self_fit(fitdir, sim_dir / "truth")
+        m = np.loadtxt(fitdir / "S_2.csv", delimiter=",")
+        edit_entry(0, 5, 1.0)(fitdir / "S_2.csv")
+        assert run(["evaluate", fitdir, "--truth", sim_dir / "truth",
+                    "--out", tmp_path / "x"]) == 3
+        err = capsys.readouterr().err
+        assert (f"[asymmetric] {fitdir / 'S_2.csv'}: matrix asymmetric at "
+                f"entry (1, 6): {m[0, 5] + 1.0:.17g} vs {m[5, 0]:.17g} "
+                "(relative gap ") in err
+        assert err.count("[asymmetric]") == 1
+        assert "np.float64" not in err
 
     def test_truth_spec_q_not_an_integer_exit_3(self, sim_dir, tmp_path,
                                                  capsys):

@@ -9,7 +9,8 @@ from locus.errors import DegeneracyError, DimensionError, ValidationError
 from locus.modelsel import (RankCapWarning, bic, select_rank,
                             truncation_ratios, tune)
 from locus.preprocess import whiten
-from locus.solver import LocusModel, LowRankSource, SolverConfig, fit
+from locus.solver import (LocusModel, LowRankSource, SolverConfig, fit,
+                          initialize)
 from locus.synth import SyntheticSpec, generate
 
 
@@ -250,17 +251,15 @@ class TestTune:
         ds, _ = generate(SyntheticSpec(node_count=12, q=3, n_subjects=20,
                                        sigma=0.5, seed=12))
         cfg = SolverConfig(seed=0, max_iter=40)
-        fitted = {"n": 0}
-        import locus.modelsel as modelsel
-        real_fit = modelsel.fit
+        import locus.solver as solver
+        real_weigh = solver._weigh
 
-        def flaky_fit(whitened, q, config, **kwargs):
-            fitted["n"] += 1
+        def flaky_weigh(config, *args):
             if config.phi == 0.02:
                 raise DegeneracyError("singular_sources", "synthetic failure")
-            return real_fit(whitened, q, config, **kwargs)
+            return real_weigh(config, *args)
 
-        monkeypatch.setattr(modelsel, "fit", flaky_fit)
+        monkeypatch.setattr(solver, "_weigh", flaky_weigh)
         result = tune(ds, 3, [0.0, 0.02], [0.9], cfg)
         failed = [c for c in result.grid if c.error is not None]
         assert len(failed) == 1
@@ -270,24 +269,24 @@ class TestTune:
     def test_all_cells_failed_raises(self, monkeypatch):
         ds, _ = generate(SyntheticSpec(node_count=12, q=3, n_subjects=20,
                                        sigma=0.5, seed=13))
-        import locus.modelsel as modelsel
+        import locus.solver as solver
 
-        def broken_fit(*args, **kwargs):
+        def broken_mixing(*args, **kwargs):
             raise np.linalg.LinAlgError("nope")
 
-        monkeypatch.setattr(modelsel, "fit", broken_fit)
+        monkeypatch.setattr(solver, "update_mixing", broken_mixing)
         with pytest.raises(DegeneracyError, match="all_cells_failed"):
             tune(ds, 3, [0.0], [0.9], SolverConfig(seed=0))
 
     def test_programming_error_in_cell_propagates(self, monkeypatch):
         ds, _ = generate(SyntheticSpec(node_count=12, q=3, n_subjects=20,
                                        sigma=0.5, seed=13))
-        import locus.modelsel as modelsel
+        import locus.solver as solver
 
-        def buggy_fit(*args, **kwargs):
+        def buggy_mixing(*args, **kwargs):
             raise TypeError("shape bug")
 
-        monkeypatch.setattr(modelsel, "fit", buggy_fit)
+        monkeypatch.setattr(solver, "update_mixing", buggy_mixing)
         with pytest.raises(TypeError):
             tune(ds, 3, [0.0], [0.9], SolverConfig(seed=0))
 
@@ -307,9 +306,80 @@ class TestTune:
             assert cell.iterations == model.iterations
             assert cell.ranks == tuple(model.ranks)
 
-    def test_one_baseline_call_per_rho(self, monkeypatch):
-        # a failing FastICA sends each rho to the seeded random start once,
-        # not every cell back into FastICA
+    def test_lockstep_cells_equal_standalone_fits_byte_for_byte(
+            self, monkeypatch):
+        # the benchmark's shape and grid: V=50, sigma=3, 5 phi x 2 rho.
+        # Every cell fitted in lockstep is, byte for byte, the fit of that
+        # cell alone from the same start, and the start is initialize's.
+        import locus.modelsel as modelsel
+        real_fit_cells = modelsel._fit_cells
+        batches = []
+
+        def recording_fit_cells(whitened, cells):
+            models = real_fit_cells(whitened, cells)
+            batches.append((whitened, cells, models))
+            return models
+
+        monkeypatch.setattr(modelsel, "_fit_cells", recording_fit_cells)
+        for seed in (1, 2, 3):
+            ds, _ = generate(SyntheticSpec(
+                node_count=50, q=3, n_subjects=100, sigma=3.0, seed=seed,
+                loading_dist=lambda rng, size: (
+                    rng.uniform(1.5, 6.0, size=size)
+                    * rng.choice([-1.0, 1.0], size=size))))
+            tune(ds, 3, [0.0, 0.01, 0.02, 0.04, 0.08], [0.8, 0.9],
+                 SolverConfig(phi=0.04, rho=0.9, seed=seed))
+        assert len(batches) == 3
+        for whitened, cells, models in batches:
+            assert len(cells) == 10
+            for (cfg, start), model in zip(cells, models):
+                fresh = initialize(whitened, 3, cfg)
+                assert start.a_tilde.tobytes() == fresh.a_tilde.tobytes()
+                assert (start.source_matrix().tobytes()
+                        == fresh.source_matrix().tobytes())
+                alone = fit(whitened, 3, cfg, init=start)
+                assert model.iterations == alone.iterations
+                assert model.converged == alone.converged
+                for got, want in zip(model.sources, alone.sources):
+                    assert got.x.tobytes() == want.x.tobytes()
+                    assert got.d.tobytes() == want.d.tobytes()
+                for name in ("a_tilde", "a", "objective_trace"):
+                    assert (getattr(model, name).tobytes()
+                            == getattr(alone, name).tobytes()), name
+
+    def test_failed_mixing_update_fails_only_its_cell(self, monkeypatch):
+        ds, _ = generate(SyntheticSpec(node_count=14, q=3, n_subjects=24,
+                                       sigma=0.5, seed=14))
+        cfg = SolverConfig(seed=0, max_iter=60)
+        grid = ([0.0, 0.01, 0.02], [0.8, 0.9])
+        clean = tune(ds, 3, *grid, cfg)
+        import locus.solver as solver
+        real_mixing = solver.update_mixing
+        calls = {"n": 0}
+
+        def flaky_mixing(whitened, s):
+            # iteration 1 updates the cells in grid order, so the third
+            # call is the third cell's, (0.01, 0.8)
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise DegeneracyError("singular_sources", "synthetic failure")
+            return real_mixing(whitened, s)
+
+        monkeypatch.setattr(solver, "update_mixing", flaky_mixing)
+        injected = tune(ds, 3, *grid, cfg)
+        assert all(cell.error is None for cell in clean.grid)
+        for k, (want, got) in enumerate(zip(clean.grid, injected.grid)):
+            if k == 2:
+                assert (got.phi, got.rho) == (0.01, 0.8)
+                assert math.isnan(got.bic)
+                assert got.error == ("DegeneracyError: [singular_sources] "
+                                     "synthetic failure")
+            else:
+                assert repr(got) == repr(want)
+
+    def test_one_baseline_call_per_tune(self, monkeypatch):
+        # FastICA reads neither phi nor rho: a failing FastICA is called
+        # once, and every rho truncates the one seeded random start
         ds, _ = generate(SyntheticSpec(node_count=12, q=3, n_subjects=20,
                                        sigma=0.5, seed=12))
         calls = {"n": 0}
@@ -322,23 +392,23 @@ class TestTune:
         monkeypatch.setattr(locus.baselines, "fastica", broken)
         result = tune(ds, 3, [0.0, 0.01], [0.8, 0.9],
                       SolverConfig(seed=0, max_iter=40))
-        assert calls["n"] == 2
+        assert calls["n"] == 1
         assert all(cell.error is None for cell in result.grid)
 
     def test_failed_start_fails_only_its_rho(self, monkeypatch):
         ds, _ = generate(SyntheticSpec(node_count=12, q=3, n_subjects=20,
                                        sigma=0.5, seed=12))
         import locus.modelsel as modelsel
-        real_initialize = modelsel.initialize
+        real_truncate = modelsel._truncated_start
         built = []
 
-        def flaky_initialize(whitened, q, config):
+        def flaky_truncate(whitened, a_tilde, raw, config):
             built.append(config.rho)
             if config.rho == 0.8:
                 raise DegeneracyError("zero_source", "synthetic start failure")
-            return real_initialize(whitened, q, config)
+            return real_truncate(whitened, a_tilde, raw, config)
 
-        monkeypatch.setattr(modelsel, "initialize", flaky_initialize)
+        monkeypatch.setattr(modelsel, "_truncated_start", flaky_truncate)
         result = tune(ds, 3, [0.0, 0.01], [0.8, 0.9],
                       SolverConfig(seed=0, max_iter=40))
         assert sorted(built) == [0.8, 0.9]
@@ -359,7 +429,7 @@ class TestTune:
         ds, _ = generate(SyntheticSpec(node_count=14, q=3, n_subjects=24,
                                        sigma=0.5, seed=6))
         fits = []
-        monkeypatch.setattr(modelsel, "fit",
+        monkeypatch.setattr(modelsel, "_fit_cells",
                             lambda *args, **kwargs: fits.append(args))
         with pytest.raises(ValidationError, match="bad_config"):
             tune(ds, 3, [0.0, phi], [0.9], SolverConfig(seed=0, max_iter=40))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import locus
+import locus.solver as solver
 from locus.connmat import (ConnectivityDataset, triu_indices, unvectorize,
                            vectorize)
 from locus.errors import DegeneracyError, DimensionError, ValidationError
@@ -324,6 +325,103 @@ class TestSweepNodes:
         design = np.delete(src.x, 4, axis=0) * src.d
         expected, *_ = np.linalg.lstsq(design, y_proj, rcond=None)
         assert np.allclose(x[4], expected, atol=1e-10)
+
+    def test_cells_swept_together_equal_cells_swept_alone(self, caplog):
+        # a nearly collinear cell, cond(X'X) ~ 4e12 > CERT, solved exactly
+        # (by pseudo-inverse) at every node, beside a well-conditioned cell that certifies every
+        # node after the first.  Both have widest rank 3, as _step batches
+        # them; the first also holds a rank-2 source, so only it pads its
+        # Gram.  A batch-wide certificate would send the second cell down
+        # the exact path too, which rounds differently.
+        rng = np.random.default_rng(46)
+        node_count = 20
+        p = node_count * (node_count - 1) // 2
+        near = rng.standard_normal((node_count, 3))
+        near[:, 2] = near[:, 1] + 1e-6 * rng.standard_normal(node_count)
+        cells = [
+            [(near, np.array([1.2, 0.9, 0.9])),
+             (rng.standard_normal((node_count, 2)), np.array([1.5, -0.7]))],
+            [(np.linalg.qr(rng.standard_normal((node_count, 3)))[0],
+              np.array([2.0, -1.1, 0.6])) for _ in range(2)],
+        ]
+        targets = np.stack([unvectorize(row, node_count)
+                            for row in rng.standard_normal((4, p))])
+        alone, counts = [], []
+        for k, factors in enumerate(cells):
+            with caplog.at_level(logging.DEBUG, logger="locus.solver"):
+                alone += sweep_nodes(factors, targets[2 * k:2 * k + 2])
+            counts.append(sweep_counts(caplog))
+        assert counts[0][:2] == (0, node_count)
+        assert counts[1] == (node_count - 1, 1, 0)
+        with caplog.at_level(logging.DEBUG, logger="locus.solver"):
+            together = sweep_nodes(cells[0] + cells[1], targets, cells=[2, 2])
+        # every node after the first mixes the two paths
+        assert sweep_counts(caplog)[:2] == (node_count - 1, node_count)
+        for got, want in zip(together, alone):
+            assert got.tobytes() == want.tobytes()
+
+    def test_cells_must_split_the_sources(self):
+        rng = np.random.default_rng(47)
+        factors = [(random_source(rng, 6, 2).x, np.ones(2)) for _ in range(3)]
+        with pytest.raises(DimensionError):
+            sweep_nodes(factors, np.zeros((3, 6, 6)), cells=[1, 1])
+
+    def test_failed_cell_leaves_the_batch_to_the_others(self, monkeypatch):
+        # a LinAlgError from one cell's eigh fails the batched sweep; the
+        # cells are then swept one by one, so only that cell gets it
+        rng = np.random.default_rng(48)
+        node_count = 10
+        p = node_count * (node_count - 1) // 2
+        good = [random_source(rng, node_count, 2) for _ in range(2)]
+        bad = [LowRankSource(np.full((node_count, 2), np.nan), np.ones(2))]
+        mats = np.stack([unvectorize(row, node_count)
+                         for row in rng.standard_normal((2, p))])
+        real_sweep = solver.sweep_nodes
+
+        def strict_sweep(factors, *args, **kwargs):
+            if not all(np.isfinite(x).all() for x, _ in factors):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_sweep(factors, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "sweep_nodes", strict_sweep)
+        out = solver._sweep_cells([(bad, mats[:1], [0]), (good, mats, [0, 1])],
+                                  0.0)
+        assert isinstance(out[0], np.linalg.LinAlgError)
+        want = real_sweep([(src.x, src.d) for src in good], mats)
+        assert [x.tobytes() for x in out[1]] == [x.tobytes() for x in want]
+
+
+class TestStep:
+    @pytest.mark.filterwarnings("ignore:rank cap")
+    def test_cells_of_other_widths_step_apart_and_equal_lone_steps(
+            self, monkeypatch):
+        # the cells' live sources have widest ranks 1 and 3 (r_max caps
+        # them): one sweep per width, and each cell's step is its lone step
+        rng = np.random.default_rng(49)
+        node_count = 12
+        p = node_count * (node_count - 1) // 2
+        cells = []
+        for r_max, phi in ((1, 0.0), (3, 0.05), (3, 0.01)):
+            config = SolverConfig(phi=phi, rho=0.99, r_max=r_max)
+            sources = [random_source(rng, node_count, r_max) for _ in range(2)]
+            cells.append((config, sources, rng.standard_normal((2, p))))
+        sweeps = []
+        real_sweep = solver.sweep_nodes
+
+        def counting_sweep(factors, targets, shrink=0.0, nodes=None,
+                           cells=None):
+            sweeps.append(cells)
+            return real_sweep(factors, targets, shrink, nodes, cells)
+
+        monkeypatch.setattr(solver, "sweep_nodes", counting_sweep)
+        together = solver._step(cells, 1)
+        assert sorted(sweeps) == [[2], [2, 2]]
+        for cell, (sources, reseeded) in zip(cells, together):
+            ((want, want_reseeded),) = solver._step([cell], 1)
+            assert reseeded == want_reseeded
+            for got, exp in zip(sources, want):
+                assert got.x.tobytes() == exp.x.tobytes()
+                assert got.d.tobytes() == exp.d.tobytes()
 
 
 class TestUpdateD:
