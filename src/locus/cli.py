@@ -15,6 +15,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import logging
 import os
 import sys
 import time
@@ -142,13 +143,15 @@ def _parse_with_config(parser: argparse.ArgumentParser, args: argparse.Namespace
                        argv: list[str]) -> argparse.Namespace:
     """Parse ``argv`` again with the config file's flags right after the
     subcommand, so flags given on the command line win; a repeatable option
-    given there keeps the command line's list."""
+    given there keeps the command line's list.  Global options such as
+    --log-level may come before the subcommand."""
     options = _command_options(parser, args.command)
     flags = _config_flags(args.config, options)
+    at = argv.index(args.command) + 1
     stderr = io.StringIO()
     try:
         with contextlib.redirect_stderr(stderr):
-            merged = parser.parse_args([argv[0], *flags, *argv[1:]])
+            merged = parser.parse_args([*argv[:at], *flags, *argv[at:]])
     except SystemExit:
         reason = stderr.getvalue().partition(": error: ")[2].strip()
         raise ValidationError("bad_config",
@@ -384,6 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="locus",
         description="Sparse low-rank source separation for connectivity matrices")
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--log-level", dest="log_level",
+                        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+                        help="log the library's messages at this level and "
+                             "above to stderr (DEBUG: per-step rank checks "
+                             "and node-sweep solves)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a synthetic dataset")
@@ -446,6 +454,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.log_level:
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger("locus").setLevel(args.log_level)
     try:
         if args.config:
             args = _parse_with_config(parser, args, argv)

@@ -12,6 +12,17 @@ of every source of every cell in a batch at once (:func:`sweep_nodes`).
 Each cell then stacks its rows once, re-estimates and orthogonalizes its
 reduced mixing matrix from them, and computes its next targets once.
 
+A step first re-selects each source's rank by the paper's rule, the
+smallest eigen-truncation of its target within rho
+(:func:`~locus.modelsel.select_rank`), whose full V x V eigh per source
+per iteration is the costliest part of a step.  So each cell keeps, per
+source, the top-k eigen or Ritz vectors of its last check, and one warm
+check batched over every source of every running cell
+(:func:`~locus.modelsel._select_ranks`) may confirm the current rank;
+everything else runs the exact rule.  A step uses the exact rule's
+factor only when the rank changes, so fits equal those of the exact rule
+bit for bit wherever the two decisions agree.
+
 Each node block is a least-squares solve against X(-v)' X(-v), X'X less
 one rank-1 downdate.  The sweep's certified path solves it from a tracked
 (X'X)^(-1) by Sherman-Morrison while a running bound certifies
@@ -228,16 +239,25 @@ def _exact_rows(x, x_v, rhs, inv_d, pad_eye, pad_cells):
     PINV_RTOL rule; also returns its eigenvalues, eigenvectors and
     reciprocals for the restart.  ``pad_eye`` fills the padded columns'
     Gram block; ``pad_cells`` (None: every source) marks the sources whose
-    cell has padding, the only ones a lone sweep of that cell pads."""
+    cell has padding, the only ones a lone sweep of that cell pads.  A
+    source whose Gram is not finite (its coordinates overflowed) gets NaN
+    rows, whatever its rank, which the caller reports; the identity stands
+    in for its Gram, so that eigh neither fails the batch nor converges on
+    NaN."""
     gram = np.matmul(x.transpose(0, 2, 1), x) - x_v.transpose(0, 2, 1) * x_v
     if pad_eye is not None:
         top = np.diagonal(gram, axis1=1, axis2=2).max(axis=1)
         padded = gram + pad_eye * top[:, None, None]
         gram = padded if pad_cells is None else np.where(pad_cells, padded, gram)
+    bad = ~np.isfinite(gram).all(axis=(1, 2))
+    if bad.any():
+        gram = np.where(bad[:, None, None], np.eye(gram.shape[1]), gram)
     eigvals, eigvecs = np.linalg.eigh(gram)
     inv = _pinv_rule(eigvals)[:, None, :]
     row = (np.matmul(np.matmul(rhs, eigvecs) * inv, eigvecs.transpose(0, 2, 1))
            * inv_d)
+    if bad.any():
+        row[bad] = np.nan
     return row, eigvals, eigvecs, inv
 
 
@@ -286,7 +306,9 @@ def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
     plain solve.  Any other node, the first included, gets the exact
     solve: one batched eigh of X(-v)' X(-v) under the PINV_RTOL rule.  If
     that Gram is within CERT for every source, its inverse and lo =
-    lambda_min, hi = lambda_max restart the tracking.  After each node the
+    lambda_min, hi = lambda_max restart the tracking.  A source whose Gram
+    is not finite (its rows overflowed) gets NaN rows from then on instead
+    of failing the batched eigh, at any rank.  After each node the
     new row r is added to H as a rank-1 update, and the bounds stay bounds
     as lo <- lo s after a certified node (lambda_min(G - x_v x_v') >=
     s lambda_min(G)) and hi <- hi + |r|^2.  At DEBUG level each sweep logs
@@ -513,45 +535,68 @@ def _reseed_source(y_src: np.ndarray, node_count: int) -> LowRankSource:
     return LowRankSource(eigvecs[:, [k]], eigvals[[k]])
 
 
-def _mixing_start(whitened: WhitenedData, q: int,
-                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+@dataclass
+class _Start(LocusModel):
+    """A start from :func:`initialize`, which also keeps the top-k
+    eigenvectors (V, k) of each unstructured source it truncated (None for
+    a re-seeded one): they seed the first warm rank check of
+    :func:`_fit_cells`."""
+
+    basis: list = field(default_factory=list)
+
+
+def _mixing_start(whitened: WhitenedData, q: int, config: SolverConfig) -> tuple:
     """The rank-free half of :func:`initialize`: FastICA's orthogonalized
-    mixing matrix and its (q, p) unstructured sources, or, if the baseline
-    fails with a package error or a LinAlgError, a random orthogonal mixing
-    matrix seeded by ``seed`` and the projected sources it implies."""
+    mixing matrix and, per unstructured source, its top-k eigenpairs by
+    |lambda| and its |s|^2 (k from :func:`~locus.modelsel._basis_width`),
+    or, if the baseline fails with a package error or a LinAlgError, a random
+    orthogonal mixing matrix seeded by ``config.seed`` and the projected
+    sources it implies.  Reads ``seed`` and ``r_max`` of ``config``."""
+    from .modelsel import _basis_width, _top_eigen
+
     try:
-        ica = baselines.fastica(whitened, q, seed=seed)
-        return _polar_orthogonalize(ica.mixing), ica.sources
+        ica = baselines.fastica(whitened, q, seed=config.seed)
+        a_tilde, raw = _polar_orthogonalize(ica.mixing), ica.sources
     except (LocusError, np.linalg.LinAlgError) as err:
         # fall back to a seeded random start
         logger.warning("baseline initialization failed (%s); using random "
                        "orthogonal start", err)
         a_tilde = _polar_orthogonalize(
-            np.random.default_rng(seed).standard_normal((q, q)))
-        return a_tilde, a_tilde.T @ whitened.y_tilde
+            np.random.default_rng(config.seed).standard_normal((q, q)))
+        raw = a_tilde.T @ whitened.y_tilde
+    node_count = nodes_from_edge_count(whitened.n_edges)
+    keep = _basis_width(config, node_count)
+    rows = []
+    for row in raw:
+        m = unvectorize(row, node_count)
+        rows.append((*_top_eigen(m, keep), 0.5 * float(np.vdot(m, m))))
+    return a_tilde, rows
 
 
 def _truncated_start(whitened: WhitenedData, a_tilde: np.ndarray,
-                     raw: np.ndarray, config: SolverConfig) -> LocusModel:
-    """The per-rho half of :func:`initialize`: each unstructured source in
-    ``raw`` truncated to the rank :func:`~locus.modelsel.select_rank`
-    picks under ``config.rho`` and ``config.r_max``.  A zero source is
+                     rows: list, config: SolverConfig) -> _Start:
+    """The per-rho half of :func:`initialize`: each unstructured source,
+    given by the eigenpairs of :func:`_mixing_start`, truncated to the rank
+    that :func:`~locus.modelsel.select_rank`'s rule picks under
+    ``config.rho`` and ``config.r_max``, bit for bit.  A zero source is
     re-seeded from its projected target (:func:`_reseed_source`)."""
-    from .modelsel import select_rank
+    from .modelsel import _truncate
 
     node_count = nodes_from_edge_count(whitened.n_edges)
-    sources = []
-    for ell, row in enumerate(raw):
-        try:
-            _, src = select_rank(unvectorize(row, node_count), config.rho,
-                                 config.r_max)
-        except DegeneracyError:
+    r_max = min(config.r_max, node_count - 1)
+    sources, basis = [], []
+    for ell, (eigvals, eigvecs, norm2) in enumerate(rows):
+        if norm2 == 0:
             warnings.warn(f"initial source {ell} is zero; re-seeding",
                           DegenerateSourceWarning)
-            src = _reseed_source((a_tilde.T @ whitened.y_tilde)[ell],
-                                 node_count)
-        sources.append(src)
-    return LocusModel(sources=sources, a_tilde=a_tilde)
+            sources.append(_reseed_source((a_tilde.T @ whitened.y_tilde)[ell],
+                                          node_count))
+            basis.append(None)
+        else:
+            sources.append(_truncate(eigvals, eigvecs, norm2, config.rho,
+                                     r_max)[1])
+            basis.append(eigvecs)
+    return _Start(sources=sources, a_tilde=a_tilde, basis=basis)
 
 
 def initialize(whitened: WhitenedData, q: int, config: SolverConfig) -> LocusModel:
@@ -566,12 +611,14 @@ def initialize(whitened: WhitenedData, q: int, config: SolverConfig) -> LocusMod
     re-seeded from its projected target (:func:`_reseed_source`).  Reads
     ``seed``, ``rho`` and ``r_max`` of ``config``, not ``phi``; ``seed``
     seeds FastICA and the random fallback, which do not read ``rho``, so
-    :func:`~locus.modelsel.tune` runs them once for every rho.
+    :func:`~locus.modelsel.tune` runs them, and decomposes each source,
+    once for every rho.  The returned start also carries those
+    eigenvectors, which seed :func:`fit`'s first warm rank check.
     """
     if q != whitened.q:
         raise DimensionError("dimension_mismatch",
                              f"q={q} does not match whitened data (q={whitened.q})")
-    return _truncated_start(whitened, *_mixing_start(whitened, q, config.seed),
+    return _truncated_start(whitened, *_mixing_start(whitened, q, config),
                             config)
 
 
@@ -596,31 +643,26 @@ def _shrinks(config: SolverConfig) -> tuple[float, float, float]:
             half if name == "nuclear" else 0.0)
 
 
-def _select_ranks(config: SolverConfig, sources: list[LowRankSource],
-                  targets: np.ndarray):
-    """The first block of a step for one cell: threshold the targets
-    (uniform_l1), unvectorize them and re-select each rank (a change
-    restarts the factors from the truncated eigendecomposition).  Returns
-    the new sources, the (q, V, V) target matrices and the indices of the
-    sources with nonzero targets, which go to the node sweep."""
-    from .modelsel import select_rank
+def _no_basis(config: SolverConfig, sources: list[LowRankSource]) -> tuple:
+    """A cell's rank-check state with no basis yet: the (q, V, k) warm bases
+    and the (q,) mask of the sources that have one."""
+    from .modelsel import _basis_width
 
-    sources = list(sources)
+    node_count = sources[0].node_count
+    return (np.zeros((len(sources), node_count, _basis_width(config, node_count))),
+            np.zeros(len(sources), dtype=bool))
+
+
+def _target_mats(config: SolverConfig, sources: list[LowRankSource],
+                 targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A cell's targets thresholded (uniform_l1) and unvectorized, the
+    (q, V, V) matrices shared by rank selection and both block updates,
+    and their squared edge norms |s_star|^2 (q,)."""
     node_count = sources[0].node_count
     edge_shrink = _shrinks(config)[0]
     s_star = soft_threshold(targets, edge_shrink) if edge_shrink else targets
-    # the (V, V) targets shared by rank selection and both block updates
-    target_mats = np.stack([unvectorize(row, node_count) for row in s_star])
-    live = []
-    for ell, mat in enumerate(target_mats):
-        try:
-            new_rank, eig_src = select_rank(mat, config.rho, config.r_max)
-        except DegeneracyError:
-            continue
-        if new_rank != sources[ell].rank:
-            sources[ell] = eig_src
-        live.append(ell)
-    return sources, target_mats, live
+    return (np.stack([unvectorize(row, node_count) for row in s_star]),
+            np.einsum("ij,ij->i", s_star, s_star))
 
 
 def _sweep_cells(batch, shrink: float) -> list:
@@ -685,63 +727,84 @@ def _weigh(config: SolverConfig, sources: list[LowRankSource],
     return sources, reseeded
 
 
-def _step(cells, it: int) -> list:
+def _step(cells, it: int, checks=None) -> list:
     """The source blocks of outer iteration ``it`` for every cell, each a
     (config, sources, targets) triple with the (q, p) targets A~' Y~:
     threshold (uniform_l1), re-select each rank, sweep the nodes of the
     sources with nonzero targets, re-fit and prune the weights
-    (:func:`_select_ranks`, :func:`sweep_nodes`, :func:`_weigh`).
+    (:func:`~locus.modelsel._select_ranks`, :func:`sweep_nodes`,
+    :func:`_weigh`).
 
-    Only the sweep is shared: the cells whose live sources have the same
-    widest rank and node-row threshold make one batch, one
+    ``checks`` holds each cell's rank-check state (:func:`_no_basis`, the
+    default), which the step updates in place: a source that is pruned or
+    re-seeded loses its basis, so its next check is exact.  Rank selection
+    batches the warm checks of all cells; the cells whose live sources
+    have the same widest rank and node-row threshold make one batch, one
     :func:`sweep_nodes` call, in which every source keeps the padding a
     lone sweep of its cell gives it.  Returns per cell its new sources and
     re-seeded indices, or the :data:`CELL_ERRORS` error that stopped it;
-    ``it`` labels errors.
+    ``it`` labels errors.  At DEBUG level it logs its warm, exact and
+    changed rank checks.
     """
-    out: list = [None] * len(cells)
-    selected = {}
+    from . import modelsel
+
+    if checks is None:
+        checks = [_no_basis(config, sources) for config, sources, _ in cells]
+    mats = [_target_mats(config, sources, t) for config, sources, t in cells]
+    out, counts = modelsel._select_ranks([cell[:2] for cell in cells], mats,
+                                         checks)
+    logger.debug("rank checks: %d warm, %d exact, %d changed", *counts)
     batches: dict[tuple[int, float], list[int]] = {}
-    for i, (config, sources, targets) in enumerate(cells):
-        try:
-            selected[i] = _select_ranks(config, sources, targets)
-        except CELL_ERRORS as err:
-            out[i] = err
-            continue
-        sources, _, live = selected[i]
-        if live:
+    for i, selected in enumerate(out):
+        if not isinstance(selected, Exception) and selected[1]:
+            sources, live = selected
             width = max(sources[ell].rank for ell in live)
-            batches.setdefault((width, _shrinks(config)[1]), []).append(i)
+            batches.setdefault((width, _shrinks(cells[i][0])[1]), []).append(i)
 
     swept = {}
     for (_, shrink), batch in batches.items():
-        swept.update(zip(batch, _sweep_cells([selected[i] for i in batch],
-                                             shrink)))
+        swept.update(zip(batch, _sweep_cells(
+            [(out[i][0], mats[i][0], out[i][1]) for i in batch], shrink)))
 
-    for i, (sources, target_mats, live) in selected.items():
-        config, _, targets = cells[i]
+    for i, selected in enumerate(out):
+        if isinstance(selected, Exception):
+            continue
+        (config, _, t), (sources, live) = cells[i], selected
+        ranks = [src.rank for src in sources]
         xs = swept.get(i, [])
         try:
             if isinstance(xs, Exception):
                 raise xs
-            out[i] = _weigh(config, sources, targets, target_mats,
+            out[i] = _weigh(config, sources, t, mats[i][0],
                             dict(zip(live, xs)), it)
         except CELL_ERRORS as err:
             out[i] = err
+            continue
+        new, reseeded = out[i]
+        ready = checks[i][1]
+        ready &= [src.rank == rank and ell not in reseeded
+                  for ell, (src, rank) in enumerate(zip(new, ranks))]
     return out
 
 
 def _start(whitened: WhitenedData, config: SolverConfig,
            init: LocusModel) -> tuple:
     """A cell's state at the start: (sources, A~, targets A~' Y~, stacked
-    (q, p) source rows, objective trace, indices warned about).  The
-    targets and rows give ``objective_trace[0]`` and feed step 1."""
+    (q, p) source rows, objective trace, indices warned about, rank-check
+    state).  The targets and rows give ``objective_trace[0]`` and feed
+    step 1.  The rank-check state (:func:`_no_basis`) is the cell's own
+    copy of the eigenvectors an :func:`initialize` start keeps, where
+    their width suits ``config``."""
     a_tilde = np.asarray(init.a_tilde, dtype=float).copy()
     targets = a_tilde.T @ whitened.y_tilde
     s_mat = np.vstack([s.edge_vector() for s in init.sources])
     trace = [_objective(targets, s_mat, init.sources, config.phi,
                         config.regularizer)]
-    return init.sources, a_tilde, targets, s_mat, trace, set()
+    checks = _no_basis(config, init.sources)
+    for ell, vecs in enumerate(init.basis if isinstance(init, _Start) else []):
+        if vecs is not None and vecs.shape == checks[0].shape[1:]:
+            checks[0][ell], checks[1][ell] = vecs, True
+    return init.sources, a_tilde, targets, s_mat, trace, set(), checks
 
 
 def _advance(whitened: WhitenedData, config: SolverConfig, cell: tuple,
@@ -755,7 +818,7 @@ def _advance(whitened: WhitenedData, config: SolverConfig, cell: tuple,
     if isinstance(stepped, Exception):
         raise stepped
     sources, reseeded = stepped
-    _, a_tilde, _, s_mat, trace, warned = cell
+    _, a_tilde, _, s_mat, trace, warned, checks = cell
     for ell in reseeded:
         if ell not in warned:
             warnings.warn(f"source {ell} collapsed to zero at iteration {it}; "
@@ -773,14 +836,14 @@ def _advance(whitened: WhitenedData, config: SolverConfig, cell: tuple,
                             config.regularizer))
     converged = (_relative_change(a_new, a_tilde) < config.eps1
                  and _relative_change(s_new, s_mat) < config.eps2)
-    return (sources, a_new, targets, s_new, trace, warned), converged
+    return (sources, a_new, targets, s_new, trace, warned, checks), converged
 
 
 def _finish(whitened: WhitenedData, cell: tuple, converged: bool,
             it: int) -> LocusModel:
     """A stopped cell's model; the loadings are least squares on its final
     rows."""
-    sources, a_tilde, _, s_mat, trace, _ = cell
+    sources, a_tilde, _, s_mat, trace, _, _ = cell
     return LocusModel(sources, a_tilde, unmix_to_subject_space(whitened, s_mat),
                       np.asarray(trace), converged=converged, iterations=it)
 
@@ -790,15 +853,17 @@ def _fit_cells(whitened: WhitenedData, cells) -> list:
 
     Each cell is a start, one step per outer iteration and a stopping rule.
     Start (:func:`_start`): the targets A~' Y~ and stacked (q, p) source
-    rows of ``init`` give ``objective_trace[0]`` and feed step 1.  Step:
-    one :func:`_step` updates the sources of every running cell, sharing
-    the node sweeps.  Then, per cell (:func:`_advance`), the rows are
-    stacked once, :func:`update_mixing` re-estimates A~ from them and the
-    next targets are computed once, for the objective, the relative
-    changes and the next step.  A re-seeded source warns once per cell
-    (DegenerateSourceWarning).  Stop: a cell leaves when the relative
-    changes of A~ and S fall below its eps1/eps2, at its max_iter, or when
-    a :data:`CELL_ERRORS` error stops it; no other cell sees either.  Every
+    rows of ``init`` give ``objective_trace[0]`` and feed step 1, and the
+    eigenvectors an :func:`initialize` start keeps seed the warm rank
+    checks.  Step: one :func:`_step` updates the sources of every running
+    cell, sharing the warm rank checks and the node sweeps.  Then, per cell
+    (:func:`_advance`), the rows are stacked once, :func:`update_mixing`
+    re-estimates A~ from them and the next targets are computed once, for
+    the objective, the relative changes and the next step.  A re-seeded
+    source warns once per cell (DegenerateSourceWarning).  Stop: a cell
+    leaves, and frees its state, when the relative changes of A~ and S
+    fall below its eps1/eps2, at its max_iter, or when a
+    :data:`CELL_ERRORS` error stops it; no other cell sees either.  Every
     cell's model is the one :func:`fit` returns for that cell alone, bit
     for bit.  No random numbers are drawn.  Loadings are least squares on
     the final rows.
@@ -817,8 +882,8 @@ def _fit_cells(whitened: WhitenedData, cells) -> list:
     it = 0
     while state:
         it += 1
-        stepped = _step([(cells[i][0], state[i][0], state[i][2])
-                         for i in state], it)
+        stepped = _step([(cells[i][0], state[i][0], state[i][2]) for i in state],
+                        it, [state[i][6] for i in state])
         for i, out in zip(list(state), stepped):
             config = cells[i][0]
             # popped and put back (cell order holds), so that no old state
@@ -840,8 +905,11 @@ def fit(whitened: WhitenedData, q: int, config: SolverConfig,
     Checks ``q`` and ``init`` (default: :func:`initialize`) against the
     data, then fits the one cell (config, init) with :func:`_fit_cells`,
     the loop :func:`~locus.modelsel.tune` runs every grid cell through, and
-    raises the error that stopped it, if any.  No random numbers are drawn
-    after the start.
+    raises the error that stopped it, if any.  Each step re-selects every
+    rank by :func:`~locus.modelsel.select_rank`'s rule, confirmed by a warm
+    Ritz check where it can be (see the module docstring); the model is
+    the exact rule's wherever their decisions agree.  No random numbers
+    are drawn after the start.
     """
     if q != whitened.q:
         raise DimensionError("dimension_mismatch",

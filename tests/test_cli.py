@@ -1,5 +1,7 @@
 import csv
+import logging
 import os
+import re
 import shutil
 
 import numpy as np
@@ -127,6 +129,39 @@ class TestDecompose:
     def test_q_too_large_exit_3(self, sim_dir, tmp_path):
         assert run(["decompose", sim_dir / "dataset.csv", "--q", 99,
                     "--out", tmp_path / "x"]) == 3
+
+    def test_log_level_debug_shows_rank_checks_and_sweeps(self, sim_dir,
+                                                          tmp_path, caplog):
+        argv = ["decompose", sim_dir / "dataset.csv", "--q", 3,
+                "--max-iter", 3]
+        assert run([*argv, "--out", tmp_path / "quiet"]) == 0
+        assert not any("rank checks" in r.getMessage() for r in caplog.records)
+        try:
+            assert run(["--log-level", "DEBUG", *argv,
+                        "--out", tmp_path / "debug"]) == 0
+        finally:
+            logging.getLogger("locus").setLevel(logging.NOTSET)
+        messages = [r.getMessage() for r in caplog.records]
+        checks = [m for m in messages if re.fullmatch(
+            r"rank checks: \d+ warm, \d+ exact, \d+ changed", m)]
+        assert len(checks) == 3
+        assert sum(m.startswith("node sweep: ") for m in messages) == 3
+        assert (tree_bytes(tmp_path / "quiet")
+                == tree_bytes(tmp_path / "debug"))
+
+    def test_log_level_before_subcommand_keeps_config_file(self, sim_dir,
+                                                           tmp_path):
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("regularizer=nuclear\nmax_iter=5\n")
+        out = tmp_path / "fit"
+        try:
+            assert run(["--log-level", "ERROR", "decompose",
+                        sim_dir / "dataset.csv", "--q", 3, "--config", cfg,
+                        "--out", out]) == 0
+        finally:
+            logging.getLogger("locus").setLevel(logging.NOTSET)
+        meta = read_meta(out / "meta")
+        assert meta["regularizer"] == "nuclear" and meta["iterations"] == "5"
 
     def test_config_file_defaults_and_flag_priority(self, sim_dir, tmp_path):
         cfg = tmp_path / "solver.cfg"

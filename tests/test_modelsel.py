@@ -377,6 +377,58 @@ class TestTune:
             else:
                 assert repr(got) == repr(want)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_sweep_fails_only_its_cell(self, monkeypatch):
+        # the first sweep call overflows the first cell's node rows; its
+        # batch has widest rank >= 3, where eigh of a NaN Gram raises
+        ds, _ = generate(SyntheticSpec(node_count=14, q=3, n_subjects=24,
+                                       sigma=0.5, seed=14))
+        cfg = SolverConfig(seed=0, max_iter=60)
+        grid = ([0.0, 0.01], [0.95, 0.99])
+        clean = tune(ds, 3, *grid, cfg)
+        import locus.solver as solver
+        real_sweep = solver.sweep_nodes
+        widths = []
+
+        def overflowing_sweep(factors, targets, shrink=0.0, nodes=None,
+                              cells=None):
+            if not widths:
+                widths.append(max(x.shape[1] for x, _ in factors))
+                targets = targets.copy()
+                targets[:cells[0]] *= 1e300
+            return real_sweep(factors, targets, shrink, nodes, cells)
+
+        monkeypatch.setattr(solver, "sweep_nodes", overflowing_sweep)
+        injected = tune(ds, 3, *grid, cfg)
+        assert widths[0] >= 3
+        assert all(cell.error is None for cell in clean.grid)
+        for k, (want, got) in enumerate(zip(clean.grid, injected.grid)):
+            if k == 0:
+                assert got.error == ("NumericError: [non_finite] node update "
+                                     "overflowed at iteration 1")
+            else:
+                assert repr(got) == repr(want)
+
+    def test_one_eigendecomposition_per_source_per_tune(self, monkeypatch):
+        # every rho truncates the same decomposition of each FastICA source
+        import locus.modelsel as modelsel
+        ds, _ = generate(SyntheticSpec(node_count=12, q=3, n_subjects=20,
+                                       sigma=0.5, seed=12))
+        calls = []
+        real_top_eigen = modelsel._top_eigen
+
+        def counting(m, keep):
+            calls.append(keep)
+            return real_top_eigen(m, keep)
+
+        monkeypatch.setattr(modelsel, "_top_eigen", counting)
+        skipped = DegeneracyError("zero_source", "not fitted")
+        monkeypatch.setattr(modelsel, "_fit_cells",
+                            lambda whitened, cells: [skipped] * len(cells))
+        with pytest.raises(DegeneracyError, match="all_cells_failed"):
+            tune(ds, 3, [0.0], [0.7, 0.8, 0.9], SolverConfig(seed=0, r_max=4))
+        assert calls == [8, 8, 8]
+
     def test_one_baseline_call_per_tune(self, monkeypatch):
         # FastICA reads neither phi nor rho: a failing FastICA is called
         # once, and every rho truncates the one seeded random start

@@ -1,15 +1,19 @@
 import dataclasses
 import logging
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import locus
+import locus.modelsel as modelsel
 import locus.solver as solver
 from locus.connmat import (ConnectivityDataset, triu_indices, unvectorize,
                            vectorize)
-from locus.errors import DegeneracyError, DimensionError, ValidationError
+from locus.errors import (DegeneracyError, DimensionError, NumericError,
+                          ValidationError)
+from locus.modelsel import RankCapWarning
 from locus.preprocess import WhitenedData, unmix_to_subject_space, whiten
 from locus.solver import (PINV_RTOL, PRUNE_RTOL, REGULARIZERS,
                           DegenerateSourceWarning, LocusModel, LowRankSource,
@@ -422,6 +426,249 @@ class TestStep:
             for got, exp in zip(sources, want):
                 assert got.x.tobytes() == exp.x.tobytes()
                 assert got.d.tobytes() == exp.d.tobytes()
+
+
+    @pytest.mark.filterwarnings("ignore:rank cap", "ignore::RuntimeWarning")
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_overflow_in_the_sweep_is_one_numeric_error(self, width):
+        # targets near the float limit give node rows whose next Gram is
+        # not finite; eigh of a NaN Gram raises at width >= 3 and returns
+        # NaN below, but the step fails alike at every width
+        rng = np.random.default_rng(50 + width)
+        node_count = 12
+        p = node_count * (node_count - 1) // 2
+        config = SolverConfig(rho=0.999999, r_max=width)
+        cell = (config, [random_source(rng, node_count, width)],
+                1e300 * rng.standard_normal((1, p)))
+        (err,) = solver._step([cell], 4)
+        assert isinstance(err, NumericError)
+        assert str(err) == "[non_finite] node update overflowed at iteration 4"
+
+
+def spectrum_target(rng, node_count, eigvals):
+    """A symmetric (V, V) target with a zero diagonal, U diag(eigvals) U'
+    for a random orthonormal U less its diagonal; exactly symmetric, so it
+    survives vectorize and unvectorize bit for bit."""
+    u = np.linalg.qr(rng.standard_normal((node_count, len(eigvals))))[0]
+    m = (u * eigvals) @ u.T
+    m = (m + m.T) / 2.0
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+def rank_check(config, sources, mats, bases):
+    """The arguments of modelsel._select_ranks for one cell whose sources
+    have the targets ``mats`` and the warm ``bases`` (None: no basis)."""
+    targets = np.vstack([vectorize(m) for m in mats])
+    checks = solver._no_basis(config, sources)
+    for ell, basis in enumerate(bases):
+        if basis is not None:
+            checks[0][ell], checks[1][ell] = basis, True
+    return ([(config, sources)], [solver._target_mats(config, sources, targets)],
+            [checks])
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The calls made to the exact rule, modelsel.select_rank."""
+    calls = []
+    real = modelsel.select_rank
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modelsel, "select_rank", counting)
+    return calls
+
+
+class TestRankChecks:
+    """The warm check may only confirm a rank; everything else goes to the
+    exact rule."""
+
+    def test_proposed_change_takes_the_exact_factor(self, exact_calls):
+        rng = np.random.default_rng(61)
+        m = spectrum_target(rng, 20, [9.0, -6.0, 4.0, 0.5, 0.3])
+        config = SolverConfig(rho=0.9, r_max=6)
+        k = modelsel._basis_width(config, 20)
+        rank, want, basis = modelsel.select_rank(m, 0.9, 6, basis=k)
+        assert rank < 6 and basis.shape == (20, k)
+        args = rank_check(config, [random_source(rng, 20, rank + 1)], [m],
+                          [basis])
+        exact_calls.clear()
+        ((sources, live),), counts = modelsel._select_ranks(*args)
+        assert counts == (0, 1, 1) and len(exact_calls) == 1
+        assert live == [0]
+        # the new factor and basis are the exact rule's, not Ritz vectors
+        assert sources[0].x.tobytes() == want.x.tobytes()
+        assert sources[0].d.tobytes() == want.d.tobytes()
+        assert args[2][0][0][0].tobytes() == basis.tobytes()
+
+    @pytest.mark.parametrize("margin", [None, 0.0])
+    def test_thin_margin_takes_the_exact_rule(self, monkeypatch, exact_calls,
+                                              margin):
+        # the basis is the previous target's; the target moved by 1e-5, so
+        # the Ritz residuals are about 1e-5 and the Ritz ratios are good to
+        # about 1e-9.  1 - rho lies 1e-6 past the rank-3 ratio: the warm
+        # check gets rank 3 right but cannot confirm it, unless the margin
+        # is switched off
+        if margin is not None:
+            monkeypatch.setattr(modelsel, "RITZ_MARGIN", margin)
+        rng = np.random.default_rng(62)
+        node_count = 20
+        m_old = spectrum_target(rng, node_count, [9.0, -6.0, 4.0, 1.0, 0.5])
+        noise = rng.standard_normal((node_count, node_count))
+        m = m_old + 1e-5 * (noise + noise.T - 2 * np.diag(np.diag(noise)))
+        k = modelsel._basis_width(SolverConfig(r_max=6), node_count)
+        basis = modelsel.select_rank(m_old, 0.5, 6, basis=k)[2]
+        eigvals, eigvecs = modelsel._top_eigen(m, 6)
+        ratios = modelsel.truncation_ratios(eigvals, eigvecs,
+                                            0.5 * float(np.vdot(m, m)))
+        for gap, thin in ((ratios[2] + 1e-6, True),
+                          ((ratios[1] + ratios[2]) / 2, False)):
+            config = SolverConfig(rho=1.0 - gap, r_max=6)
+            rank, src = modelsel.select_rank(m, config.rho, 6)
+            assert rank == 3
+            exact_calls.clear()
+            _, counts = modelsel._select_ranks(*rank_check(config, [src], [m],
+                                                         [basis]))
+            exact = thin and margin is None
+            assert counts == ((0, 1, 0) if exact else (1, 0, 0))
+            assert len(exact_calls) == int(exact)
+
+    def test_zero_target_leaves_the_sweep(self, monkeypatch, exact_calls):
+        rng = np.random.default_rng(63)
+        node_count = 12
+        config = SolverConfig(rho=0.9, r_max=3)
+        m = spectrum_target(rng, node_count, [5.0, -3.0, 1.0])
+        k = modelsel._basis_width(config, node_count)
+        _, src, basis = modelsel.select_rank(m, 0.9, 3, basis=k)
+        sources = [src, random_source(rng, node_count, 2)]
+        (cell,), _, (checks,) = rank_check(config, sources,
+                                           [m, np.zeros_like(m)],
+                                           [basis, basis])
+        swept = []
+        real_sweep = solver.sweep_nodes
+
+        def counting_sweep(factors, *args, **kwargs):
+            swept.append(len(factors))
+            return real_sweep(factors, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "sweep_nodes", counting_sweep)
+        exact_calls.clear()
+        targets = np.vstack([vectorize(m), np.zeros(vectorize(m).shape)])
+        ((_, reseeded),) = solver._step([(*cell, targets)], 1, [checks])
+        assert swept == [1] and reseeded == [1] and exact_calls == []
+        # a re-seeded source loses its basis, so its next check is exact
+        assert checks[1].tolist() == [True, False]
+
+    def test_pruned_source_next_check_is_exact(self, exact_calls):
+        # the nuclear threshold phi/2 = 1 prunes the weight near 0.2
+        rng = np.random.default_rng(64)
+        node_count = 12
+        config = SolverConfig(phi=2.0, rho=0.9999, r_max=3,
+                              regularizer="nuclear")
+        m = spectrum_target(rng, node_count, [8.0, -4.0, 0.2])
+        k = modelsel._basis_width(config, node_count)
+        with pytest.warns(RankCapWarning):
+            _, src, basis = modelsel.select_rank(m, config.rho, 3, basis=k)
+        (cell,), _, (checks,) = rank_check(config, [src], [m], [basis])
+        targets = vectorize(m)[None, :]
+        exact_calls.clear()
+        with pytest.warns(RankCapWarning):
+            ((sources, _),) = solver._step([(*cell, targets)], 1, [checks])
+        assert exact_calls == [] and sources[0].rank == 2
+        assert checks[1].tolist() == [False]
+        with pytest.warns(RankCapWarning):
+            solver._step([(config, sources, targets)], 2, [checks])
+        assert len(exact_calls) == 1
+
+    def test_warm_check_at_the_cap_warns(self, exact_calls):
+        rng = np.random.default_rng(65)
+        node_count = 16
+        config = SolverConfig(rho=0.999, r_max=2)
+        m = spectrum_target(rng, node_count, [6.0, -5.0, 4.0, 3.0, 2.0])
+        k = modelsel._basis_width(config, node_count)
+        with pytest.warns(RankCapWarning):
+            rank, src, basis = modelsel.select_rank(m, 0.999, 2, basis=k)
+        assert rank == 2
+        exact_calls.clear()
+        with pytest.warns(RankCapWarning, match="rank cap 2 hit"):
+            ((sources, _),), counts = modelsel._select_ranks(
+                *rank_check(config, [src], [m], [basis]))
+        assert counts == (1, 0, 0) and exact_calls == []
+        assert sources[0] is src
+
+
+def acceptance_loadings(rng, size):
+    return rng.uniform(1.5, 6.0, size=size) * rng.choice([-1.0, 1.0], size=size)
+
+
+@pytest.fixture
+def exact_beside_warm(monkeypatch):
+    """Runs the exact rule beside every rank the checks keep (each warm
+    confirmation among them) and asserts that it gives the same rank;
+    counts the warm checks and the ranks compared."""
+    real = modelsel._select_ranks
+    exact_rule = modelsel.select_rank
+    seen = {"warm": 0, "compared": 0}
+
+    def side_by_side(cells, targets, checks):
+        out, counts = real(cells, targets, checks)
+        seen["warm"] += counts[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankCapWarning)
+            for (config, old), (mats, _), result in zip(cells, targets, out):
+                if isinstance(result, Exception):
+                    continue
+                sources, live = result
+                for ell in live:
+                    if sources[ell] is old[ell]:
+                        rank, _ = exact_rule(mats[ell], config.rho, config.r_max)
+                        assert rank == old[ell].rank
+                        seen["compared"] += 1
+        return out, counts
+
+    monkeypatch.setattr(modelsel, "_select_ranks", side_by_side)
+    return seen
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+class TestWarmChecksAgreeWithExactRule:
+    def test_acceptance_datasets(self, exact_beside_warm):
+        for sigma in (1.0, 3.0, 6.0):
+            for seed in (0, 1):
+                ds, _ = generate(SyntheticSpec(
+                    node_count=50, q=3, n_subjects=100, sigma=sigma, seed=seed,
+                    loading_dist=acceptance_loadings))
+                fit(whiten(ds, 3), 3, SolverConfig(phi=0.04, rho=0.9, seed=seed))
+        assert exact_beside_warm["warm"] > 100
+
+    def test_two_by_two_tune(self, exact_beside_warm):
+        ds, _ = generate(SyntheticSpec(node_count=50, q=3, n_subjects=100,
+                                       sigma=3.0, seed=4,
+                                       loading_dist=acceptance_loadings))
+        locus.tune(ds, 3, [0.0, 0.04], [0.8, 0.9], SolverConfig(seed=4))
+        assert exact_beside_warm["warm"] > 50
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("regularizer, phi", [
+        ("uniform_l1", 0.0), ("vector_l1", 0.005), ("nuclear", 0.5)])
+    def test_sigma6_comparators(self, exact_beside_warm, regularizer, phi):
+        ds, _ = generate(SyntheticSpec(node_count=50, q=3, n_subjects=100,
+                                       sigma=6.0, seed=0,
+                                       loading_dist=acceptance_loadings))
+        fit(whiten(ds, 3), 3, SolverConfig(phi=phi, rho=0.9, seed=0,
+                                           regularizer=regularizer))
+        assert exact_beside_warm["warm"] > 50
+
+    @pytest.mark.slow
+    def test_atlas_shape(self, exact_beside_warm):
+        ds, _ = generate(SyntheticSpec(node_count=264, q=3, n_subjects=100,
+                                       sigma=7.0, seed=11))
+        fit(whiten(ds, 3), 3, SolverConfig(phi=0.0075, rho=0.9, r_max=10,
+                                           max_iter=20, seed=11))
+        assert exact_beside_warm["warm"] == exact_beside_warm["compared"] == 60
 
 
 class TestUpdateD:
