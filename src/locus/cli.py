@@ -354,11 +354,13 @@ def cmd_evaluate(args) -> int:
         dataset = load_dataset(args.data, fisher=args.fisher)
         q = truth.shape[0]
         methods = args.method or ["locus"]
-        rows = []
+        rows, failures = [], []
         for method in methods:
             boot = bootstrap_replicates(dataset,
                                         _bootstrap_fit_fn(method, q, args),
                                         args.bootstrap, seed=args.seed)
+            failures.extend([method, rep + 1, error]
+                            for rep, error in boot.failures)
             if boot.n_success < 2:
                 raise DegeneracyError("bootstrap_failed",
                                       f"{method}: only {boot.n_success} "
@@ -372,6 +374,8 @@ def cmd_evaluate(args) -> int:
         write_table(os.path.join(args.out, "reliability.csv"),
                     ["method", "source", "ri_pearson", "ri_jaccard",
                      "n_success", "B"], rows)
+        write_table(os.path.join(args.out, "failures.csv"),
+                    ["method", "replicate", "error"], failures)
         inputs["data"] = args.data
 
     write_manifest(args.out, args, inputs=inputs)

@@ -37,6 +37,8 @@ class MatchResult:
     alignment sign; per_source_corr the matched |Pearson| values;
     loading_corr the per-source loading correlations after the same
     permutation and sign flips (None when loadings were not supplied).
+    Every field has one entry per true source; an estimate left unmatched
+    (there may be more estimates than true sources) appears in none.
     """
 
     permutation: np.ndarray
@@ -74,9 +76,9 @@ def correlation_matrix(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
 
 
 def _assign(corr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hungarian matching of the rows of a (q, q) correlation matrix to its
-    columns by total |corr|: the matched column of each row, and the sign
-    of each matched correlation."""
+    """Hungarian matching of the rows of a (q, q') correlation matrix,
+    q <= q', to distinct columns by total |corr|: the matched column of
+    each row, and the sign of each matched correlation."""
     row_ind, col_ind = linear_sum_assignment(-np.abs(corr))
     perm = np.empty(corr.shape[0], dtype=int)
     perm[row_ind] = col_ind
@@ -91,11 +93,17 @@ def match_sources(truth: np.ndarray, est: np.ndarray,
 
     Maximizes the total |Pearson| over one-to-one matchings (Hungarian
     method); the sign of each matched correlation becomes the alignment
-    sign.  Constant sources correlate 0 with everything.
+    sign.  Constant sources correlate 0 with everything.  The (q, p)
+    ``truth`` may have fewer rows than the (q', p) estimates, as when a fit
+    has more components than there are true sources: each true source is
+    matched to a distinct estimate and the other q' - q estimates stay
+    unmatched.  Fewer estimates than true sources, or another shape
+    mismatch, raise DimensionError.
     """
     truth = np.asarray(truth, dtype=float)
     est = np.asarray(est, dtype=float)
-    if truth.shape != est.shape:
+    if (truth.ndim != 2 or est.ndim != 2 or truth.shape[1] != est.shape[1]
+            or truth.shape[0] > est.shape[0]):
         raise DimensionError("dimension_mismatch",
                              f"truth {truth.shape} vs estimates {est.shape}")
     corr = correlation_matrix(truth, est)

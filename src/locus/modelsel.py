@@ -199,11 +199,11 @@ def _warm_ranks(theta, u, resid, norm2, gap, ranks, r_max: int):
     return (rank == ranks) & (margin > RITZ_MARGIN * error), found
 
 
-def _select_ranks(cells, targets, checks) -> tuple[list, tuple[int, int, int]]:
-    """The first block of a step for every (config, sources) cell, given
-    its (target matrices, |s_star|^2) and its rank-check state (warm bases,
-    has-basis mask; updated in place): re-select the rank of each source
-    with a nonzero target.
+def _select_ranks(cells, targets) -> tuple[list, tuple[int, int, int]]:
+    """The first block of a step for every :class:`~locus.solver._Cell`,
+    given its (target matrices, |s_star|^2): re-select the rank of each
+    source with a nonzero target, updating the cell's sources and
+    rank-check state (``basis``, ``ready``) in place.
 
     One warm check (:func:`_ritz_pairs`, :func:`_warm_ranks`), batched
     over every source with a basis of every cell of the same effective
@@ -211,21 +211,20 @@ def _select_ranks(cells, targets, checks) -> tuple[list, tuple[int, int, int]]:
     confirmation at the cap warns as the exact rule does (RankCapWarning).
     Every other source takes the exact rule, :func:`select_rank`, whose
     eigenvectors become its basis; a changed rank restarts the factors
-    from its truncated eigendecomposition.  Returns per cell the new sources and the indices
-    of the sources with nonzero targets, which go to the node sweep, or
-    the :data:`CELL_ERRORS` error that stopped it, and the counts of warm,
-    exact and changed checks."""
-    warm = [np.zeros(len(sources), dtype=bool) for _, sources in cells]
+    from its truncated eigendecomposition.  Returns per cell the indices
+    of the sources with nonzero targets, which go to the node sweep, and
+    the counts of warm, exact and changed checks.  A :data:`CELL_ERRORS`
+    error goes to the cell's ``error``."""
+    warm = [np.zeros(len(cell.sources), dtype=bool) for cell in cells]
     groups: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for i, ((config, sources), (_, norm2), (_, ready)) in enumerate(
-            zip(cells, targets, checks)):
-        rows = np.flatnonzero(ready & (norm2 > 0))
+    for i, (cell, (_, norm2)) in enumerate(zip(cells, targets)):
+        rows = np.flatnonzero(cell.ready & (norm2 > 0))
         if rows.size:
-            cap = min(config.r_max, sources[0].node_count - 1)
+            cap = min(cell.config.r_max, cell.sources[0].node_count - 1)
             groups.setdefault(cap, []).append((i, rows))
     for r_max, members in groups.items():
         try:
-            theta, u, resid = _ritz_pairs([(targets[i][0], checks[i][0], rows)
+            theta, u, resid = _ritz_pairs([(targets[i][0], cells[i].basis, rows)
                                            for i, rows in members])
         except np.linalg.LinAlgError:
             continue  # every source of the group takes the exact rule
@@ -233,42 +232,41 @@ def _select_ranks(cells, targets, checks) -> tuple[list, tuple[int, int, int]]:
         confirmed, below = _warm_ranks(
             theta, u, resid,
             np.concatenate([targets[i][1][rows] for i, rows in members]),
-            np.concatenate([np.full(rows.size, 1.0 - cells[i][0].rho)
+            np.concatenate([np.full(rows.size, 1.0 - cells[i].config.rho)
                             for i, rows in members]),
-            np.array([cells[i][1][ell].rank for i, rows in members
+            np.array([cells[i].sources[ell].rank for i, rows in members
                       for ell in rows]), r_max)
         for (i, rows), ok, found, vecs in zip(members, np.split(confirmed, split),
                                               np.split(below, split),
                                               np.split(u, split)):
-            checks[i][0][rows[ok]] = vecs[ok]
+            cells[i].basis[rows[ok]] = vecs[ok]
             warm[i][rows[ok]] = True
             for _ in range(int(np.count_nonzero(ok & ~found))):
-                _cap_warning(r_max, cells[i][0].rho)
+                _cap_warning(r_max, cells[i].config.rho)
 
-    out, exact, changed = [], 0, 0
-    for (config, sources), (mats, norm2), (z, ready), warmed in zip(
-            cells, targets, checks, warm):
-        sources, live = list(sources), []
+    lives, exact, changed = [], 0, 0
+    for cell, (mats, norm2), warmed in zip(cells, targets, warm):
+        config, sources, live = cell.config, cell.sources, []
         try:
             for ell in np.flatnonzero(norm2 > 0):
                 if not warmed[ell]:
                     exact += 1
-                    ready[ell] = False
+                    cell.ready[ell] = False
                     try:
                         rank, src, vecs = select_rank(
-                            mats[ell], config.rho, config.r_max, basis=z.shape[2])
+                            mats[ell], config.rho, config.r_max,
+                            basis=cell.basis.shape[2])
                     except DegeneracyError:
                         continue
-                    z[ell], ready[ell] = vecs, True
+                    cell.basis[ell], cell.ready[ell] = vecs, True
                     if rank != sources[ell].rank:
                         sources[ell] = src
                         changed += 1
                 live.append(int(ell))
         except CELL_ERRORS as err:
-            out.append(err)
-            continue
-        out.append((sources, live))
-    return out, (sum(int(w.sum()) for w in warm), exact, changed)
+            cell.error = err
+        lives.append(live)
+    return lives, (sum(int(w.sum()) for w in warm), exact, changed)
 
 
 def bic(dataset: ConnectivityDataset, model: LocusModel) -> float:

@@ -4,11 +4,14 @@ Each latent source is a symmetric low-rank factorization X diag(d) X' whose
 upper-triangle vector lives in edge space; stacked, they are the (q, p)
 source rows S.  A fit is a start, one step per outer iteration and a
 stopping rule, and :func:`_fit_cells` runs any number of fits (cells, such
-as a tuning grid's) in lockstep; :func:`fit` is its one-cell call.  A step
-(:func:`_step`) updates, against fixed targets A~' Y~, the latent node
-coordinates one node at a time (Gauss-Seidel) and then the diagonal
-weights of every source; with the targets fixed, one sweep updates node v
-of every source of every cell in a batch at once (:func:`sweep_nodes`).
+as a tuning grid's) in lockstep; :func:`fit` is its one-cell call.  Each
+cell's state is one :class:`_Cell` record, which every block updates in
+place; an error that stops a cell goes to its ``error`` and leaves the
+other cells running.  A step (:func:`_step`) updates, against fixed
+targets A~' Y~, the latent node coordinates one node at a time
+(Gauss-Seidel) and then the diagonal weights of every source; with the
+targets fixed, one sweep updates node v of every source of every cell in
+a batch at once (:func:`sweep_nodes`).
 Each cell then stacks its rows once, re-estimates and orthogonalizes its
 reduced mixing matrix from them, and computes its next targets once.
 
@@ -643,36 +646,48 @@ def _shrinks(config: SolverConfig) -> tuple[float, float, float]:
             half if name == "nuclear" else 0.0)
 
 
-def _no_basis(config: SolverConfig, sources: list[LowRankSource]) -> tuple:
-    """A cell's rank-check state with no basis yet: the (q, V, k) warm bases
-    and the (q,) mask of the sources that have one."""
-    from .modelsel import _basis_width
+@dataclass(eq=False, slots=True)
+class _Cell:
+    """One running fit of :func:`_fit_cells`: its settings, its own list of
+    sources, the mixing matrix A~ and targets A~' Y~, the stacked (q, p)
+    source rows, the objective trace and the sources warned about.  The
+    rank-check state is the (q, V, k) warm ``basis`` and the (q,) mask of
+    the sources whose basis is ``ready``.  ``error`` holds the
+    :data:`CELL_ERRORS` error that stopped the cell, if any."""
 
-    node_count = sources[0].node_count
-    return (np.zeros((len(sources), node_count, _basis_width(config, node_count))),
-            np.zeros(len(sources), dtype=bool))
+    config: SolverConfig
+    sources: list[LowRankSource]
+    a_tilde: np.ndarray
+    targets: np.ndarray
+    rows: np.ndarray
+    trace: list[float]
+    warned: set[int]
+    basis: np.ndarray
+    ready: np.ndarray
+    error: Exception | None = None
 
 
-def _target_mats(config: SolverConfig, sources: list[LowRankSource],
-                 targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _target_mats(cell: _Cell) -> tuple[np.ndarray, np.ndarray]:
     """A cell's targets thresholded (uniform_l1) and unvectorized, the
     (q, V, V) matrices shared by rank selection and both block updates,
     and their squared edge norms |s_star|^2 (q,)."""
-    node_count = sources[0].node_count
-    edge_shrink = _shrinks(config)[0]
-    s_star = soft_threshold(targets, edge_shrink) if edge_shrink else targets
+    node_count = cell.sources[0].node_count
+    edge_shrink = _shrinks(cell.config)[0]
+    s_star = (soft_threshold(cell.targets, edge_shrink) if edge_shrink
+              else cell.targets)
     return (np.stack([unvectorize(row, node_count) for row in s_star]),
             np.einsum("ij,ij->i", s_star, s_star))
 
 
-def _sweep_cells(batch, shrink: float) -> list:
+def _sweep_cells(batch, shrink: float) -> dict:
     """One :func:`sweep_nodes` call over the live sources of the cells in
-    ``batch``, each a (sources, target matrices, live indices) triple.
-    Returns per cell the swept x arrays, or the LinAlgError that stopped
-    its sweep: a failure in one cell's eigh fails the batched call, so the
-    cells are then swept one by one to find it."""
-    factors = [(sources[ell].x, sources[ell].d)
-               for sources, _, live in batch for ell in live]
+    ``batch``, each a (cell, target matrices, live indices) triple.
+    Returns the swept x arrays by cell, leaving out a cell whose sweep a
+    LinAlgError stopped; the error goes to its ``error``.  A failure in one
+    cell's eigh fails the batched call, so the cells are then swept one by
+    one to find it."""
+    factors = [(cell.sources[ell].x, cell.sources[ell].d)
+               for cell, _, live in batch for ell in live]
     mats = [cell_mats[live] for _, cell_mats, live in batch]
     sizes = [len(live) for _, _, live in batch]
     try:
@@ -680,26 +695,28 @@ def _sweep_cells(batch, shrink: float) -> list:
                          else mats[0], shrink, cells=sizes)
     except np.linalg.LinAlgError as err:
         if len(batch) == 1:
-            return [err]
-        return [out for cell in batch for out in _sweep_cells([cell], shrink)]
-    out = []
-    for size in sizes:
-        out.append(xs[:size])
+            batch[0][0].error = err
+            return {}
+        return {cell: out for part in batch
+                for cell, out in _sweep_cells([part], shrink).items()}
+    out = {}
+    for (cell, _, _), size in zip(batch, sizes):
+        out[cell] = xs[:size]
         xs = xs[size:]
     return out
 
 
-def _weigh(config: SolverConfig, sources: list[LowRankSource],
-           targets: np.ndarray, target_mats: np.ndarray, swept: dict,
-           it: int) -> tuple[list[LowRankSource], list[int]]:
+def _weigh(cell: _Cell, target_mats: np.ndarray, swept: dict, it: int) -> None:
     """The last block of a step for one cell: renormalize each swept
     source's columns, re-fit and prune its weights; a source with a zero
     target or zero weights is re-seeded from its unthresholded target's
-    dominant eigenpair.  Returns the sources and the re-seeded indices."""
+    dominant eigenpair.  A pruned or re-seeded source loses its basis, so
+    its next rank check is exact, and a re-seeded one warns once per cell
+    (DegenerateSourceWarning)."""
     if not all(np.all(np.isfinite(x)) for x in swept.values()):
         raise NumericError("non_finite", f"node update overflowed at iteration {it}")
-    weight_shrink = _shrinks(config)[2]
-    reseeded = []
+    weight_shrink = _shrinks(cell.config)[2]
+    sources, reseeded = cell.sources, []
     for ell in range(len(sources)):
         if ell in swept:
             x = swept[ell]
@@ -718,183 +735,157 @@ def _weigh(config: SolverConfig, sources: list[LowRankSource],
                     logger.debug("source %d: pruning %d components at "
                                  "iteration %d", ell, int((~keep).sum()), it)
                     x, d = x[:, keep], d[keep]
+                    cell.ready[ell] = False
                 sources[ell] = LowRankSource(x, d)
                 continue
 
         # a zero target or zero weights: re-seed from the projected target
         reseeded.append(ell)
-        sources[ell] = _reseed_source(targets[ell], sources[ell].node_count)
-    return sources, reseeded
-
-
-def _step(cells, it: int, checks=None) -> list:
-    """The source blocks of outer iteration ``it`` for every cell, each a
-    (config, sources, targets) triple with the (q, p) targets A~' Y~:
-    threshold (uniform_l1), re-select each rank, sweep the nodes of the
-    sources with nonzero targets, re-fit and prune the weights
-    (:func:`~locus.modelsel._select_ranks`, :func:`sweep_nodes`,
-    :func:`_weigh`).
-
-    ``checks`` holds each cell's rank-check state (:func:`_no_basis`, the
-    default), which the step updates in place: a source that is pruned or
-    re-seeded loses its basis, so its next check is exact.  Rank selection
-    batches the warm checks of all cells; the cells whose live sources
-    have the same widest rank and node-row threshold make one batch, one
-    :func:`sweep_nodes` call, in which every source keeps the padding a
-    lone sweep of its cell gives it.  Returns per cell its new sources and
-    re-seeded indices, or the :data:`CELL_ERRORS` error that stopped it;
-    ``it`` labels errors.  At DEBUG level it logs its warm, exact and
-    changed rank checks.
-    """
-    from . import modelsel
-
-    if checks is None:
-        checks = [_no_basis(config, sources) for config, sources, _ in cells]
-    mats = [_target_mats(config, sources, t) for config, sources, t in cells]
-    out, counts = modelsel._select_ranks([cell[:2] for cell in cells], mats,
-                                         checks)
-    logger.debug("rank checks: %d warm, %d exact, %d changed", *counts)
-    batches: dict[tuple[int, float], list[int]] = {}
-    for i, selected in enumerate(out):
-        if not isinstance(selected, Exception) and selected[1]:
-            sources, live = selected
-            width = max(sources[ell].rank for ell in live)
-            batches.setdefault((width, _shrinks(cells[i][0])[1]), []).append(i)
-
-    swept = {}
-    for (_, shrink), batch in batches.items():
-        swept.update(zip(batch, _sweep_cells(
-            [(out[i][0], mats[i][0], out[i][1]) for i in batch], shrink)))
-
-    for i, selected in enumerate(out):
-        if isinstance(selected, Exception):
-            continue
-        (config, _, t), (sources, live) = cells[i], selected
-        ranks = [src.rank for src in sources]
-        xs = swept.get(i, [])
-        try:
-            if isinstance(xs, Exception):
-                raise xs
-            out[i] = _weigh(config, sources, t, mats[i][0],
-                            dict(zip(live, xs)), it)
-        except CELL_ERRORS as err:
-            out[i] = err
-            continue
-        new, reseeded = out[i]
-        ready = checks[i][1]
-        ready &= [src.rank == rank and ell not in reseeded
-                  for ell, (src, rank) in enumerate(zip(new, ranks))]
-    return out
-
-
-def _start(whitened: WhitenedData, config: SolverConfig,
-           init: LocusModel) -> tuple:
-    """A cell's state at the start: (sources, A~, targets A~' Y~, stacked
-    (q, p) source rows, objective trace, indices warned about, rank-check
-    state).  The targets and rows give ``objective_trace[0]`` and feed
-    step 1.  The rank-check state (:func:`_no_basis`) is the cell's own
-    copy of the eigenvectors an :func:`initialize` start keeps, where
-    their width suits ``config``."""
-    a_tilde = np.asarray(init.a_tilde, dtype=float).copy()
-    targets = a_tilde.T @ whitened.y_tilde
-    s_mat = np.vstack([s.edge_vector() for s in init.sources])
-    trace = [_objective(targets, s_mat, init.sources, config.phi,
-                        config.regularizer)]
-    checks = _no_basis(config, init.sources)
-    for ell, vecs in enumerate(init.basis if isinstance(init, _Start) else []):
-        if vecs is not None and vecs.shape == checks[0].shape[1:]:
-            checks[0][ell], checks[1][ell] = vecs, True
-    return init.sources, a_tilde, targets, s_mat, trace, set(), checks
-
-
-def _advance(whitened: WhitenedData, config: SolverConfig, cell: tuple,
-             stepped, it: int) -> tuple[tuple, bool]:
-    """The rest of outer iteration ``it`` for one cell, from its state
-    ``cell`` (see :func:`_start`) and its :func:`_step` result: warn
-    once per re-seeded source, stack the rows once, update the mixing,
-    compute the next targets once and score them.  Returns the cell's next
-    state and whether the relative changes of A~ and S fell below eps1 and
-    eps2."""
-    if isinstance(stepped, Exception):
-        raise stepped
-    sources, reseeded = stepped
-    _, a_tilde, _, s_mat, trace, warned, checks = cell
+        cell.ready[ell] = False
+        sources[ell] = _reseed_source(cell.targets[ell], sources[ell].node_count)
     for ell in reseeded:
-        if ell not in warned:
+        if ell not in cell.warned:
             warnings.warn(f"source {ell} collapsed to zero at iteration {it}; "
                           "re-seeding", DegenerateSourceWarning)
-            warned.add(ell)
+            cell.warned.add(ell)
         else:
             logger.debug("source %d collapsed again at iteration %d", ell, it)
 
-    s_new = np.vstack([s.edge_vector() for s in sources])
-    a_new = update_mixing(whitened, s_new)
-    if not np.all(np.isfinite(a_new)):
+
+def _step(cells: list[_Cell], it: int) -> None:
+    """The source blocks of outer iteration ``it`` for every cell, against
+    its (q, p) targets A~' Y~: threshold (uniform_l1), re-select each rank,
+    sweep the nodes of the sources with nonzero targets, re-fit and prune
+    the weights (:func:`~locus.modelsel._select_ranks`,
+    :func:`sweep_nodes`, :func:`_weigh`).  Updates each cell's sources and
+    rank-check state in place, or sets its ``error`` to the
+    :data:`CELL_ERRORS` error that stopped it; ``it`` labels errors.
+
+    Rank selection batches the warm checks of all cells; the cells whose
+    live sources have the same widest rank and node-row threshold make one
+    batch, one :func:`sweep_nodes` call, in which every source keeps the
+    padding a lone sweep of its cell gives it.  At DEBUG level it logs its
+    warm, exact and changed rank checks.
+    """
+    from . import modelsel
+
+    mats = [_target_mats(cell) for cell in cells]
+    lives, counts = modelsel._select_ranks(cells, mats)
+    logger.debug("rank checks: %d warm, %d exact, %d changed", *counts)
+    batches: dict[tuple[int, float], list] = {}
+    for cell, (cell_mats, _), live in zip(cells, mats, lives):
+        if cell.error is None and live:
+            width = max(cell.sources[ell].rank for ell in live)
+            batches.setdefault((width, _shrinks(cell.config)[1]), []).append(
+                (cell, cell_mats, live))
+
+    swept = {}
+    for (_, shrink), batch in batches.items():
+        swept.update(_sweep_cells(batch, shrink))
+
+    for cell, (cell_mats, _), live in zip(cells, mats, lives):
+        if cell.error is None:
+            try:
+                _weigh(cell, cell_mats, dict(zip(live, swept.get(cell, []))), it)
+            except CELL_ERRORS as err:
+                cell.error = err
+
+
+def _start(whitened: WhitenedData, config: SolverConfig,
+           init: LocusModel) -> _Cell:
+    """A cell at the start.  Its targets and rows give
+    ``objective_trace[0]`` and feed step 1.  Its sources list is its own,
+    since a step replaces items of it and a start may be shared, and its
+    rank-check state is its own copy of the eigenvectors an
+    :func:`initialize` start keeps, where their width suits ``config``."""
+    from .modelsel import _basis_width
+
+    sources = list(init.sources)
+    a_tilde = np.asarray(init.a_tilde, dtype=float).copy()
+    targets = a_tilde.T @ whitened.y_tilde
+    rows = np.vstack([s.edge_vector() for s in sources])
+    trace = [_objective(targets, rows, sources, config.phi, config.regularizer)]
+    node_count = sources[0].node_count
+    basis = np.zeros((len(sources), node_count, _basis_width(config, node_count)))
+    ready = np.zeros(len(sources), dtype=bool)
+    for ell, vecs in enumerate(init.basis if isinstance(init, _Start) else []):
+        if vecs is not None and vecs.shape == basis.shape[1:]:
+            basis[ell], ready[ell] = vecs, True
+    return _Cell(config, sources, a_tilde, targets, rows, trace, set(), basis,
+                 ready)
+
+
+def _advance(whitened: WhitenedData, cell: _Cell, it: int) -> bool:
+    """The rest of outer iteration ``it`` for one stepped cell: stack the
+    rows once, update the mixing, compute the next targets once and score
+    them.  Returns whether the relative changes of A~ and S fell below
+    eps1 and eps2."""
+    config = cell.config
+    rows = np.vstack([s.edge_vector() for s in cell.sources])
+    a_tilde = update_mixing(whitened, rows)
+    if not np.all(np.isfinite(a_tilde)):
         raise NumericError("non_finite", f"mixing update overflowed at iteration {it}")
-    targets = a_new.T @ whitened.y_tilde
-    trace.append(_objective(targets, s_new, sources, config.phi,
-                            config.regularizer))
-    converged = (_relative_change(a_new, a_tilde) < config.eps1
-                 and _relative_change(s_new, s_mat) < config.eps2)
-    return (sources, a_new, targets, s_new, trace, warned, checks), converged
-
-
-def _finish(whitened: WhitenedData, cell: tuple, converged: bool,
-            it: int) -> LocusModel:
-    """A stopped cell's model; the loadings are least squares on its final
-    rows."""
-    sources, a_tilde, _, s_mat, trace, _, _ = cell
-    return LocusModel(sources, a_tilde, unmix_to_subject_space(whitened, s_mat),
-                      np.asarray(trace), converged=converged, iterations=it)
+    cell.targets = a_tilde.T @ whitened.y_tilde
+    cell.trace.append(_objective(cell.targets, rows, cell.sources, config.phi,
+                                 config.regularizer))
+    converged = (_relative_change(a_tilde, cell.a_tilde) < config.eps1
+                 and _relative_change(rows, cell.rows) < config.eps2)
+    cell.a_tilde, cell.rows = a_tilde, rows
+    return converged
 
 
 def _fit_cells(whitened: WhitenedData, cells) -> list:
     """Fit every (config, init) cell on the same whitened data in lockstep.
 
-    Each cell is a start, one step per outer iteration and a stopping rule.
-    Start (:func:`_start`): the targets A~' Y~ and stacked (q, p) source
-    rows of ``init`` give ``objective_trace[0]`` and feed step 1, and the
-    eigenvectors an :func:`initialize` start keeps seed the warm rank
-    checks.  Step: one :func:`_step` updates the sources of every running
-    cell, sharing the warm rank checks and the node sweeps.  Then, per cell
+    Each cell is a start, one step per outer iteration and a stopping rule,
+    and its state is one :class:`_Cell` record.  Start (:func:`_start`):
+    the targets A~' Y~ and stacked (q, p) source rows of ``init`` give
+    ``objective_trace[0]`` and feed step 1, and the eigenvectors an
+    :func:`initialize` start keeps seed the warm rank checks.  Step: one
+    :func:`_step` updates the sources of every running cell, sharing the
+    warm rank checks and the node sweeps.  Then, per cell
     (:func:`_advance`), the rows are stacked once, :func:`update_mixing`
     re-estimates A~ from them and the next targets are computed once, for
     the objective, the relative changes and the next step.  A re-seeded
     source warns once per cell (DegenerateSourceWarning).  Stop: a cell
-    leaves, and frees its state, when the relative changes of A~ and S
+    leaves, and frees its record, when the relative changes of A~ and S
     fall below its eps1/eps2, at its max_iter, or when a
-    :data:`CELL_ERRORS` error stops it; no other cell sees either.  Every
-    cell's model is the one :func:`fit` returns for that cell alone, bit
-    for bit.  No random numbers are drawn.  Loadings are least squares on
-    the final rows.
+    :data:`CELL_ERRORS` error stops it (its ``error``); no other cell sees
+    either.  Every cell's model is the one :func:`fit` returns for that
+    cell alone, bit for bit.  No random numbers are drawn.  Loadings are
+    least squares on the final rows.
 
     Returns per cell the fitted LocusModel or the error.  The inits are not
     checked against the data; :func:`fit` does that.
     """
     results: list = [None] * len(cells)
-    state = {}  # per running cell, in cell order: see _start
+    running = {}  # per running cell, in cell order
     for i, (config, init) in enumerate(cells):
         try:
-            state[i] = _start(whitened, config, init)
+            running[i] = _start(whitened, config, init)
         except CELL_ERRORS as err:
             results[i] = err
 
     it = 0
-    while state:
+    while running:
         it += 1
-        stepped = _step([(cells[i][0], state[i][0], state[i][2]) for i in state],
-                        it, [state[i][6] for i in state])
-        for i, out in zip(list(state), stepped):
-            config = cells[i][0]
-            # popped and put back (cell order holds), so that no old state
-            # outlives the step that replaces it
+        _step(list(running.values()), it)
+        for i, cell in list(running.items()):
             try:
-                state[i], converged = _advance(whitened, config, state.pop(i),
-                                               out, it)
-                if converged or it == config.max_iter:
-                    results[i] = _finish(whitened, state.pop(i), converged, it)
+                if cell.error is None:
+                    converged = _advance(whitened, cell, it)
+                    if converged or it == cell.config.max_iter:
+                        results[i] = LocusModel(
+                            cell.sources, cell.a_tilde,
+                            unmix_to_subject_space(whitened, cell.rows),
+                            np.asarray(cell.trace), converged=converged,
+                            iterations=it)
             except CELL_ERRORS as err:
-                results[i] = err
+                cell.error = err
+            if cell.error is not None:
+                results[i] = cell.error
+            if results[i] is not None:
+                del running[i]
     return results
 
 

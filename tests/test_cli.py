@@ -356,11 +356,11 @@ class TestTune:
         from locus.errors import DegeneracyError
         real_weigh = solver._weigh
 
-        def flaky_weigh(config, *args):
-            if config.phi == 0.02:
+        def flaky_weigh(cell, *args):
+            if cell.config.phi == 0.02:
                 raise DegeneracyError("singular_sources",
                                       "sources 0, 2 are linearly dependent")
-            return real_weigh(config, *args)
+            return real_weigh(cell, *args)
 
         monkeypatch.setattr(solver, "_weigh", flaky_weigh)
         out = tmp_path / "tune"
@@ -492,6 +492,58 @@ class TestEvaluate:
         assert len(lines) == 1 + 6  # q rows per method
         assert sum(line.startswith("locus,") for line in lines[1:]) == 3
         assert sum(line.startswith("fastica,") for line in lines[1:]) == 3
+
+    def test_bootstrap_failures_written(self, sim_dir, tmp_path, monkeypatch):
+        # one replicate's refit fails: it is left out of reliability.csv and
+        # named in failures.csv; with no failure that file is the header
+        import locus.cli as cli
+        from locus.errors import DegeneracyError
+        real_fit = cli.fit
+        seeds = []
+
+        def flaky_fit(whitened, q, config, *args, **kwargs):
+            seeds.append(config.seed)
+            if config.seed == seeds[0]:
+                raise DegeneracyError("singular_sources", "synthetic failure")
+            return real_fit(whitened, q, config, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit", flaky_fit)
+        out = tmp_path / "eval_boot"
+        assert run(["evaluate", "--truth", sim_dir / "truth",
+                    "--data", sim_dir / "dataset.csv", "--bootstrap", 3,
+                    "--method", "locus", "--method", "fastica",
+                    "--max-iter", 40, "--seed", 1, "--out", out]) == 0
+        with open(out / "failures.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows == [{"method": "locus", "replicate": "1",
+                         "error": "DegeneracyError: [singular_sources] "
+                                  "synthetic failure"}]
+        with open(out / "reliability.csv", newline="") as fh:
+            n_success = {row["method"]: row["n_success"]
+                         for row in csv.DictReader(fh)}
+        assert n_success == {"locus": "2", "fastica": "3"}
+        monkeypatch.setattr(cli, "fit", real_fit)
+        assert run(["evaluate", "--truth", sim_dir / "truth",
+                    "--data", sim_dir / "dataset.csv", "--bootstrap", 3,
+                    "--max-iter", 40, "--out", out]) == 0
+        assert (out / "failures.csv").read_text() == "method,replicate,error\n"
+
+    def test_fit_with_surplus_components_scored(self, sim_dir, tmp_path):
+        # a q=4 fit of 3 true sources: one match.csv row per true source,
+        # each matched to a distinct estimate, the fourth left out
+        fitdir = tmp_path / "fit4"
+        assert run(["decompose", sim_dir / "dataset.csv", "--q", 4,
+                    "--max-iter", 20, "--out", fitdir]) == 0
+        out = tmp_path / "eval"
+        assert run(["evaluate", fitdir, "--truth", sim_dir / "truth",
+                    "--out", out]) == 0
+        with open(out / "match.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["source"] for row in rows] == ["1", "2", "3"]
+        matched = [int(row["matched"]) for row in rows]
+        assert len(set(matched)) == 3 and set(matched) <= {1, 2, 3, 4}
+        assert all(0.0 <= float(row["source_corr"]) <= 1.0 for row in rows)
+        assert all(row["loading_corr"] != "" for row in rows)
 
     def test_config_method_is_a_list_of_choices(self, sim_dir, tmp_path,
                                                 capsys):

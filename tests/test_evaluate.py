@@ -125,6 +125,31 @@ class TestMatchSources:
         match = match_sources(truth, est, loadings, est_loadings)
         assert np.allclose(match.loading_corr, 1.0, atol=1e-12)
 
+    def test_more_estimates_than_true_sources(self):
+        # a fit with surplus components: each true source is matched to a
+        # distinct estimate, and the noise rows stay unmatched
+        rng = np.random.default_rng(5)
+        truth = rng.standard_normal((3, 80))
+        loadings = rng.standard_normal((20, 3))
+        est = rng.standard_normal((5, 80))
+        est_loadings = rng.standard_normal((20, 5))
+        placed = [4, 0, 2]
+        signs = np.array([1.0, -1.0, 1.0])
+        est[placed] = truth * signs[:, None]
+        est_loadings[:, placed] = loadings * signs
+        match = match_sources(truth, est, loadings, est_loadings)
+        assert match.permutation.tolist() == placed
+        assert match.signs.tolist() == signs.tolist()
+        assert np.allclose(match.per_source_corr, 1.0, atol=1e-12)
+        assert np.allclose(match.loading_corr, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("truth_shape, est_shape", [
+        ((4, 30), (3, 30)), ((3, 30), (3, 29)), ((3, 30), (30,))])
+    def test_fewer_estimates_or_other_edges_rejected(self, truth_shape,
+                                                     est_shape):
+        with pytest.raises(DimensionError, match="dimension_mismatch"):
+            match_sources(np.ones(truth_shape), np.ones(est_shape))
+
 
 class TestCorrelationMatrix:
     def test_stacked_estimates_match_per_pair_pearson(self):

@@ -254,10 +254,10 @@ class TestTune:
         import locus.solver as solver
         real_weigh = solver._weigh
 
-        def flaky_weigh(config, *args):
-            if config.phi == 0.02:
+        def flaky_weigh(cell, *args):
+            if cell.config.phi == 0.02:
                 raise DegeneracyError("singular_sources", "synthetic failure")
-            return real_weigh(config, *args)
+            return real_weigh(cell, *args)
 
         monkeypatch.setattr(solver, "_weigh", flaky_weigh)
         result = tune(ds, 3, [0.0, 0.02], [0.9], cfg)

@@ -53,6 +53,22 @@ def random_orthogonal(rng, q):
     return _polar_orthogonalize(rng.standard_normal((q, q)))
 
 
+def make_cell(config, sources, targets, bases=()):
+    """A solver._Cell of ``sources`` against the (q, p) ``targets``, with
+    the warm ``bases`` (None: no basis); its mixing, rows and trace are
+    placeholders that a step does not read."""
+    q, node_count = len(sources), sources[0].node_count
+    k = modelsel._basis_width(config, node_count)
+    cell = solver._Cell(config, list(sources), np.eye(q),
+                        np.asarray(targets, dtype=float), rows=None, trace=[],
+                        warned=set(), basis=np.zeros((q, node_count, k)),
+                        ready=np.zeros(q, dtype=bool))
+    for ell, basis in enumerate(bases):
+        if basis is not None:
+            cell.basis[ell], cell.ready[ell] = basis, True
+    return cell
+
+
 def make_whitened(rng, q, node_count):
     """Whitened-shaped container with directly controlled reduced data."""
     p = node_count * (node_count - 1) // 2
@@ -388,11 +404,16 @@ class TestSweepNodes:
             return real_sweep(factors, *args, **kwargs)
 
         monkeypatch.setattr(solver, "sweep_nodes", strict_sweep)
-        out = solver._sweep_cells([(bad, mats[:1], [0]), (good, mats, [0, 1])],
-                                  0.0)
-        assert isinstance(out[0], np.linalg.LinAlgError)
+        bad_cell = make_cell(SolverConfig(), bad, np.zeros((1, p)))
+        good_cell = make_cell(SolverConfig(), good, np.zeros((2, p)))
+        out = solver._sweep_cells([(bad_cell, mats[:1], [0]),
+                                   (good_cell, mats, [0, 1])], 0.0)
+        assert list(out) == [good_cell]
+        assert isinstance(bad_cell.error, np.linalg.LinAlgError)
+        assert good_cell.error is None
         want = real_sweep([(src.x, src.d) for src in good], mats)
-        assert [x.tobytes() for x in out[1]] == [x.tobytes() for x in want]
+        assert ([x.tobytes() for x in out[good_cell]]
+                == [x.tobytes() for x in want])
 
 
 class TestStep:
@@ -404,11 +425,11 @@ class TestStep:
         rng = np.random.default_rng(49)
         node_count = 12
         p = node_count * (node_count - 1) // 2
-        cells = []
+        specs = []
         for r_max, phi in ((1, 0.0), (3, 0.05), (3, 0.01)):
             config = SolverConfig(phi=phi, rho=0.99, r_max=r_max)
             sources = [random_source(rng, node_count, r_max) for _ in range(2)]
-            cells.append((config, sources, rng.standard_normal((2, p))))
+            specs.append((config, sources, rng.standard_normal((2, p))))
         sweeps = []
         real_sweep = solver.sweep_nodes
 
@@ -418,12 +439,15 @@ class TestStep:
             return real_sweep(factors, targets, shrink, nodes, cells)
 
         monkeypatch.setattr(solver, "sweep_nodes", counting_sweep)
-        together = solver._step(cells, 1)
+        together = [make_cell(*spec) for spec in specs]
+        solver._step(together, 1)
         assert sorted(sweeps) == [[2], [2, 2]]
-        for cell, (sources, reseeded) in zip(cells, together):
-            ((want, want_reseeded),) = solver._step([cell], 1)
-            assert reseeded == want_reseeded
-            for got, exp in zip(sources, want):
+        for spec, cell in zip(specs, together):
+            lone = make_cell(*spec)
+            solver._step([lone], 1)
+            assert cell.warned == lone.warned
+            assert cell.ready.tolist() == lone.ready.tolist()
+            for got, exp in zip(cell.sources, lone.sources):
                 assert got.x.tobytes() == exp.x.tobytes()
                 assert got.d.tobytes() == exp.d.tobytes()
 
@@ -438,9 +462,10 @@ class TestStep:
         node_count = 12
         p = node_count * (node_count - 1) // 2
         config = SolverConfig(rho=0.999999, r_max=width)
-        cell = (config, [random_source(rng, node_count, width)],
-                1e300 * rng.standard_normal((1, p)))
-        (err,) = solver._step([cell], 4)
+        cell = make_cell(config, [random_source(rng, node_count, width)],
+                         1e300 * rng.standard_normal((1, p)))
+        solver._step([cell], 4)
+        err = cell.error
         assert isinstance(err, NumericError)
         assert str(err) == "[non_finite] node update overflowed at iteration 4"
 
@@ -456,16 +481,11 @@ def spectrum_target(rng, node_count, eigvals):
     return m
 
 
-def rank_check(config, sources, mats, bases):
-    """The arguments of modelsel._select_ranks for one cell whose sources
-    have the targets ``mats`` and the warm ``bases`` (None: no basis)."""
-    targets = np.vstack([vectorize(m) for m in mats])
-    checks = solver._no_basis(config, sources)
-    for ell, basis in enumerate(bases):
-        if basis is not None:
-            checks[0][ell], checks[1][ell] = basis, True
-    return ([(config, sources)], [solver._target_mats(config, sources, targets)],
-            [checks])
+def select(cell):
+    """modelsel._select_ranks on the one ``cell``: its live indices and the
+    counts of warm, exact and changed checks."""
+    (live,), counts = modelsel._select_ranks([cell], [solver._target_mats(cell)])
+    return live, counts
 
 
 @pytest.fixture
@@ -493,16 +513,16 @@ class TestRankChecks:
         k = modelsel._basis_width(config, 20)
         rank, want, basis = modelsel.select_rank(m, 0.9, 6, basis=k)
         assert rank < 6 and basis.shape == (20, k)
-        args = rank_check(config, [random_source(rng, 20, rank + 1)], [m],
-                          [basis])
+        cell = make_cell(config, [random_source(rng, 20, rank + 1)],
+                         vectorize(m)[None, :], [basis])
         exact_calls.clear()
-        ((sources, live),), counts = modelsel._select_ranks(*args)
+        live, counts = select(cell)
         assert counts == (0, 1, 1) and len(exact_calls) == 1
         assert live == [0]
         # the new factor and basis are the exact rule's, not Ritz vectors
-        assert sources[0].x.tobytes() == want.x.tobytes()
-        assert sources[0].d.tobytes() == want.d.tobytes()
-        assert args[2][0][0][0].tobytes() == basis.tobytes()
+        assert cell.sources[0].x.tobytes() == want.x.tobytes()
+        assert cell.sources[0].d.tobytes() == want.d.tobytes()
+        assert cell.basis[0].tobytes() == basis.tobytes()
 
     @pytest.mark.parametrize("margin", [None, 0.0])
     def test_thin_margin_takes_the_exact_rule(self, monkeypatch, exact_calls,
@@ -530,8 +550,8 @@ class TestRankChecks:
             rank, src = modelsel.select_rank(m, config.rho, 6)
             assert rank == 3
             exact_calls.clear()
-            _, counts = modelsel._select_ranks(*rank_check(config, [src], [m],
-                                                         [basis]))
+            _, counts = select(make_cell(config, [src], vectorize(m)[None, :],
+                                         [basis]))
             exact = thin and margin is None
             assert counts == ((0, 1, 0) if exact else (1, 0, 0))
             assert len(exact_calls) == int(exact)
@@ -544,9 +564,8 @@ class TestRankChecks:
         k = modelsel._basis_width(config, node_count)
         _, src, basis = modelsel.select_rank(m, 0.9, 3, basis=k)
         sources = [src, random_source(rng, node_count, 2)]
-        (cell,), _, (checks,) = rank_check(config, sources,
-                                           [m, np.zeros_like(m)],
-                                           [basis, basis])
+        targets = np.vstack([vectorize(m), np.zeros(vectorize(m).shape)])
+        cell = make_cell(config, sources, targets, [basis, basis])
         swept = []
         real_sweep = solver.sweep_nodes
 
@@ -556,11 +575,11 @@ class TestRankChecks:
 
         monkeypatch.setattr(solver, "sweep_nodes", counting_sweep)
         exact_calls.clear()
-        targets = np.vstack([vectorize(m), np.zeros(vectorize(m).shape)])
-        ((_, reseeded),) = solver._step([(*cell, targets)], 1, [checks])
-        assert swept == [1] and reseeded == [1] and exact_calls == []
+        with pytest.warns(DegenerateSourceWarning, match="source 1 collapsed"):
+            solver._step([cell], 1)
+        assert swept == [1] and cell.warned == {1} and exact_calls == []
         # a re-seeded source loses its basis, so its next check is exact
-        assert checks[1].tolist() == [True, False]
+        assert cell.ready.tolist() == [True, False]
 
     def test_pruned_source_next_check_is_exact(self, exact_calls):
         # the nuclear threshold phi/2 = 1 prunes the weight near 0.2
@@ -572,15 +591,14 @@ class TestRankChecks:
         k = modelsel._basis_width(config, node_count)
         with pytest.warns(RankCapWarning):
             _, src, basis = modelsel.select_rank(m, config.rho, 3, basis=k)
-        (cell,), _, (checks,) = rank_check(config, [src], [m], [basis])
-        targets = vectorize(m)[None, :]
+        cell = make_cell(config, [src], vectorize(m)[None, :], [basis])
         exact_calls.clear()
         with pytest.warns(RankCapWarning):
-            ((sources, _),) = solver._step([(*cell, targets)], 1, [checks])
-        assert exact_calls == [] and sources[0].rank == 2
-        assert checks[1].tolist() == [False]
+            solver._step([cell], 1)
+        assert exact_calls == [] and cell.sources[0].rank == 2
+        assert cell.ready.tolist() == [False]
         with pytest.warns(RankCapWarning):
-            solver._step([(config, sources, targets)], 2, [checks])
+            solver._step([cell], 2)
         assert len(exact_calls) == 1
 
     def test_warm_check_at_the_cap_warns(self, exact_calls):
@@ -593,11 +611,11 @@ class TestRankChecks:
             rank, src, basis = modelsel.select_rank(m, 0.999, 2, basis=k)
         assert rank == 2
         exact_calls.clear()
+        cell = make_cell(config, [src], vectorize(m)[None, :], [basis])
         with pytest.warns(RankCapWarning, match="rank cap 2 hit"):
-            ((sources, _),), counts = modelsel._select_ranks(
-                *rank_check(config, [src], [m], [basis]))
+            _, counts = select(cell)
         assert counts == (1, 0, 0) and exact_calls == []
-        assert sources[0] is src
+        assert cell.sources[0] is src
 
 
 def acceptance_loadings(rng, size):
@@ -613,21 +631,23 @@ def exact_beside_warm(monkeypatch):
     exact_rule = modelsel.select_rank
     seen = {"warm": 0, "compared": 0}
 
-    def side_by_side(cells, targets, checks):
-        out, counts = real(cells, targets, checks)
+    def side_by_side(cells, targets):
+        # the cells' lists are updated in place: snapshot them first
+        before = [list(cell.sources) for cell in cells]
+        lives, counts = real(cells, targets)
         seen["warm"] += counts[0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankCapWarning)
-            for (config, old), (mats, _), result in zip(cells, targets, out):
-                if isinstance(result, Exception):
+            for cell, old, (mats, _), live in zip(cells, before, targets, lives):
+                if cell.error is not None:
                     continue
-                sources, live = result
+                config = cell.config
                 for ell in live:
-                    if sources[ell] is old[ell]:
+                    if cell.sources[ell] is old[ell]:
                         rank, _ = exact_rule(mats[ell], config.rho, config.r_max)
                         assert rank == old[ell].rank
                         seen["compared"] += 1
-        return out, counts
+        return lives, counts
 
     monkeypatch.setattr(modelsel, "_select_ranks", side_by_side)
     return seen
@@ -962,6 +982,25 @@ class TestFit:
             if regularizer == "nuclear":
                 d = soft_threshold(d, config.phi / 2.0)
             assert np.allclose(src.d, d, rtol=1e-9, atol=0.0), ell
+
+    def test_shared_start_is_left_unchanged(self):
+        # tune shares one start per rho across every phi, and each cell's
+        # steps replace items of its sources list, so each cell needs its
+        # own copy of that list
+        _, _, w = scenario_whitened(1.0, 26)
+        start = initialize(w, 3, SolverConfig(rho=0.9, seed=0))
+        sources = list(start.sources)
+        factors = [(src.x.tobytes(), src.d.tobytes()) for src in sources]
+        bases = [None if b is None else b.tobytes() for b in start.basis]
+        assert any(b is not None for b in bases)
+        models = solver._fit_cells(w, [(SolverConfig(phi=phi, rho=0.9, max_iter=5),
+                                        start) for phi in (0.0, 0.01, 0.05)])
+        assert all(isinstance(model, LocusModel) for model in models)
+        assert len(start.sources) == len(sources)
+        assert all(got is want for got, want in zip(start.sources, sources))
+        assert [(src.x.tobytes(), src.d.tobytes())
+                for src in start.sources] == factors
+        assert [None if b is None else b.tobytes() for b in start.basis] == bases
 
     def test_phi_zero_objective_descends(self):
         ds, gt, w = scenario_whitened(1.0, 22)
