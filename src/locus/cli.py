@@ -27,7 +27,7 @@ from .baselines import fastica
 from .connmat import load_dataset, read_csv, save_dataset, unvectorize, write_csv
 from .errors import DegeneracyError, DimensionError, LocusError, ValidationError
 from .evaluate import (DEFAULT_TOP_FRACTION, bootstrap_replicates,
-                       match_sources, reliability_report)
+                       check_top_fraction, match_sources, reliability_report)
 from .modelsel import tune
 from .preprocess import unmix_to_subject_space, whiten
 from .solver import (SolverConfig, fit, load_decomposition, read_meta,
@@ -318,6 +318,9 @@ def _bootstrap_fit_fn(method: str, q: int, args):
 
 
 def cmd_evaluate(args) -> int:
+    if args.bootstrap:
+        # the Jaccard support size is checked before any refit
+        check_top_fraction(args.top_fraction)
     truth, truth_loadings = _read_truth(args.truth)
     os.makedirs(args.out, exist_ok=True)
     inputs = {"truth": args.truth}
@@ -354,6 +357,7 @@ def cmd_evaluate(args) -> int:
         dataset = load_dataset(args.data, fisher=args.fisher)
         q = truth.shape[0]
         methods = args.method or ["locus"]
+        inputs["data"] = args.data
         rows, failures = [], []
         for method in methods:
             boot = bootstrap_replicates(dataset,
@@ -362,6 +366,10 @@ def cmd_evaluate(args) -> int:
             failures.extend([method, rep + 1, error]
                             for rep, error in boot.failures)
             if boot.n_success < 2:
+                # keep the failure reasons that explain the error
+                write_table(os.path.join(args.out, "failures.csv"),
+                            ["method", "replicate", "error"], failures)
+                write_manifest(args.out, args, inputs=inputs)
                 raise DegeneracyError("bootstrap_failed",
                                       f"{method}: only {boot.n_success} "
                                       "replicates succeeded")
@@ -376,7 +384,6 @@ def cmd_evaluate(args) -> int:
                      "n_success", "B"], rows)
         write_table(os.path.join(args.out, "failures.csv"),
                     ["method", "replicate", "error"], failures)
-        inputs["data"] = args.data
 
     write_manifest(args.out, args, inputs=inputs)
     return 0

@@ -119,12 +119,17 @@ def match_sources(truth: np.ndarray, est: np.ndarray,
                        loading_corr=loading_corr)
 
 
-def top_edge_support(values: np.ndarray, top_fraction: float) -> np.ndarray:
-    """Boolean mask of the top `top_fraction` entries by magnitude along
-    the last axis (at least one per row; stable tie-break by index)."""
+def check_top_fraction(top_fraction: float) -> None:
+    """Raise ValidationError unless ``top_fraction`` lies in (0, 1]."""
     if not 0 < top_fraction <= 1:
         raise ValidationError("bad_config",
                               f"top_fraction must lie in (0, 1], got {top_fraction}")
+
+
+def top_edge_support(values: np.ndarray, top_fraction: float) -> np.ndarray:
+    """Boolean mask of the top `top_fraction` entries by magnitude along
+    the last axis (at least one per row; stable tie-break by index)."""
+    check_top_fraction(top_fraction)
     magnitude = np.abs(values)
     k = max(1, int(round(top_fraction * magnitude.shape[-1])))
     # everything above the k-th largest magnitude, then the entries tied

@@ -32,9 +32,11 @@ one rank-1 downdate.  The sweep's certified path solves it from a tracked
 cond(X(-v)' X(-v)) <= CERT, two decades inside the PINV_RTOL rule
 (:func:`_pinv_rule`); its exact path solves an eigendecomposition of
 X(-v)' X(-v) under the rule and restarts the tracking from it when it is
-within CERT.  The weight step solves for the per-component edge vectors Z
-under the same rule, with Z'Z and Z't read from closed-form moments of X
-and the (V, V) target (:func:`update_d`), so no p x R matrix is built.
+within CERT.  Each source takes its path and restarts its tracking on its
+own, so its rows do not depend on the other sources of its sweep.  The
+weight step solves for the per-component edge vectors Z under the same
+rule, with Z'Z and Z't read from closed-form moments of X and the (V, V)
+target (:func:`update_d`), so no p x R matrix is built.
 
 The three regularizers share this loop.  Both block updates least-squares
 project onto the current low-rank span; the variants differ only in the
@@ -230,28 +232,19 @@ def _pinv_rule(eigvals: np.ndarray) -> np.ndarray:
     return large / np.where(large, eigvals, 1.0)
 
 
-def _each_cell(reduce, mask: np.ndarray, starts: np.ndarray, sizes) -> np.ndarray:
-    """Reduce the per-source ``mask`` over each cell's run of sources with
-    the ufunc ``reduce`` and repeat the result for every source of the
-    cell."""
-    return np.repeat(reduce.reduceat(mask.reshape(-1), starts), sizes)
-
-
-def _exact_rows(x, x_v, rhs, inv_d, pad_eye, pad_cells):
+def _exact_rows(x, x_v, rhs, inv_d, pad_eye, padded):
     """New node rows from an eigendecomposition of X(-v)' X(-v) under the
     PINV_RTOL rule; also returns its eigenvalues, eigenvectors and
     reciprocals for the restart.  ``pad_eye`` fills the padded columns'
-    Gram block; ``pad_cells`` (None: every source) marks the sources whose
-    cell has padding, the only ones a lone sweep of that cell pads.  A
-    source whose Gram is not finite (its coordinates overflowed) gets NaN
-    rows, whatever its rank, which the caller reports; the identity stands
-    in for its Gram, so that eigh neither fails the batch nor converges on
-    NaN."""
+    Gram block of the sources that ``padded`` (q, 1, 1) marks; every other
+    source's Gram is left as it is.  A source whose Gram is not finite
+    (its coordinates overflowed) gets NaN rows, whatever its rank, which
+    the caller reports; the identity stands in for its Gram, so that eigh
+    neither fails the batch nor converges on NaN."""
     gram = np.matmul(x.transpose(0, 2, 1), x) - x_v.transpose(0, 2, 1) * x_v
     if pad_eye is not None:
         top = np.diagonal(gram, axis1=1, axis2=2).max(axis=1)
-        padded = gram + pad_eye * top[:, None, None]
-        gram = padded if pad_cells is None else np.where(pad_cells, padded, gram)
+        gram = np.where(padded, gram + pad_eye * top[:, None, None], gram)
     bad = ~np.isfinite(gram).all(axis=(1, 2))
     if bad.any():
         gram = np.where(bad[:, None, None], np.eye(gram.shape[1]), gram)
@@ -262,12 +255,6 @@ def _exact_rows(x, x_v, rhs, inv_d, pad_eye, pad_cells):
     if bad.any():
         row[bad] = np.nan
     return row, eigvals, eigvecs, inv
-
-
-def _within_cert(eigvals: np.ndarray) -> np.ndarray:
-    """Per source: whether the Gram with these ascending eigenvalues is
-    positive definite with condition number at most CERT."""
-    return (eigvals[:, 0] > 0) & (eigvals[:, -1] <= CERT * eigvals[:, 0])
 
 
 def _restart(eigvals, eigvecs, inv, restart):
@@ -283,8 +270,8 @@ def _restart(eigvals, eigvecs, inv, restart):
             np.where(restart, hi, np.inf))
 
 
-def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
-                nodes=None, cells=None) -> list[np.ndarray]:
+def sweep_nodes(factors, targets: np.ndarray,
+                shrink: float = 0.0) -> list[np.ndarray]:
     """One Gauss-Seidel pass over the nodes, updating node v of every source
     together.
 
@@ -293,38 +280,34 @@ def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
     at node v, with a zero diagonal.  Each node's new coordinates are the
     projection D^(-1) (X(-v)' X(-v))^+ X(-v)' b_v against the freshest rows
     of the other nodes, soft-thresholded at ``shrink`` afterwards.  Visits
-    ``nodes`` in order (default: all) and returns the updated x arrays.
-    X(-v)' b_v is X' b_v since b_v has no diagonal entry.  Ranks are padded
-    to a common R with zero columns whose Gram block is maxdiag(G) I; that
-    value lies inside G's spectrum, so the extreme eigenvalues are those of
-    the sources' own Grams.  Weights below PRUNE_RTOL * max|d| are dead
+    the nodes in order and returns the updated x arrays.  X(-v)' b_v is
+    X' b_v since b_v has no diagonal entry.  Ranks are padded to a common R
+    with zero columns whose Gram block is maxdiag(G) I; that value lies
+    inside G's spectrum, so the extreme eigenvalues are those of the
+    sources' own Grams.  Weights below PRUNE_RTOL * max|d| are dead
     components; their coordinates come back as zero instead of dividing by
     them.
 
     The certified solve tracks H = (X'X)^(-1): with w = H x_v and
     s = 1 - x_v' H x_v, (X(-v)' X(-v))^(-1) = H + w w' / s.  Bounds lo <=
-    lambda_min(X'X) and hi >= lambda_max(X'X) certify a node when every
-    source has s > 0 and hi <= CERT lo s: then cond(X(-v)' X(-v)) <= CERT,
-    two decades inside the PINV_RTOL rule, which would also have used the
-    plain solve.  Any other node, the first included, gets the exact
-    solve: one batched eigh of X(-v)' X(-v) under the PINV_RTOL rule.  If
-    that Gram is within CERT for every source, its inverse and lo =
-    lambda_min, hi = lambda_max restart the tracking.  A source whose Gram
-    is not finite (its rows overflowed) gets NaN rows from then on instead
-    of failing the batched eigh, at any rank.  After each node the
-    new row r is added to H as a rank-1 update, and the bounds stay bounds
-    as lo <- lo s after a certified node (lambda_min(G - x_v x_v') >=
-    s lambda_min(G)) and hi <- hi + |r|^2.  At DEBUG level each sweep logs
-    its certified, exact and pseudo-inverse solves (a node where some cells
-    certify and others do not counts as one of each).
+    lambda_min(X'X) and hi >= lambda_max(X'X) certify a source at a node
+    when s > 0 and hi <= CERT lo s: then cond(X(-v)' X(-v)) <= CERT, two
+    decades inside the PINV_RTOL rule, which would also have used the
+    plain solve.  Any other source, at the first node every source, gets
+    the exact solve: one batched eigh of X(-v)' X(-v) under the PINV_RTOL
+    rule.  If that Gram is within CERT, its inverse and lo = lambda_min,
+    hi = lambda_max restart the source's tracking.  A source whose Gram is
+    not finite (its rows overflowed) gets NaN rows from then on instead of
+    failing the batched eigh, at any rank.  After each node the new row r
+    is added to H as a rank-1 update, and the bounds stay bounds as
+    lo <- lo s after a certified node (lambda_min(G - x_v x_v') >=
+    s lambda_min(G)) and hi <- hi + |r|^2.
 
-    ``cells`` splits the sources into consecutive runs, one per fit (cell),
-    by their counts (default: one cell of all q).  The cells share every
-    batched product but nothing else: "every source" above means every
-    source of the cell, so each cell takes the certified or exact path,
-    restarts its tracking and pads its Gram on its own.  A cell's rows then
-    equal those of a sweep over that cell alone, bit for bit, provided its
-    widest rank is the widest of the batch.
+    Each source takes its path, restarts its tracking and pads its Gram on
+    its own, so its rows are the same bytes in any batch of the same widest
+    rank.  At DEBUG level each sweep logs its certified, exact and
+    pseudo-inverse solves; a node where some sources certify and others do
+    not counts as one of each.
     """
     q = len(factors)
     node_count = np.shape(factors[0][0])[0]
@@ -332,10 +315,6 @@ def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
         raise DimensionError("dimension_mismatch",
                              f"targets of shape {targets.shape}, expected "
                              f"{(q, node_count, node_count)}")
-    sizes = [q] if cells is None else list(cells)
-    if sum(sizes) != q or min(sizes) < 1:
-        raise DimensionError("dimension_mismatch",
-                             f"cells of sizes {sizes} do not split {q} sources")
     ranks = [np.shape(x)[1] for x, _ in factors]
     width = max(ranks)
     x = np.zeros((q, node_count, width))
@@ -348,44 +327,32 @@ def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
     keep = np.abs(d) > PRUNE_RTOL * np.max(np.abs(d), axis=1, keepdims=True)
     inv_d = (keep / np.where(keep, d, 1.0))[:, None, :]
     pad_eye = pad[:, :, None] * np.eye(width) if pad.any() else None
+    padded = pad.any(axis=1)[:, None, None]
     if logger.isEnabledFor(logging.DEBUG) and not keep[~pad].all():
         logger.debug("%d near-zero weights skipped in the node projection",
                      int((~keep[~pad]).sum()))
-    # with several cells: where each cell's run of sources starts, and
-    # which sources belong to a cell with padding (None: all of them)
-    starts = pad_cells = None
-    if len(sizes) > 1:
-        starts = np.cumsum([0] + sizes[:-1])
-        if pad_eye is not None:
-            padded = _each_cell(np.logical_or, pad.any(axis=1), starts, sizes)
-            if not padded.all():
-                pad_cells = padded[:, None, None]
 
-    # tracked inverses and bounds; None until a cell restarts, then zero
-    # (never certified) in the rows of the cells that have not
+    # tracked inverses and bounds; None until a source restarts, then zero
+    # (never certified) in the rows of the sources that have not
     h = cap = hi = None
     certified = exact = singular = 0
-    for v in (range(node_count) if nodes is None else nodes):
+    for v in range(node_count):
         x_v = x[:, v, None, :]
         x_col = x_v.transpose(0, 2, 1)
         rhs = np.matmul(targets[:, v, None, :], x)
-        # the certified sources: True (all), False (none) or, with several
-        # cells, a per-source mask
+        # the certified sources: True (all), False (none) or a mask
         ok = False
         if h is not None:
             # cap = CERT * lo; lo and hi are positive, so hi <= cap * s
             # also requires s > 0
             w = np.matmul(x_v, h)
             s = 1.0 - np.matmul(w, x_col)
-            fits = hi <= cap * s
-            ok = bool(fits.all())
-            if not ok and starts is not None:
-                ok = _each_cell(np.logical_and, fits, starts, sizes)
-                ok = ok if ok.any() else False
+            fits = (hi <= cap * s).reshape(-1)
+            ok = True if fits.all() else (fits if fits.any() else False)
         if ok is not False:
             certified += 1
             if ok is not True:
-                # the other cells' rows and tracking come from the exact
+                # the other sources' rows and tracking come from the exact
                 # solve below; s = 1 keeps their throwaway values finite
                 s = np.where(ok[:, None, None], s, 1.0)
             c = np.matmul(rhs, h)
@@ -398,23 +365,18 @@ def sweep_nodes(factors, targets: np.ndarray, shrink: float = 0.0,
             es = slice(None) if ok is False else np.flatnonzero(~ok)
             row_e, eigvals, eigvecs, inv = _exact_rows(
                 x[es], x_v[es], rhs[es], inv_d[es],
-                None if pad_eye is None else pad_eye[es],
-                None if pad_cells is None else pad_cells[es])
+                None if pad_eye is None else pad_eye[es], padded[es])
             singular += int(np.count_nonzero((inv == 0).any(axis=2)))
-            within = _within_cert(eigvals)
+            # restart where the Gram is positive definite within CERT
+            lo, top = eigvals[:, 0], eigvals[:, -1]
+            restart = (lo > 0) & (top <= CERT * lo)
             if ok is False:
                 row = row_e
-                restart = (within.all() if starts is None
-                           else _each_cell(np.logical_and, within, starts, sizes))
                 h = cap = hi = None
                 if restart.any():
                     h, cap, hi = _restart(eigvals, eigvecs, inv, restart)
             else:
                 row[es] = row_e
-                # a cell restarts when all of its sources are within CERT
-                everyone = np.ones(q, dtype=bool)
-                everyone[es] = within
-                restart = _each_cell(np.logical_and, everyone, starts, sizes)[es]
                 h[es], cap[es], hi[es] = _restart(eigvals, eigvecs, inv, restart)
         if shrink:
             row = soft_threshold(row, shrink)
@@ -689,21 +651,17 @@ def _sweep_cells(batch, shrink: float) -> dict:
     factors = [(cell.sources[ell].x, cell.sources[ell].d)
                for cell, _, live in batch for ell in live]
     mats = [cell_mats[live] for _, cell_mats, live in batch]
-    sizes = [len(live) for _, _, live in batch]
     try:
         xs = sweep_nodes(factors, np.concatenate(mats) if len(mats) > 1
-                         else mats[0], shrink, cells=sizes)
+                         else mats[0], shrink)
     except np.linalg.LinAlgError as err:
         if len(batch) == 1:
             batch[0][0].error = err
             return {}
         return {cell: out for part in batch
                 for cell, out in _sweep_cells([part], shrink).items()}
-    out = {}
-    for (cell, _, _), size in zip(batch, sizes):
-        out[cell] = xs[:size]
-        xs = xs[size:]
-    return out
+    xs = iter(xs)
+    return {cell: [next(xs) for _ in live] for cell, _, live in batch}
 
 
 def _weigh(cell: _Cell, target_mats: np.ndarray, swept: dict, it: int) -> None:

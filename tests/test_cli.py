@@ -528,6 +528,47 @@ class TestEvaluate:
                     "--max-iter", 40, "--out", out]) == 0
         assert (out / "failures.csv").read_text() == "method,replicate,error\n"
 
+    def test_failures_written_when_too_few_replicates_succeed(
+            self, sim_dir, tmp_path, monkeypatch, capsys):
+        # every refit fails: exit 4, and failures.csv and the manifest
+        # still name what failed
+        import locus.cli as cli
+        from locus.errors import DegeneracyError
+
+        def failing_fit(*args, **kwargs):
+            raise DegeneracyError("singular_sources", "synthetic failure")
+
+        monkeypatch.setattr(cli, "fit", failing_fit)
+        out = tmp_path / "eval_boot"
+        assert run(["evaluate", "--truth", sim_dir / "truth",
+                    "--data", sim_dir / "dataset.csv", "--bootstrap", 3,
+                    "--out", out]) == 4
+        assert "bootstrap_failed" in capsys.readouterr().err
+        with open(out / "failures.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["method"], row["replicate"]) for row in rows] == [
+            ("locus", "1"), ("locus", "2"), ("locus", "3")]
+        assert all(row["error"] == "DegeneracyError: [singular_sources] "
+                                   "synthetic failure" for row in rows)
+        manifest = read_meta(out / "manifest")
+        assert manifest["input_data"] == str(sim_dir / "dataset.csv")
+        assert not (out / "reliability.csv").exists()
+
+    def test_bad_top_fraction_rejected_before_any_refit(
+            self, sim_dir, tmp_path, monkeypatch, capsys):
+        import locus.cli as cli
+        calls = []
+        monkeypatch.setattr(cli, "bootstrap_replicates",
+                            lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "x"
+        assert run(["evaluate", "--truth", sim_dir / "truth",
+                    "--data", sim_dir / "dataset.csv", "--bootstrap", 20,
+                    "--top-fraction", 0, "--out", out]) == 3
+        assert "[bad_config] top_fraction must lie in (0, 1], got 0.0" in (
+            capsys.readouterr().err)
+        assert calls == []
+        assert not out.exists()
+
     def test_fit_with_surplus_components_scored(self, sim_dir, tmp_path):
         # a q=4 fit of 3 true sources: one match.csv row per true source,
         # each matched to a distinct estimate, the fourth left out

@@ -379,8 +379,9 @@ class TestTune:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_sweep_fails_only_its_cell(self, monkeypatch):
-        # the first sweep call overflows the first cell's node rows; its
-        # batch has widest rank >= 3, where eigh of a NaN Gram raises
+        # the first sweep call overflows the first cell's node rows (its
+        # three sources lead the batch); the batch has widest rank >= 3,
+        # where eigh of a NaN Gram raises
         ds, _ = generate(SyntheticSpec(node_count=14, q=3, n_subjects=24,
                                        sigma=0.5, seed=14))
         cfg = SolverConfig(seed=0, max_iter=60)
@@ -390,13 +391,12 @@ class TestTune:
         real_sweep = solver.sweep_nodes
         widths = []
 
-        def overflowing_sweep(factors, targets, shrink=0.0, nodes=None,
-                              cells=None):
+        def overflowing_sweep(factors, targets, shrink=0.0):
             if not widths:
                 widths.append(max(x.shape[1] for x, _ in factors))
                 targets = targets.copy()
-                targets[:cells[0]] *= 1e300
-            return real_sweep(factors, targets, shrink, nodes, cells)
+                targets[:3] *= 1e300
+            return real_sweep(factors, targets, shrink)
 
         monkeypatch.setattr(solver, "sweep_nodes", overflowing_sweep)
         injected = tune(ds, 3, *grid, cfg)

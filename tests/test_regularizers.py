@@ -22,10 +22,13 @@ def z_columns(x):
 
 
 def visit_node(src, v, bhat, shrink=0.0):
-    """Node v's new row from a :func:`sweep_nodes` visit of node v alone."""
+    """Node v's new row from a :func:`sweep_nodes` visit of node v against
+    the other rows of ``src``: the sweep of a relabelled copy in which
+    node v comes first, so that it visits node v before any other."""
+    order = [v] + [u for u in range(src.node_count) if u != v]
     targets = np.zeros((1, src.node_count, src.node_count))
-    targets[0, v] = np.insert(bhat, v, 0.0)
-    return sweep_nodes([(src.x, src.d)], targets, shrink, nodes=(v,))[0][v]
+    targets[0, 0, 1:] = bhat
+    return sweep_nodes([(src.x[order], src.d)], targets, shrink)[0][0]
 
 
 def basis_source(node_count, node, weight):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import logging
 import re
 import warnings
@@ -126,12 +127,14 @@ def node_objective(x, d, v, y_proj, phi, row):
 
 
 def visit_node(src, v, bhat):
-    """Node v's new row from a :func:`sweep_nodes` visit of node v alone,
-    with the V-1 edge values ``bhat`` at node v (ordered by the other
-    endpoint)."""
+    """Node v's new row from a :func:`sweep_nodes` visit of node v against
+    the other rows of ``src``, with the V-1 edge values ``bhat`` at node v
+    (ordered by the other endpoint): the sweep of a relabelled copy in
+    which node v comes first, so that it visits node v before any other."""
+    order = [v] + [u for u in range(src.node_count) if u != v]
     targets = np.zeros((1, src.node_count, src.node_count))
-    targets[0, v] = np.insert(bhat, v, 0.0)
-    return sweep_nodes([(src.x, src.d)], targets, nodes=(v,))[0][v]
+    targets[0, 0, 1:] = bhat
+    return sweep_nodes([(src.x[order], src.d)], targets)[0][0]
 
 
 class TestUpdateNode:
@@ -174,12 +177,11 @@ class TestUpdateNode:
         rng = np.random.default_rng(3)
         src = random_source(rng, 6, 2)
         with pytest.raises(DimensionError):
-            sweep_nodes([(src.x, src.d)], np.zeros((1, 6, 7)), nodes=(0,))
+            sweep_nodes([(src.x, src.d)], np.zeros((1, 6, 7)))
 
 
-def reference_sweep(x, d, y_edges, variant, t, nodes=None):
-    """Textbook node-by-node sweep for one source: for each node v in turn
-    (``nodes``, default all),
+def reference_sweep(x, d, y_edges, variant, t):
+    """Textbook node-by-node sweep for one source: for each node v in turn,
     D^(-1) (X(-v)' X(-v))^+ X(-v)' bhat with an explicit row delete, the
     pseudo-inverse when s_min <= PINV_RTOL * s_max (2-norm), and zero
     coordinates for weights below PRUNE_RTOL * max|d|.  Uniform-L1
@@ -190,7 +192,7 @@ def reference_sweep(x, d, y_edges, variant, t, nodes=None):
     node_count = x.shape[0]
     m = unvectorize(y_edges, node_count)
     keep = np.abs(d) > PRUNE_RTOL * np.max(np.abs(d))
-    for v in (range(node_count) if nodes is None else nodes):
+    for v in range(node_count):
         bhat = np.delete(m[v], v)
         if variant == "uniform_l1":
             bhat = soft_threshold(bhat, t)
@@ -220,21 +222,21 @@ def sweep_counts(caplog):
     return tuple(int(n) for n in [m for m in found if m][-1].groups())
 
 
-def check_against_reference(caplog, factors, y, t=0.3, nodes=None):
-    """Sweep every variant over ``nodes`` and compare with
+def check_against_reference(caplog, factors, y, t=0.3):
+    """Sweep every variant and compare with
     :func:`reference_sweep` at 1e-10; returns the reference's pinv solves
     and the logged counts."""
     node_count = factors[0][0].shape[0]
     results = []
     for variant in ("uniform_l1", "vector_l1", "nuclear"):
         expected, pinv_solves = zip(*[
-            reference_sweep(x, d, y[ell], variant, t, nodes)
+            reference_sweep(x, d, y[ell], variant, t)
             for ell, (x, d) in enumerate(factors)])
         edges = soft_threshold(y, t) if variant == "uniform_l1" else y
         targets = np.stack([unvectorize(row, node_count) for row in edges])
         with caplog.at_level(logging.DEBUG, logger="locus.solver"):
             got = sweep_nodes(factors, targets,
-                              t if variant == "vector_l1" else 0.0, nodes)
+                              t if variant == "vector_l1" else 0.0)
         for ell, (g, e) in enumerate(zip(got, expected)):
             assert g.shape == factors[ell][0].shape
             scale = max(1.0, float(np.max(np.abs(e))))
@@ -267,7 +269,10 @@ class TestSweepNodes:
             # every node of the duplicated source, and the last node of the
             # pruned one, whose dead column is all zero by then
             assert pinv_solves == (0, 0, node_count, 1)
-            assert counts == (0, node_count, node_count + 1), variant
+            # the other sources certify every node after the first, beside
+            # the duplicated one's exact solves: a node of mixed paths
+            # counts once on each side
+            assert counts == (node_count - 1, node_count, node_count + 1), variant
             assert not got[3][:, 1].any()  # pruned weight's coordinates
 
     def test_well_conditioned_sweep_certifies_every_later_node(self, caplog):
@@ -299,16 +304,21 @@ class TestSweepNodes:
         x[3:, 2] = np.linalg.qr(np.column_stack(
             [x[3:, :2], rng.standard_normal(node_count - 3)]))[0][:, 2] * 3e-5
         x[0, 2] = 1.0
+        # relabel nodes 1, 2, 0 as 0, 1, 2, so that node 0 comes third
+        x = x[[1, 2, 0, *range(3, node_count)]]
         factors = [(x, np.array([1.5, -1.2, 1e-13]))]
         y = rng.standard_normal((1, p))
         for variant, got, pinv_solves, counts in check_against_reference(
-                caplog, factors, y, nodes=(1, 2, 0)):
-            rest = np.delete(got[0], 0, axis=0)
+                caplog, factors, y):
+            # the third node's Gram: the swept rows before it, the given
+            # ones after
+            rest = np.vstack([got[0][:2], x[3:]])
             cond = np.linalg.cond(rest.T @ rest)
             assert 1e-2 / PINV_RTOL < cond < 1.0 / PINV_RTOL
-            assert pinv_solves == (0,)
-            # node 1 exact (restart), node 2 certified, node 0 exact
-            assert counts == (1, 2, 0), variant
+            # the first node exact (restart), the second certified, the
+            # third exact without a restart, so the later nodes are exact
+            # too, by pseudo-inverse wherever the reference uses one
+            assert counts == (1, node_count - 1, pinv_solves[0]), variant
 
     @pytest.mark.parametrize("change", ["shrinking", "growing"])
     def test_gram_degrading_through_the_sweep_is_not_certified(self, caplog,
@@ -335,56 +345,52 @@ class TestSweepNodes:
             assert exact >= pinv == pinv_solves[0], variant
 
     def test_single_node_visit_leaves_other_rows(self):
+        # a visit writes its node's row only: node v's row is the least
+        # squares solve against the swept rows before it and the given
+        # rows after it
         rng = np.random.default_rng(41)
         src = random_source(rng, 9, 2)
-        y_proj = rng.standard_normal(8)
-        targets = np.zeros((1, 9, 9))
-        targets[0, 4] = np.insert(y_proj, 4, 0.0)
-        (x,) = sweep_nodes([(src.x, src.d)], targets, nodes=(4,))
-        assert np.array_equal(np.delete(x, 4, axis=0), np.delete(src.x, 4, axis=0))
-        design = np.delete(src.x, 4, axis=0) * src.d
-        expected, *_ = np.linalg.lstsq(design, y_proj, rcond=None)
-        assert np.allclose(x[4], expected, atol=1e-10)
+        targets = unvectorize(rng.standard_normal(36), 9)[None]
+        (x,) = sweep_nodes([(src.x, src.d)], targets)
+        for v in range(9):
+            design = np.delete(np.vstack([x[:v], src.x[v:]]), v, axis=0) * src.d
+            expected, *_ = np.linalg.lstsq(design, np.delete(targets[0, v], v),
+                                           rcond=None)
+            assert np.allclose(x[v], expected, atol=1e-10), v
 
-    def test_cells_swept_together_equal_cells_swept_alone(self, caplog):
-        # a nearly collinear cell, cond(X'X) ~ 4e12 > CERT, solved exactly
-        # (by pseudo-inverse) at every node, beside a well-conditioned cell that certifies every
-        # node after the first.  Both have widest rank 3, as _step batches
-        # them; the first also holds a rank-2 source, so only it pads its
-        # Gram.  A batch-wide certificate would send the second cell down
-        # the exact path too, which rounds differently.
+    def test_source_rows_do_not_depend_on_the_batch(self, caplog):
+        # a nearly collinear source, cond(X'X) ~ 4e12 > CERT, solved exactly
+        # (by pseudo-inverse) at every node, beside well-conditioned ones
+        # that certify every node after the first, and a rank-2 source
+        # that pads its Gram.  Each source's rows are the same bytes in
+        # every batch of widest rank 3 that holds it, in any order.  A
+        # batch-wide certificate would send the others down the exact path
+        # beside the collinear source, which rounds differently.
         rng = np.random.default_rng(46)
         node_count = 20
         p = node_count * (node_count - 1) // 2
         near = rng.standard_normal((node_count, 3))
         near[:, 2] = near[:, 1] + 1e-6 * rng.standard_normal(node_count)
-        cells = [
-            [(near, np.array([1.2, 0.9, 0.9])),
-             (rng.standard_normal((node_count, 2)), np.array([1.5, -0.7]))],
-            [(np.linalg.qr(rng.standard_normal((node_count, 3)))[0],
-              np.array([2.0, -1.1, 0.6])) for _ in range(2)],
-        ]
+        factors = [(near, np.array([1.2, 0.9, 0.9])),
+                   (rng.standard_normal((node_count, 2)), np.array([1.5, -0.7])),
+                   *[(np.linalg.qr(rng.standard_normal((node_count, 3)))[0],
+                      np.array([2.0, -1.1, 0.6])) for _ in range(2)]]
         targets = np.stack([unvectorize(row, node_count)
                             for row in rng.standard_normal((4, p))])
-        alone, counts = [], []
-        for k, factors in enumerate(cells):
-            with caplog.at_level(logging.DEBUG, logger="locus.solver"):
-                alone += sweep_nodes(factors, targets[2 * k:2 * k + 2])
-            counts.append(sweep_counts(caplog))
-        assert counts[0][:2] == (0, node_count)
-        assert counts[1] == (node_count - 1, 1, 0)
         with caplog.at_level(logging.DEBUG, logger="locus.solver"):
-            together = sweep_nodes(cells[0] + cells[1], targets, cells=[2, 2])
+            want = [x.tobytes() for x in sweep_nodes(factors, targets)]
         # every node after the first mixes the two paths
         assert sweep_counts(caplog)[:2] == (node_count - 1, node_count)
-        for got, want in zip(together, alone):
-            assert got.tobytes() == want.tobytes()
-
-    def test_cells_must_split_the_sources(self):
-        rng = np.random.default_rng(47)
-        factors = [(random_source(rng, 6, 2).x, np.ones(2)) for _ in range(3)]
-        with pytest.raises(DimensionError):
-            sweep_nodes(factors, np.zeros((3, 6, 6)), cells=[1, 1])
+        batches = 0
+        for size in range(1, 5):
+            for batch in itertools.permutations(range(4), size):
+                if batch == (1,):
+                    continue  # its widest rank is 2
+                got = sweep_nodes([factors[ell] for ell in batch],
+                                  targets[list(batch)])
+                assert [x.tobytes() for x in got] == [want[ell] for ell in batch]
+                batches += 1
+        assert batches == 63
 
     def test_failed_cell_leaves_the_batch_to_the_others(self, monkeypatch):
         # a LinAlgError from one cell's eigh fails the batched sweep; the
@@ -433,15 +439,14 @@ class TestStep:
         sweeps = []
         real_sweep = solver.sweep_nodes
 
-        def counting_sweep(factors, targets, shrink=0.0, nodes=None,
-                           cells=None):
-            sweeps.append(cells)
-            return real_sweep(factors, targets, shrink, nodes, cells)
+        def counting_sweep(factors, targets, shrink=0.0):
+            sweeps.append(len(factors))
+            return real_sweep(factors, targets, shrink)
 
         monkeypatch.setattr(solver, "sweep_nodes", counting_sweep)
         together = [make_cell(*spec) for spec in specs]
         solver._step(together, 1)
-        assert sorted(sweeps) == [[2], [2, 2]]
+        assert sorted(sweeps) == [2, 4]
         for spec, cell in zip(specs, together):
             lone = make_cell(*spec)
             solver._step([lone], 1)
