@@ -2,9 +2,12 @@
 
 Treats the p edges of the whitened data as samples and extracts q
 independent edge-space components with the symmetric (parallel) fixed-point
-iteration and the tanh contrast.  Rows of the whitened data are mutually
-uncorrelated by construction; they are centered and rescaled to unit
-variance internally so the contrast operates in its intended regime.
+iteration and the tanh contrast (Hyvarinen & Oja 2000).  That iteration
+needs white input, and the rows of the whitened data are not white over
+the edges: the sources have non-zero mean edges, so their centred rows
+correlate.  The rows are therefore centred and whitened here by the
+symmetric (ZCA) transform C^(-1/2), C = Z Z^T / p, which unlike PCA
+whitening does not depend on eigenvector signs.
 """
 
 from __future__ import annotations
@@ -13,11 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DegeneracyError, DimensionError, ValidationError
 from .preprocess import WhitenedData, _polar_orthogonalize
 
 # the iteration stops once every unmixing row moves by less than this
 TOL = 1e-6
+# centred rows whose covariance has an eigenvalue at or below this fraction
+# of the largest are dependent (or zero) and cannot be whitened
+WHITEN_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -32,11 +38,14 @@ class IcaModel:
 
 def fastica(whitened: WhitenedData, q: int, max_iter: int = 200,
             seed: int = 0) -> IcaModel:
-    """Symmetric fixed-point FastICA with the tanh contrast.
+    """Symmetric fixed-point FastICA with the tanh contrast on the centred,
+    ZCA-whitened rows of ``whitened.y_tilde``.
 
-    Deterministic for a fixed seed.  Non-convergence after max_iter returns
-    the best iterate with converged=False rather than raising; Gaussian-only
-    data typically lands there.
+    The returned sources are uncorrelated with unit variance over the
+    edges.  Deterministic for a fixed seed.  Non-convergence after max_iter
+    returns the last iterate with converged=False rather than raising;
+    Gaussian-only data typically lands there.  Centred rows that are
+    linearly dependent (or zero) raise ``DegeneracyError("singular_mixing")``.
     """
     if q != whitened.q:
         raise DimensionError("dimension_mismatch",
@@ -47,9 +56,13 @@ def fastica(whitened: WhitenedData, q: int, max_iter: int = 200,
     p = y.shape[1]
 
     z = y - y.mean(axis=1, keepdims=True)
-    scale = np.sqrt(np.mean(z ** 2, axis=1, keepdims=True))
-    scale[scale == 0] = 1.0
-    z = z / scale
+    eigvals, eigvecs = np.linalg.eigh(z @ z.T / p)
+    if eigvals[0] <= WHITEN_RTOL * eigvals[-1]:
+        raise DegeneracyError("singular_mixing",
+                              "centred rows are linearly dependent; "
+                              f"covariance eigenvalues {eigvals[0]:.3e} to "
+                              f"{eigvals[-1]:.3e}")
+    z = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T @ z
 
     rng = np.random.default_rng(seed)
     w = _polar_orthogonalize(rng.standard_normal((q, q)))
@@ -70,5 +83,7 @@ def fastica(whitened: WhitenedData, q: int, max_iter: int = 200,
             converged = True
             break
 
+    # the unmixing of the centred rows is W C^(-1/2); the polar factor of
+    # its inverse C^(1/2) W^T is exactly W^T
     return IcaModel(sources=w @ z, mixing=w.T, converged=converged,
                     iterations=iterations)

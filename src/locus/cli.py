@@ -318,12 +318,12 @@ def _bootstrap_fit_fn(method: str, q: int, args):
 
 
 def cmd_evaluate(args) -> int:
-    if args.bootstrap:
-        # the Jaccard support size is checked before any refit
-        check_top_fraction(args.top_fraction)
+    # the Jaccard support size is checked on every call, before any refit
+    check_top_fraction(args.top_fraction)
     truth, truth_loadings = _read_truth(args.truth)
     os.makedirs(args.out, exist_ok=True)
     inputs = {"truth": args.truth}
+    failed = None
 
     if args.fits:
         # a fit is named by its directory, or its path if two names clash
@@ -366,26 +366,27 @@ def cmd_evaluate(args) -> int:
             failures.extend([method, rep + 1, error]
                             for rep, error in boot.failures)
             if boot.n_success < 2:
-                # keep the failure reasons that explain the error
-                write_table(os.path.join(args.out, "failures.csv"),
-                            ["method", "replicate", "error"], failures)
-                write_manifest(args.out, args, inputs=inputs)
-                raise DegeneracyError("bootstrap_failed",
-                                      f"{method}: only {boot.n_success} "
-                                      "replicates succeeded")
+                # the methods before it and the failure reasons are kept
+                failed = DegeneracyError("bootstrap_failed",
+                                         f"{method}: only {boot.n_success} "
+                                         "replicates succeeded")
+                break
             pearson = reliability_report(truth, boot.estimates, "pearson")
             jaccard = reliability_report(truth, boot.estimates, "jaccard",
                                          args.top_fraction)
             rows.extend([method, ell + 1, f"{pearson.per_source_ri[ell]:.6f}",
                          f"{jaccard.per_source_ri[ell]:.6f}",
                          boot.n_success, args.bootstrap] for ell in range(q))
-        write_table(os.path.join(args.out, "reliability.csv"),
-                    ["method", "source", "ri_pearson", "ri_jaccard",
-                     "n_success", "B"], rows)
+        if rows:
+            write_table(os.path.join(args.out, "reliability.csv"),
+                        ["method", "source", "ri_pearson", "ri_jaccard",
+                         "n_success", "B"], rows)
         write_table(os.path.join(args.out, "failures.csv"),
                     ["method", "replicate", "error"], failures)
 
     write_manifest(args.out, args, inputs=inputs)
+    if failed is not None:
+        raise failed
     return 0
 
 

@@ -516,7 +516,8 @@ def _mixing_start(whitened: WhitenedData, q: int, config: SolverConfig) -> tuple
     |lambda| and its |s|^2 (k from :func:`~locus.modelsel._basis_width`),
     or, if the baseline fails with a package error or a LinAlgError, a random
     orthogonal mixing matrix seeded by ``config.seed`` and the projected
-    sources it implies.  Reads ``seed`` and ``r_max`` of ``config``."""
+    sources it implies.  A FastICA start that stops at its iteration cap
+    is logged as a warning.  Reads ``seed`` and ``r_max`` of ``config``."""
     from .modelsel import _basis_width, _top_eigen
 
     try:
@@ -529,6 +530,10 @@ def _mixing_start(whitened: WhitenedData, q: int, config: SolverConfig) -> tuple
         a_tilde = _polar_orthogonalize(
             np.random.default_rng(config.seed).standard_normal((q, q)))
         raw = a_tilde.T @ whitened.y_tilde
+    else:
+        if not ica.converged:
+            logger.warning("FastICA start stopped at its %d-iteration cap "
+                           "without converging", ica.iterations)
     node_count = nodes_from_edge_count(whitened.n_edges)
     keep = _basis_width(config, node_count)
     rows = []

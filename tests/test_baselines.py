@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from locus.baselines import fastica
-from locus.errors import ValidationError
+from locus.errors import DegeneracyError, ValidationError
 from locus.evaluate import match_sources
-from locus.preprocess import WhitenedData
+from locus.preprocess import WhitenedData, whiten
+from locus.synth import SyntheticSpec, generate
 
 
 def wrap_whitened(y_tilde):
@@ -72,3 +73,25 @@ class TestFastica:
         s = non_gaussian_sources(np.random.default_rng(3), 2, 200)
         with pytest.raises(ValidationError, match="bad_config"):
             fastica(wrap_whitened(s), 2, seed=-1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_converges_to_uncorrelated_sources_on_blocks_scenario(self, seed):
+        # the sources' edges have non-zero means, so the centred rows of the
+        # whitened data correlate; FastICA must whiten them to converge
+        ds, _ = generate(SyntheticSpec(node_count=50, q=3, n_subjects=100,
+                                       sigma=1.0, seed=seed))
+        model = fastica(whiten(ds, 3), 3)
+        assert model.converged and model.iterations <= 50
+        cov = np.cov(model.sources, bias=True)
+        assert np.max(np.abs(cov - np.diag(np.diag(cov)))) <= 1e-8
+        assert np.allclose(np.diag(cov), 1.0)
+
+    @pytest.mark.parametrize("second", ["dependent", "constant"])
+    def test_dependent_centred_rows_rejected(self, second):
+        s = non_gaussian_sources(np.random.default_rng(5), 2, 500)
+        # a shifted multiple of a row, or a constant row, is linearly
+        # dependent once the rows are centred
+        other = 2.0 * s[0] + 3.0 if second == "dependent" else np.full(500, 4.0)
+        y = np.vstack([s, other])
+        with pytest.raises(DegeneracyError, match="singular_mixing"):
+            fastica(wrap_whitened(y), 3)

@@ -569,6 +569,47 @@ class TestEvaluate:
         assert calls == []
         assert not out.exists()
 
+    def test_bad_top_fraction_rejected_without_bootstrap(self, sim_dir,
+                                                         tmp_path, capsys):
+        truth_dir = sim_dir / "truth"
+        fitdir = tmp_path / "self"
+        write_self_fit(fitdir, truth_dir)
+        out = tmp_path / "x"
+        assert run(["evaluate", fitdir, "--truth", truth_dir,
+                    "--top-fraction", 1.5, "--out", out]) == 3
+        assert "[bad_config] top_fraction must lie in (0, 1], got 1.5" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_finished_methods_kept_when_a_later_one_fails(
+            self, sim_dir, tmp_path, monkeypatch, capsys):
+        # fastica finishes, then every locus refit fails: exit 4, and
+        # reliability.csv still holds fastica's rows
+        import locus.cli as cli
+        from locus.errors import DegeneracyError
+
+        def failing_fit(*args, **kwargs):
+            raise DegeneracyError("singular_sources", "synthetic failure")
+
+        monkeypatch.setattr(cli, "fit", failing_fit)
+        out = tmp_path / "eval_boot"
+        assert run(["evaluate", "--truth", sim_dir / "truth",
+                    "--data", sim_dir / "dataset.csv", "--bootstrap", 3,
+                    "--method", "fastica", "--method", "locus",
+                    "--out", out]) == 4
+        assert "[bootstrap_failed] locus: only 0" in capsys.readouterr().err
+        with open(out / "reliability.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["method"], row["source"], row["n_success"])
+                for row in rows] == [("fastica", "1", "3"),
+                                     ("fastica", "2", "3"),
+                                     ("fastica", "3", "3")]
+        with open(out / "failures.csv", newline="") as fh:
+            failures = list(csv.DictReader(fh))
+        assert [(row["method"], row["replicate"]) for row in failures] == [
+            ("locus", "1"), ("locus", "2"), ("locus", "3")]
+        assert (out / "manifest").exists()
+
     def test_fit_with_surplus_components_scored(self, sim_dir, tmp_path):
         # a q=4 fit of 3 true sources: one match.csv row per true source,
         # each matched to a distinct estimate, the fourth left out

@@ -1182,6 +1182,24 @@ class TestInitialize:
         with pytest.raises(TypeError):
             initialize(w, 3, SolverConfig(seed=2))
 
+    def test_baseline_stopping_at_its_cap_is_logged(self, monkeypatch, caplog):
+        ds, gt, w = scenario_whitened(1.0, 35)
+        import locus.baselines
+        real = locus.baselines.fastica
+        with caplog.at_level(logging.WARNING, logger="locus.solver"):
+            initialize(w, 3, SolverConfig(seed=2))
+        assert not caplog.records
+
+        def capped(*args, **kwargs):
+            ica = real(*args, **kwargs)
+            return dataclasses.replace(ica, converged=False, iterations=200)
+
+        monkeypatch.setattr(locus.baselines, "fastica", capped)
+        with caplog.at_level(logging.WARNING, logger="locus.solver"):
+            initialize(w, 3, SolverConfig(seed=2))
+        assert [r.getMessage() for r in caplog.records] == [
+            "FastICA start stopped at its 200-iteration cap without converging"]
+
     def test_truncation_keeps_largest_magnitude_eigenvalues(self):
         # mixed-sign spectrum: magnitude ordering must keep the large
         # negative component ahead of a small positive one
