@@ -41,6 +41,8 @@ SCENARIOS = {"I": "blocks_cross", "II": "triangle_circle_square",
 REGULARIZERS = {"uniform": "uniform_l1", "vector": "vector_l1",
                 "nuclear": "nuclear"}
 
+logger = logging.getLogger(__name__)
+
 
 def _sha256_file(path: str) -> str:
     digest = hashlib.sha256()
@@ -238,6 +240,9 @@ def cmd_decompose(args) -> int:
     if args.method == "locus":
         config = _solver_config(args)
         model = fit(whitened, args.q, config)
+        if not model.converged:
+            logger.warning("LOCUS fit stopped at its %d-iteration cap without "
+                           "converging", model.iterations)
         save_model(model, args.out, config)
         sources = model.source_matrix()
     else:

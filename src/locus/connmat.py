@@ -36,6 +36,18 @@ def triu_indices(node_count: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+@functools.lru_cache(maxsize=32)
+def triu_flat(node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a row-major V x V matrix of the upper triangle
+    (diagonal excluded) in edge enumeration order, and of its mirror image
+    in the lower triangle.  Cached and shared, so returned read-only."""
+    rows, cols = triu_indices(node_count)
+    upper, lower = rows * node_count + cols, cols * node_count + rows
+    upper.setflags(write=False)
+    lower.setflags(write=False)
+    return upper, lower
+
+
 def nodes_from_edge_count(p: int) -> int:
     """Invert p = V(V-1)/2, rejecting p that fits no integer V."""
     v = int(round((1 + np.sqrt(1 + 8 * p)) / 2))
@@ -67,23 +79,24 @@ def vectorize(m: np.ndarray) -> np.ndarray:
             f"matrix asymmetric at entry ({u + 1}, {v + 1}): "
             f"{m[u, v]:.17g} vs {m[v, u]:.17g} "
             f"(relative gap {gap[worst] / scale:.3e})")
-    r, c = triu_indices(m.shape[0])
-    return ((m + m.T) / 2.0)[r, c]
+    return ((m + m.T) / 2.0).reshape(-1)[triu_flat(m.shape[0])[0]]
 
 
 def unvectorize(s: np.ndarray, node_count: int) -> np.ndarray:
-    """Inverse of :func:`vectorize`: symmetric matrix with zero diagonal."""
+    """Inverse of :func:`vectorize`: symmetric matrix with zero diagonal.
+    A stack of edge vectors (..., p) gives a stack of matrices (..., V, V),
+    scattered in one pass."""
     s = np.asarray(s, dtype=float)
-    if s.ndim != 1 or s.shape[0] != edge_count(node_count):
+    if s.ndim < 1 or s.shape[-1] != edge_count(node_count):
         raise DimensionError(
             "dimension_mismatch",
             f"edge vector of length {s.shape} does not match V={node_count} "
             f"(expected {edge_count(node_count)})")
-    m = np.zeros((node_count, node_count))
-    r, c = triu_indices(node_count)
-    m[r, c] = s
-    m[c, r] = s
-    return m
+    upper, lower = triu_flat(node_count)
+    m = np.zeros(s.shape[:-1] + (node_count * node_count,))
+    m[..., upper] = s
+    m[..., lower] = s
+    return m.reshape(s.shape[:-1] + (node_count, node_count))
 
 
 def fisher_z(values: np.ndarray) -> np.ndarray:

@@ -278,29 +278,43 @@ def bic(dataset: ConnectivityDataset, model: LocusModel) -> float:
     times the source's largest edge.
     A perfect fit (zero residual variance) returns the -inf sentinel.
     """
-    if model.a is None:
-        raise ValidationError("no_loadings", "model has no subject loadings")
+    return _bics(dataset, dataset.data.mean(axis=0), [model])[0]
+
+
+def _bics(dataset: ConnectivityDataset, col_means: np.ndarray,
+          models) -> list[float]:
+    """:func:`bic` of each of ``models`` (all with q sources) on the data
+    centred by ``col_means``, the column means of ``dataset``: each block
+    of the data is centred once for every model, and their L0 counts are
+    stacked."""
     y = dataset.data
     n, p = y.shape
-    s = model.source_matrix()
-    if model.a.shape != (n, model.q) or s.shape[1] != p:
-        raise ValidationError("dimension_mismatch",
-                              "model dimensions do not match the dataset")
-    squares = 0.0
-    for cols, resid in _centered_blocks(y, y.mean(axis=0)):
-        resid -= model.a @ s[:, cols]
-        squares += float(np.sum(resid ** 2))
-    sigma2 = squares / (n * p)
+    rows = []
+    for model in models:
+        if model.a is None:
+            raise ValidationError("no_loadings", "model has no subject loadings")
+        rows.append(model.source_matrix())
+        if model.a.shape != (n, model.q) or rows[-1].shape[1] != p:
+            raise ValidationError("dimension_mismatch",
+                                  "model dimensions do not match the dataset")
+    s = np.stack(rows)
+    squares = [0.0] * len(models)
+    for cols, block in _centered_blocks(y, col_means):
+        for k, model in enumerate(models):
+            resid = block - model.a @ s[k, :, cols]
+            squares[k] += float(np.sum(resid ** 2))
 
-    l0 = 0
-    for ell in range(model.q):
-        scale = float(np.max(np.abs(s[ell])))
-        if scale > 0:
-            l0 += int(np.count_nonzero(np.abs(s[ell]) > ZERO_TOL * scale))
-    if sigma2 == 0:
-        return -math.inf
-    loglik = -0.5 * n * p * (math.log(2.0 * math.pi * sigma2) + 1.0)
-    return -2.0 * loglik + math.log(n) * l0
+    scale = np.max(np.abs(s), axis=2, keepdims=True)
+    l0 = np.count_nonzero(np.abs(s) > ZERO_TOL * scale, axis=(1, 2))
+    out = []
+    for total, size in zip(squares, l0):
+        sigma2 = total / (n * p)
+        if sigma2 == 0:
+            out.append(-math.inf)
+            continue
+        loglik = -0.5 * n * p * (math.log(2.0 * math.pi * sigma2) + 1.0)
+        out.append(-2.0 * loglik + math.log(n) * int(size))
+    return out
 
 
 def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
@@ -312,15 +326,19 @@ def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
     neither phi nor rho, and each rho truncates it to one start, built
     before any cell is fitted and shared by every phi.  The cells are then
     fitted in lockstep (:func:`~locus.solver._fit_cells`): each outer
-    iteration makes one node sweep per batch of cells of equal width, and
-    every cell's model is bit for bit the one :func:`~locus.solver.fit`
-    returns from the same start.  Ties break toward larger phi, then
-    larger rho (the sparser model).  Cells whose start or fit raises a
-    package error or a LinAlgError are recorded with that error and
-    excluded; the other cells run on unaffected.  All cells failing is an
-    error.  Any other exception is a programming error and propagates.  A
-    grid value that :class:`SolverConfig` rejects, such as NaN, raises
-    before any fit runs.
+    iteration runs its arithmetic as stacked passes over every running
+    cell, with one node sweep per batch of cells of equal width, while
+    every decision stays per cell; every cell's model is bit for bit the
+    one :func:`~locus.solver.fit` returns from the same start.  The data
+    is centred once, block by block, for the loadings of the cells that
+    stop in the same iteration, and once for every cell's BIC
+    (:func:`_bics`), against the column means the whitening computed.
+    Ties break toward larger phi, then larger rho (the sparser model).
+    Cells whose start or fit raises a package error or a LinAlgError are
+    recorded with that error and excluded; the other cells run on
+    unaffected.  All cells failing is an error.  Any other exception is a
+    programming error and propagates.  A grid value that
+    :class:`SolverConfig` rejects, such as NaN, raises before any fit runs.
     """
     phi_grid = list(phi_grid)
     rho_grid = list(rho_grid)
@@ -353,19 +371,19 @@ def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
     for i, model in zip(runnable, fitted):
         outcomes[i] = model
 
+    # every fitted cell's BIC, against the whitening's column means
+    fitted = [model for model in outcomes if isinstance(model, LocusModel)]
+    bics = iter(_bics(dataset, whitened.col_means, fitted) if fitted else ())
     cells = []
     for cfg, model in zip(configs, outcomes):
-        try:
-            if isinstance(model, Exception):
-                raise model
-            cells.append(TuningCell(phi=cfg.phi, rho=cfg.rho,
-                                    bic=bic(dataset, model),
+        if isinstance(model, Exception):
+            cells.append(TuningCell(phi=cfg.phi, rho=cfg.rho, bic=math.nan,
+                                    error=f"{type(model).__name__}: {model}"))
+        else:
+            cells.append(TuningCell(phi=cfg.phi, rho=cfg.rho, bic=next(bics),
                                     iterations=model.iterations,
                                     converged=model.converged,
                                     ranks=tuple(model.ranks)))
-        except CELL_ERRORS as err:
-            cells.append(TuningCell(phi=cfg.phi, rho=cfg.rho, bic=math.nan,
-                                    error=f"{type(err).__name__}: {err}"))
 
     ok = [c for c in cells if c.error is None and not math.isnan(c.bic)]
     if not ok:

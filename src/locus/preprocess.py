@@ -79,9 +79,11 @@ def _fix_eigvec_signs(vecs: np.ndarray) -> np.ndarray:
 
 def _polar_orthogonalize(m: np.ndarray) -> np.ndarray:
     """Closest orthogonal matrix in Frobenius norm (symmetric/polar
-    orthogonalization, order-independent across columns)."""
+    orthogonalization, order-independent across columns), of one square
+    matrix or of each of a stack; a rank-deficient one raises."""
     u, svals, vt = np.linalg.svd(m)
-    if svals[-1] <= 1e-12 * max(svals[0], np.finfo(float).tiny):
+    if (svals[..., -1] <= 1e-12 * np.maximum(svals[..., 0],
+                                             np.finfo(float).tiny)).any():
         raise DegeneracyError("singular_mixing",
                               "mixing estimate is rank deficient; cannot orthogonalize")
     return u @ vt
@@ -143,36 +145,44 @@ def whiten(dataset: ConnectivityDataset, q: int) -> WhitenedData:
 
 
 def _source_gram_inverse(s: np.ndarray) -> np.ndarray:
-    """(S S')^(-1) of the source rows ``s`` (q, p), the right factor of
-    every least-squares regression Y S' (S S')^(-1) on the sources.
-    Raises DegeneracyError
-    naming the sources that are not finite or zero (norm <= 1e-14 *
-    max(max norm, 1)), or the most correlated pair when
-    s_min(S S') <= 1e-12 s_max."""
-    norms = np.linalg.norm(s, axis=1)
+    """(S S')^(-1) of the source rows ``s`` (q, p), or of each (q, p) of a
+    stack, the right factor of every least-squares regression
+    Y S' (S S')^(-1) on the sources.  Raises DegeneracyError naming the
+    sources that are not finite or zero (norm <= 1e-14 * max(max norm, 1)),
+    or the most correlated pair when s_min(S S') <= 1e-12 s_max; in a
+    stack, those of the first such (q, p)."""
+    stack = s.reshape(-1, *s.shape[-2:])
+    # the bytes of numpy.linalg.norm(stack, axis=2)
+    norms = np.sqrt(np.add.reduce(stack * stack, axis=2))
     finite = np.isfinite(norms)
-    scale = max(norms[finite].max(initial=0.0), 1.0)
-    dead = np.flatnonzero(~finite | (norms <= 1e-14 * scale))
-    if dead.size:
+    scale = np.maximum(np.where(finite, norms, 0.0).max(axis=1, keepdims=True),
+                       1.0)
+    dead = ~finite | (norms <= 1e-14 * scale)
+    if dead.any():
+        first = dead[dead.any(axis=1)][0]
         raise DegeneracyError("singular_sources",
-                              f"sources {dead.tolist()} are zero or not finite")
-    gram = s @ s.T
+                              f"sources {np.flatnonzero(first).tolist()} are "
+                              "zero or not finite")
+    gram = stack @ stack.transpose(0, 2, 1)
     svals = np.linalg.svd(gram, compute_uv=False)
-    if svals[-1] <= 1e-12 * svals[0]:
-        corr = (s / norms[:, None]) @ (s / norms[:, None]).T
+    singular = svals[:, -1] <= 1e-12 * svals[:, 0]
+    if singular.any():
+        k = int(np.argmax(singular))
+        unit = stack[k] / norms[k][:, None]
+        corr = unit @ unit.T
         np.fill_diagonal(corr, 0.0)
         i, j = np.unravel_index(int(np.argmax(np.abs(corr))), corr.shape)
         raise DegeneracyError("singular_sources",
                               f"sources {i} and {j} are linearly dependent "
                               f"(|corr| = {abs(corr[i, j]):.6f})")
-    return np.linalg.inv(gram)
+    return np.linalg.inv(gram).reshape(s.shape[:-1] + (s.shape[-2],))
 
 
 def _source_rows(whitened: WhitenedData, sources: np.ndarray) -> np.ndarray:
     """``sources`` as a float array; DimensionError unless it is (q, p) for
-    the whitened data."""
+    the whitened data, or a (cells, q, p) stack of such."""
     s = np.asarray(sources, dtype=float)
-    if s.shape != (whitened.q, whitened.n_edges):
+    if s.ndim not in (2, 3) or s.shape[-2:] != (whitened.q, whitened.n_edges):
         raise DimensionError("dimension_mismatch",
                              f"sources must be {whitened.q} x "
                              f"{whitened.n_edges}, got {s.shape}")
@@ -183,12 +193,13 @@ def unmix_to_subject_space(whitened: WhitenedData,
                            sources: np.ndarray) -> np.ndarray:
     """Subject-level loadings A = Yc S' (S S')^(-1) of the (q, p) sources:
     least squares of the demeaned data on the source matrix, with Yc S'
-    summed over centred column blocks.  Degenerate sources raise
-    DegeneracyError.
+    summed over centred column blocks.  A (cells, q, p) stack gives a
+    (cells, N, q) stack of loadings from one pass over the blocks.
+    Degenerate sources raise DegeneracyError.
     """
     s = _source_rows(whitened, sources)
     inverse = _source_gram_inverse(s)
-    ys = np.zeros((whitened.data.shape[0], whitened.q))
+    ys = np.zeros(s.shape[:-2] + (whitened.data.shape[0], whitened.q))
     for cols, block in _centered_blocks(whitened.data, whitened.col_means):
-        ys += block @ s[:, cols].T
+        ys += block @ np.swapaxes(s[..., cols], -1, -2)
     return ys @ inverse

@@ -11,9 +11,19 @@ other cells running.  A step (:func:`_step`) updates, against fixed
 targets A~' Y~, the latent node coordinates one node at a time
 (Gauss-Seidel) and then the diagonal weights of every source; with the
 targets fixed, one sweep updates node v of every source of every cell in
-a batch at once (:func:`sweep_nodes`).
-Each cell then stacks its rows once, re-estimates and orthogonalizes its
-reduced mixing matrix from them, and computes its next targets once.
+a batch at once (:func:`sweep_nodes`).  The cells' rows are then stacked
+once, each reduced mixing matrix is re-estimated and orthogonalized from
+them, and the next targets are computed once.
+
+The arithmetic of a step runs as stacked passes over every running cell:
+the thresholded target matrices, the warm rank checks, one node sweep per
+width, one weight refit (:func:`update_d`) and one edge-vector pass per
+rank, the mixing updates, the next targets, the objectives and the
+relative changes.  The decisions stay per cell: the ranks, prune and
+re-seed, the warnings, the errors and the stopping rule.  A stacked pass
+that raises a cell error runs again cell by cell (:func:`_by_cell`), so
+the error goes only to its own cell, and every cell's fit is, bit for
+bit, the fit of that cell alone.
 
 A step first re-selects each source's rank by the paper's rule, the
 smallest eigen-truncation of its target within rho
@@ -60,12 +70,12 @@ from __future__ import annotations
 import logging
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from . import baselines
-from .connmat import (nodes_from_edge_count, read_csv, triu_indices, unvectorize,
+from .connmat import (nodes_from_edge_count, read_csv, triu_flat, unvectorize,
                       vectorize, write_csv)
 from .errors import (DegeneracyError, DimensionError, LocusError, NumericError,
                      ValidationError)
@@ -100,31 +110,24 @@ class LowRankSource:
 
     Columns of ``x`` are renormalized to unit 2-norm on construction, with
     the scale absorbed into ``d`` (d_r <- d_r * |x_r|^2), which leaves the
-    reconstructed matrix unchanged.
+    reconstructed matrix unchanged.  ``_edges`` is private: only
+    :func:`_built_sources` passes it, the edge vector of factors it has
+    already checked and normalized, which the constructor then keeps as
+    they are.
     """
 
     x: np.ndarray
     d: np.ndarray
+    _edges: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        d = np.atleast_1d(np.asarray(self.d, dtype=float))
-        if x.ndim != 2 or d.ndim != 1 or x.shape[1] != d.shape[0]:
-            raise DimensionError("dimension_mismatch",
-                                 f"factor shape {x.shape} incompatible with "
-                                 f"{d.shape[0]} weights")
-        if not 1 <= x.shape[1] < x.shape[0]:
-            raise DimensionError("dimension_mismatch",
-                                 f"rank must lie in [1, V-1], got R={x.shape[1]} "
-                                 f"for V={x.shape[0]}")
-        norms = np.linalg.norm(x, axis=0)
-        safe = np.where(norms > 0, norms, 1.0)
-        x = x / safe
-        d = d * norms ** 2
-        x.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "d", d)
+    def __post_init__(self, _edges):
+        if _edges is None:
+            x = np.atleast_2d(np.asarray(self.x, dtype=float))
+            d = np.atleast_1d(np.asarray(self.d, dtype=float))
+            x, d = _normalized(x[None], d[None])
+            object.__setattr__(self, "x", x[0])
+            object.__setattr__(self, "d", d[0])
+        object.__setattr__(self, "_edge_vector", _edges)
 
     @property
     def rank(self) -> int:
@@ -142,12 +145,56 @@ class LowRankSource:
         """Upper-triangle vector of the reconstruction (diagonal dropped).
 
         Computed once per instance and returned read-only."""
-        vec = self.__dict__.get("_edge_vector")
-        if vec is None:
-            vec = self.matrix()[triu_indices(self.node_count)]
+        if self._edge_vector is None:
+            vec = _edge_vectors(self.x[None], self.d[None])[0]
             vec.setflags(write=False)
             object.__setattr__(self, "_edge_vector", vec)
-        return vec
+        return self._edge_vector
+
+
+def _unit_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` (..., V, R) with each nonzero column scaled to unit 2-norm, and
+    the column norms (..., R), the bytes :func:`numpy.linalg.norm` gives."""
+    norms = np.sqrt(np.add.reduce(x * x, axis=-2))
+    return x / np.where(norms > 0, norms, 1.0)[..., None, :], norms
+
+
+def _normalized(x: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of factors (n, V, R) and weights (n, R) as the
+    :class:`LowRankSource` constructor keeps each: checked, with unit
+    columns and the scale absorbed into the weights, read-only."""
+    if x.ndim != 3 or d.ndim != 2 or x.shape[::2] != d.shape:
+        raise DimensionError("dimension_mismatch",
+                             f"factor shape {x.shape[1:]} incompatible with "
+                             f"{d.shape[-1]} weights")
+    if not 1 <= x.shape[2] < x.shape[1]:
+        raise DimensionError("dimension_mismatch",
+                             f"rank must lie in [1, V-1], got R={x.shape[2]} "
+                             f"for V={x.shape[1]}")
+    x, norms = _unit_columns(x)
+    d = d * norms ** 2
+    x.setflags(write=False)
+    d.setflags(write=False)
+    return x, d
+
+
+def _edge_vectors(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Upper-triangle vectors (n, p) of X diag(d) X' (diagonal dropped)
+    for a stack of factors ``x`` (n, V, R) and weights ``d`` (n, R)."""
+    n, node_count, _ = x.shape
+    m = (x * d[:, None, :]) @ x.transpose(0, 2, 1)
+    return m.reshape(n, node_count * node_count)[:, triu_flat(node_count)[0]]
+
+
+def _built_sources(x: np.ndarray, d: np.ndarray) -> list[LowRankSource]:
+    """``LowRankSource(x[k], d[k])`` for each of a stack of factors
+    (n, V, R) and weights (n, R) of equal rank, with its edge vector
+    cached.  The stack is checked, normalized and reconstructed in one
+    pass, which gives each source the bytes of its own construction."""
+    x, d = _normalized(x, d)
+    vecs = _edge_vectors(x, d)
+    vecs.setflags(write=False)
+    return [LowRankSource(*item) for item in zip(x, d, vecs)]
 
 
 @dataclass(frozen=True)
@@ -214,9 +261,11 @@ class LocusModel:
         return np.vstack([s.edge_vector() for s in self.sources])
 
 
-def soft_threshold(y: np.ndarray, t: float) -> np.ndarray:
-    """Elementwise sign(y) * max(|y| - t, 0); exact zeros where |y| <= t."""
-    if not t >= 0:
+def soft_threshold(y: np.ndarray, t) -> np.ndarray:
+    """Elementwise sign(y) * max(|y| - t, 0); exact zeros where |y| <= t.
+    ``t`` is a float or an array that broadcasts against ``y``."""
+    above = t >= 0
+    if not (above if isinstance(above, bool) else np.all(above)):
         raise ValidationError("bad_threshold", f"threshold must be >= 0, got {t}")
     y = np.asarray(y, dtype=float)
     return np.sign(y) * np.maximum(np.abs(y) - t, 0.0)
@@ -392,37 +441,45 @@ def sweep_nodes(factors, targets: np.ndarray,
     return [x[ell, :, :rank] for ell, rank in enumerate(ranks)]
 
 
-def update_d(x: np.ndarray, target: np.ndarray,
-             shrink: float = 0.0) -> np.ndarray:
-    """Diagonal-weights step for the node coordinates ``x`` (V, R).
+def update_d(x: np.ndarray, target: np.ndarray, shrink=0.0) -> np.ndarray:
+    """Diagonal-weights step for the node coordinates ``x`` (V, R), or for
+    each of a stack (n, V, R) of sources of equal rank, with one batched
+    pass over the stack; a lone source is the n = 1 case.
 
-    Projects the (V, V) ``target`` (symmetric with a zero diagonal; for
+    Projects each (V, V) ``target`` (symmetric with a zero diagonal; for
     uniform_l1, already thresholded by the caller) onto the span of the
     per-component edge vectors Z, whose r-th column holds the edges of
     x_r x_r', then soft-thresholds the weights at ``shrink`` (phi/2 for
-    nuclear, 0 otherwise).  The normal equations come from closed-form
-    moments instead of Z itself:
+    nuclear, 0 otherwise; a float, or one per source of a stack).  The
+    normal equations come from closed-form moments instead of Z itself:
     Z'Z = ((X'X) o (X'X) - (X o X)'(X o X)) / 2 and Z't = diag(X' T X) / 2
     (the halves cancel), solved by eigh under the PINV_RTOL rule.
     Weights below PRUNE_RTOL * max|d| are zeroed (rank reduction happens in
     the caller).
     """
-    node_count = x.shape[0]
+    node_count = x.shape[-2]
     target = np.asarray(target, dtype=float)
-    if target.shape != (node_count, node_count):
+    if target.shape != x.shape[:-2] + (node_count, node_count):
         raise DimensionError("dimension_mismatch",
-                             f"expected a {node_count} x {node_count} target, "
-                             f"got {target.shape}")
-    gram = x.T @ x
+                             f"expected {node_count} x {node_count} targets "
+                             f"for factors {x.shape}, got {target.shape}")
+    if x.ndim == 2:
+        return update_d(x[None], target[None], shrink)[0]
     squares = x * x
-    eigvals, eigvecs = np.linalg.eigh(gram * gram - squares.T @ squares)
+    gram = x.transpose(0, 2, 1) @ x
+    eigvals, eigvecs = np.linalg.eigh(
+        gram * gram - squares.transpose(0, 2, 1) @ squares)
     inv = _pinv_rule(eigvals)
     if logger.isEnabledFor(logging.DEBUG) and not inv.all():
         logger.debug("rank-deficient weight Gram, using pseudo-inverse")
-    d = eigvecs @ (inv * (eigvecs.T @ np.sum((target @ x) * x, axis=0)))
-    if shrink:
-        d = soft_threshold(d, shrink)
-    scale = np.max(np.abs(d), initial=0.0)
+    moments = ((target @ x) * x).sum(axis=1)[:, :, None]
+    d = (eigvecs @ (inv[:, :, None]
+                    * (eigvecs.transpose(0, 2, 1) @ moments)))[:, :, 0]
+    shrink = np.asarray(shrink, dtype=float)
+    if shrink.any():
+        shrink = shrink.reshape(-1, 1)
+        d = np.where(shrink > 0, soft_threshold(d, shrink), d)
+    scale = np.abs(d).max(axis=1, keepdims=True, initial=0.0)
     small = np.abs(d) < PRUNE_RTOL * scale
     if small.any():
         logger.debug("zeroing %d near-zero diagonal weights", int(small.sum()))
@@ -432,11 +489,14 @@ def update_d(x: np.ndarray, target: np.ndarray,
 
 def update_mixing(whitened: WhitenedData, s: np.ndarray) -> np.ndarray:
     """Least-squares mixing estimate Y~ S' (S S')^(-1) on the (q, p) source
-    rows ``s``, then symmetric orthogonalization.  The result satisfies
-    A~' A~ = I to 1e-10; zero or dependent rows raise DegeneracyError, rows
-    of the wrong shape DimensionError."""
+    rows ``s``, then symmetric orthogonalization; a (cells, q, p) stack of
+    rows gives a (cells, q, q) stack of estimates.  The result satisfies
+    A~' A~ = I to 1e-10; zero or dependent rows raise DegeneracyError (in a
+    stack, those of the first such cell), rows of the wrong shape
+    DimensionError."""
     s = _source_rows(whitened, s)
-    return _polar_orthogonalize(whitened.y_tilde @ s.T @ _source_gram_inverse(s))
+    return _polar_orthogonalize(np.matmul(whitened.y_tilde, np.swapaxes(s, -1, -2))
+                                @ _source_gram_inverse(s))
 
 
 def _nuclear_norm(source: LowRankSource) -> float:
@@ -465,10 +525,14 @@ def penalty(sources: list[LowRankSource], phi: float, regularizer: str) -> float
     return phi * sum(PENALTIES[regularizer](s) for s in sources)
 
 
-def _objective(targets: np.ndarray, s: np.ndarray, sources: list[LowRankSource],
-               phi: float, regularizer: str) -> float:
-    """|targets - s|_F^2 plus the penalty of ``sources``, whose rows are s."""
-    return float(np.sum((targets - s) ** 2)) + penalty(sources, phi, regularizer)
+def _objectives(targets: np.ndarray, rows: np.ndarray, cells) -> np.ndarray:
+    """Per cell of ``cells``: |targets - rows|_F^2 plus the :func:`penalty`
+    of its sources, for (cells, q, p) stacks of targets and rows."""
+    values = np.sum(((targets - rows) ** 2).reshape(len(rows), -1), axis=1)
+    for i, cell in enumerate(cells):
+        values[i] += penalty(cell.sources, cell.config.phi,
+                             cell.config.regularizer)
+    return values
 
 
 def objective(whitened: WhitenedData, model: LocusModel, phi: float,
@@ -478,8 +542,8 @@ def objective(whitened: WhitenedData, model: LocusModel, phi: float,
     By the orthogonality of the mixing matrix this equals the data-domain
     residual |Y~ - A~ S|_F^2 plus the same penalty.
     """
-    return _objective(model.a_tilde.T @ whitened.y_tilde, model.source_matrix(),
-                      model.sources, phi, regularizer)
+    resid = model.a_tilde.T @ whitened.y_tilde - model.source_matrix()
+    return float(np.sum(resid ** 2)) + penalty(model.sources, phi, regularizer)
 
 
 def data_domain_objective(whitened: WhitenedData, model: LocusModel, phi: float,
@@ -592,12 +656,18 @@ def initialize(whitened: WhitenedData, q: int, config: SolverConfig) -> LocusMod
                             config)
 
 
-def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
-    denom = np.linalg.norm(old)
-    diff = np.linalg.norm(new - old)
-    if denom == 0:
-        return 0.0 if diff == 0 else np.inf
-    return float(diff / denom)
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each item of a stack (n, ...), as
+    :func:`numpy.linalg.norm` gives it: one dot product per item."""
+    flat = stack.reshape(len(stack), -1)
+    return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None]).reshape(-1))
+
+
+def _relative_changes(new: np.ndarray, old: np.ndarray) -> list[float]:
+    """|new - old|_F / |old|_F per item of two stacks (n, ...): 0 where
+    both norms are 0 and inf where only |old|_F is."""
+    return [float(diff / denom) if denom else (0.0 if diff == 0 else np.inf)
+            for diff, denom in zip(_norms(new - old), _norms(old))]
 
 
 # the errors that stop one cell of _fit_cells and leave the others running
@@ -634,72 +704,141 @@ class _Cell:
     error: Exception | None = None
 
 
-def _target_mats(cell: _Cell) -> tuple[np.ndarray, np.ndarray]:
-    """A cell's targets thresholded (uniform_l1) and unvectorized, the
-    (q, V, V) matrices shared by rank selection and both block updates,
-    and their squared edge norms |s_star|^2 (q,)."""
-    node_count = cell.sources[0].node_count
-    edge_shrink = _shrinks(cell.config)[0]
-    s_star = (soft_threshold(cell.targets, edge_shrink) if edge_shrink
-              else cell.targets)
-    return (np.stack([unvectorize(row, node_count) for row in s_star]),
-            np.einsum("ij,ij->i", s_star, s_star))
+def _stack(arrays) -> np.ndarray:
+    """``np.stack(arrays)``, or a view of a lone array, so that the stacked
+    passes copy nothing for a lone cell."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _target_mats(cells) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell's targets, thresholded (uniform_l1) in one pass and
+    scattered in one pass into a (cells, q, V, V) stack of the matrices
+    shared by rank selection and both block updates, and their squared
+    edge norms |s_star|^2 (cells, q)."""
+    targets = _stack([cell.targets for cell in cells])
+    shrink = np.array([_shrinks(cell.config)[0] for cell in cells])[:, None, None]
+    s_star = targets
+    if shrink.any():
+        s_star = soft_threshold(targets, shrink)
+        if not shrink.all():
+            s_star = np.where(shrink > 0, s_star, targets)
+    flat = s_star.reshape(-1, s_star.shape[2])
+    return (unvectorize(s_star, cells[0].sources[0].node_count),
+            np.einsum("ij,ij->i", flat, flat).reshape(s_star.shape[:2]))
+
+
+def _by_cell(block, parts, *args) -> dict:
+    """``block(parts, *args)`` over every (cell, ...) part of ``parts`` at
+    once.  Where that raises a :data:`CELL_ERRORS` error, the block runs
+    once per part instead, so that an error goes only to the ``error`` of
+    the cell that raised it.  A block changes no cell before it has
+    succeeded for all of its parts.  Returns the block's results by cell,
+    less the cells it failed."""
+    if not parts:
+        return {}
+    try:
+        return block(parts, *args) or {}
+    except CELL_ERRORS as err:
+        if len(parts) == 1:
+            parts[0][0].error = err
+            return {}
+    out = {}
+    for part in parts:
+        out.update(_by_cell(block, [part], *args))
+    return out
 
 
 def _sweep_cells(batch, shrink: float) -> dict:
     """One :func:`sweep_nodes` call over the live sources of the cells in
     ``batch``, each a (cell, target matrices, live indices) triple.
-    Returns the swept x arrays by cell, leaving out a cell whose sweep a
-    LinAlgError stopped; the error goes to its ``error``.  A failure in one
-    cell's eigh fails the batched call, so the cells are then swept one by
-    one to find it."""
+    Returns the swept x arrays by cell."""
     factors = [(cell.sources[ell].x, cell.sources[ell].d)
                for cell, _, live in batch for ell in live]
     mats = [cell_mats[live] for _, cell_mats, live in batch]
-    try:
-        xs = sweep_nodes(factors, np.concatenate(mats) if len(mats) > 1
-                         else mats[0], shrink)
-    except np.linalg.LinAlgError as err:
-        if len(batch) == 1:
-            batch[0][0].error = err
-            return {}
-        return {cell: out for part in batch
-                for cell, out in _sweep_cells([part], shrink).items()}
-    xs = iter(xs)
+    xs = iter(sweep_nodes(factors, np.concatenate(mats) if len(mats) > 1
+                          else mats[0], shrink))
     return {cell: [next(xs) for _ in live] for cell, _, live in batch}
 
 
-def _weigh(cell: _Cell, target_mats: np.ndarray, swept: dict, it: int) -> None:
-    """The last block of a step for one cell: renormalize each swept
-    source's columns, re-fit and prune its weights; a source with a zero
-    target or zero weights is re-seeded from its unthresholded target's
-    dominant eigenpair.  A pruned or re-seeded source loses its basis, so
-    its next rank check is exact, and a re-seeded one warns once per cell
-    (DegenerateSourceWarning)."""
-    if not all(np.all(np.isfinite(x)) for x in swept.values()):
-        raise NumericError("non_finite", f"node update overflowed at iteration {it}")
-    weight_shrink = _shrinks(cell.config)[2]
+def _weigh(parts, it: int) -> None:
+    """The last block of a step for the cells of ``parts``, each a (cell,
+    target matrices, swept x arrays by source index) triple.  The swept
+    sources of every cell are stacked by rank: a cell with a row that is
+    not finite stops with a NumericError, and the others have their
+    columns renormalized and their weights re-fitted against their whole
+    targets, one stacked :func:`update_d` per rank, and the sources whose
+    weights are all finite and nonzero are built as one stack
+    (:func:`_built_sources`).  The other decisions are per cell
+    (:func:`_settle`)."""
+    by_rank: dict[int, list] = {}
+    for k, (_, _, swept) in enumerate(parts):
+        for ell, x in swept.items():
+            by_rank.setdefault(x.shape[1], []).append((k, ell, x))
+    stacks, overflowed = [], set()
+    for members in by_rank.values():
+        x = np.stack([x for _, _, x in members])
+        if not np.isfinite(x).all():
+            bad = np.flatnonzero(~np.isfinite(x).all(axis=(1, 2)))
+            overflowed.update(members[j][0] for j in bad)
+        stacks.append((members, x))
+
+    fitted = {}
+    for members, x in stacks:
+        if overflowed:
+            ok = [j for j, (k, _, _) in enumerate(members) if k not in overflowed]
+            if not ok:
+                continue
+            members, x = [members[j] for j in ok], x[ok]
+        k, first, _ = members[0]
+        if all(member[:2] == (k, first + j) for j, member in enumerate(members)):
+            # consecutive sources of one cell: a view of its target stack
+            mats = parts[k][1][first:first + len(members)]
+        else:
+            mats = np.stack([parts[k][1][ell] for k, ell, _ in members])
+        x = _unit_columns(x)[0]
+        d = update_d(x, mats, [_shrinks(parts[k][0].config)[2]
+                               for k, _, _ in members])
+        whole = (np.isfinite(d) & (d != 0)).all(axis=1)
+        built = iter(_built_sources(x, d) if whole.all() else
+                     _built_sources(x[whole], d[whole]) if whole.any() else ())
+        for (k, ell, _), x_k, d_k, done in zip(members, x, d, whole):
+            fitted[k, ell] = (x_k, d_k, next(built) if done else None)
+
+    for k, (cell, _, swept) in enumerate(parts):
+        try:
+            if k in overflowed:
+                raise NumericError("non_finite",
+                                   f"node update overflowed at iteration {it}")
+            _settle(cell, {ell: fitted[k, ell] for ell in swept}, it)
+        except CELL_ERRORS as err:
+            cell.error = err
+
+
+def _settle(cell: _Cell, fitted: dict, it: int) -> None:
+    """The decisions of :func:`_weigh` for one cell, given by swept source
+    its renormalized x, its re-fitted weights d and the source built from
+    them, if they are all finite and nonzero.  Weights that are not finite
+    stop the cell with a NumericError; zero weights are pruned; a source
+    with a zero target or zero weights is re-seeded from its unthresholded
+    target's dominant eigenpair.  A pruned or re-seeded source loses its
+    basis, so its next rank check is exact, and a re-seeded one warns once
+    per cell (DegenerateSourceWarning)."""
     sources, reseeded = cell.sources, []
     for ell in range(len(sources)):
-        if ell in swept:
-            x = swept[ell]
-            # renormalize columns; the weight step below re-fits d
-            norms = np.linalg.norm(x, axis=0)
-            alive = norms > 0
-            x[:, alive] /= norms[alive]
-            # diagonal weights against the whole target
-            d = update_d(x, target_mats[ell], weight_shrink)
+        if ell in fitted:
+            x, d, built = fitted[ell]
+            if built is not None:
+                sources[ell] = built
+                continue
             if not np.all(np.isfinite(d)):
                 raise NumericError("non_finite", "weight update overflowed "
                                    f"at iteration {it}")
             keep = d != 0
             if keep.any():
-                if not keep.all():
-                    logger.debug("source %d: pruning %d components at "
-                                 "iteration %d", ell, int((~keep).sum()), it)
-                    x, d = x[:, keep], d[keep]
-                    cell.ready[ell] = False
-                sources[ell] = LowRankSource(x, d)
+                logger.debug("source %d: pruning %d components at iteration "
+                             "%d", ell, int((~keep).sum()), it)
+                sources[ell] = LowRankSource(x[:, keep], d[keep])
+                cell.ready[ell] = False
                 continue
 
         # a zero target or zero weights: re-seed from the projected target
@@ -719,24 +858,26 @@ def _step(cells: list[_Cell], it: int) -> None:
     """The source blocks of outer iteration ``it`` for every cell, against
     its (q, p) targets A~' Y~: threshold (uniform_l1), re-select each rank,
     sweep the nodes of the sources with nonzero targets, re-fit and prune
-    the weights (:func:`~locus.modelsel._select_ranks`,
+    the weights (:func:`_target_mats`, :func:`~locus.modelsel._select_ranks`,
     :func:`sweep_nodes`, :func:`_weigh`).  Updates each cell's sources and
     rank-check state in place, or sets its ``error`` to the
     :data:`CELL_ERRORS` error that stopped it; ``it`` labels errors.
 
-    Rank selection batches the warm checks of all cells; the cells whose
-    live sources have the same widest rank and node-row threshold make one
-    batch, one :func:`sweep_nodes` call, in which every source keeps the
-    padding a lone sweep of its cell gives it.  At DEBUG level it logs its
-    warm, exact and changed rank checks.
+    The thresholds, the rank checks and the weight step each run as one
+    batch over every cell; the cells whose live sources have the same
+    widest rank and node-row threshold make one batch, one
+    :func:`sweep_nodes` call, in which every source keeps the padding a
+    lone sweep of its cell gives it.  A batch that fails runs again cell
+    by cell (:func:`_by_cell`).  At DEBUG level it logs its warm, exact and
+    changed rank checks.
     """
     from . import modelsel
 
-    mats = [_target_mats(cell) for cell in cells]
-    lives, counts = modelsel._select_ranks(cells, mats)
+    mats, norm2 = _target_mats(cells)
+    lives, counts = modelsel._select_ranks(cells, list(zip(mats, norm2)))
     logger.debug("rank checks: %d warm, %d exact, %d changed", *counts)
     batches: dict[tuple[int, float], list] = {}
-    for cell, (cell_mats, _), live in zip(cells, mats, lives):
+    for cell, cell_mats, live in zip(cells, mats, lives):
         if cell.error is None and live:
             width = max(cell.sources[ell].rank for ell in live)
             batches.setdefault((width, _shrinks(cell.config)[1]), []).append(
@@ -744,14 +885,10 @@ def _step(cells: list[_Cell], it: int) -> None:
 
     swept = {}
     for (_, shrink), batch in batches.items():
-        swept.update(_sweep_cells(batch, shrink))
-
-    for cell, (cell_mats, _), live in zip(cells, mats, lives):
-        if cell.error is None:
-            try:
-                _weigh(cell, cell_mats, dict(zip(live, swept.get(cell, []))), it)
-            except CELL_ERRORS as err:
-                cell.error = err
+        swept.update(_by_cell(_sweep_cells, batch, shrink))
+    _by_cell(_weigh, [(cell, cell_mats, dict(zip(live, swept.get(cell, []))))
+                      for cell, cell_mats, live in zip(cells, mats, lives)
+                      if cell.error is None], it)
 
 
 def _start(whitened: WhitenedData, config: SolverConfig,
@@ -767,34 +904,69 @@ def _start(whitened: WhitenedData, config: SolverConfig,
     a_tilde = np.asarray(init.a_tilde, dtype=float).copy()
     targets = a_tilde.T @ whitened.y_tilde
     rows = np.vstack([s.edge_vector() for s in sources])
-    trace = [_objective(targets, rows, sources, config.phi, config.regularizer)]
     node_count = sources[0].node_count
     basis = np.zeros((len(sources), node_count, _basis_width(config, node_count)))
     ready = np.zeros(len(sources), dtype=bool)
     for ell, vecs in enumerate(init.basis if isinstance(init, _Start) else []):
         if vecs is not None and vecs.shape == basis.shape[1:]:
             basis[ell], ready[ell] = vecs, True
-    return _Cell(config, sources, a_tilde, targets, rows, trace, set(), basis,
+    cell = _Cell(config, sources, a_tilde, targets, rows, [], set(), basis,
                  ready)
+    cell.trace.append(float(_objectives(targets[None], rows[None], [cell])[0]))
+    return cell
 
 
-def _advance(whitened: WhitenedData, cell: _Cell, it: int) -> bool:
-    """The rest of outer iteration ``it`` for one stepped cell: stack the
-    rows once, update the mixing, compute the next targets once and score
-    them.  Returns whether the relative changes of A~ and S fell below
-    eps1 and eps2."""
-    config = cell.config
-    rows = np.vstack([s.edge_vector() for s in cell.sources])
-    a_tilde = update_mixing(whitened, rows)
-    if not np.all(np.isfinite(a_tilde)):
-        raise NumericError("non_finite", f"mixing update overflowed at iteration {it}")
-    cell.targets = a_tilde.T @ whitened.y_tilde
-    cell.trace.append(_objective(cell.targets, rows, cell.sources, config.phi,
-                                 config.regularizer))
-    converged = (_relative_change(a_tilde, cell.a_tilde) < config.eps1
-                 and _relative_change(rows, cell.rows) < config.eps2)
-    cell.a_tilde, cell.rows = a_tilde, rows
+def _mix(parts, whitened: WhitenedData, rows: np.ndarray) -> dict:
+    """:func:`update_mixing` of the (cell, index) ``parts`` from their rows
+    in the stack ``rows``, as one stack; the estimates by cell."""
+    if len(parts) < len(rows):
+        rows = rows[[k for _, k in parts]]
+    return {cell: a for (cell, _), a in zip(parts, update_mixing(whitened, rows))}
+
+
+def _advance(whitened: WhitenedData, cells: list[_Cell], it: int) -> dict:
+    """The rest of outer iteration ``it`` for the stepped ``cells``, as
+    stacked passes: stack every cell's rows, update every mixing matrix
+    (:func:`update_mixing`; cell by cell where the stack fails), compute
+    the next targets once and score them.  Returns, per cell that
+    advanced, whether the relative changes of A~ and S fell below its eps1
+    and eps2; a cell whose mixing update fails or overflows gets that
+    error instead."""
+    if not cells:
+        return {}
+    rows = np.array([[src.edge_vector() for src in cell.sources]
+                     for cell in cells])
+    mixing = _by_cell(_mix, [(cell, k) for k, cell in enumerate(cells)],
+                      whitened, rows)
+    for cell, a_tilde in mixing.items():
+        if not np.isfinite(a_tilde).all():
+            cell.error = NumericError("non_finite", "mixing update overflowed "
+                                      f"at iteration {it}")
+    done = [k for k, cell in enumerate(cells) if cell.error is None]
+    if not done:
+        return {}
+    if len(done) < len(cells):
+        cells, rows = [cells[k] for k in done], rows[done]
+    a_tilde = _stack([mixing[cell] for cell in cells])
+    targets = np.matmul(a_tilde.transpose(0, 2, 1), whitened.y_tilde)
+    values = _objectives(targets, rows, cells)
+    rel_a = _relative_changes(a_tilde, _stack([cell.a_tilde for cell in cells]))
+    rel_s = _relative_changes(rows, _stack([cell.rows for cell in cells]))
+    converged = {}
+    for k, cell in enumerate(cells):
+        converged[cell] = bool(rel_a[k] < cell.config.eps1
+                               and rel_s[k] < cell.config.eps2)
+        cell.a_tilde, cell.targets, cell.rows = a_tilde[k], targets[k], rows[k]
+        cell.trace.append(float(values[k]))
     return converged
+
+
+def _unmix(parts, whitened: WhitenedData) -> dict:
+    """The subject loadings of the (cell,) ``parts`` from their final rows,
+    in one pass over the centred data (:func:`unmix_to_subject_space`)."""
+    loadings = unmix_to_subject_space(whitened,
+                                      _stack([cell.rows for cell, in parts]))
+    return {cell: a for (cell,), a in zip(parts, loadings)}
 
 
 def _fit_cells(whitened: WhitenedData, cells) -> list:
@@ -805,18 +977,20 @@ def _fit_cells(whitened: WhitenedData, cells) -> list:
     the targets A~' Y~ and stacked (q, p) source rows of ``init`` give
     ``objective_trace[0]`` and feed step 1, and the eigenvectors an
     :func:`initialize` start keeps seed the warm rank checks.  Step: one
-    :func:`_step` updates the sources of every running cell, sharing the
-    warm rank checks and the node sweeps.  Then, per cell
-    (:func:`_advance`), the rows are stacked once, :func:`update_mixing`
-    re-estimates A~ from them and the next targets are computed once, for
-    the objective, the relative changes and the next step.  A re-seeded
-    source warns once per cell (DegenerateSourceWarning).  Stop: a cell
-    leaves, and frees its record, when the relative changes of A~ and S
-    fall below its eps1/eps2, at its max_iter, or when a
-    :data:`CELL_ERRORS` error stops it (its ``error``); no other cell sees
-    either.  Every cell's model is the one :func:`fit` returns for that
-    cell alone, bit for bit.  No random numbers are drawn.  Loadings are
-    least squares on the final rows.
+    :func:`_step` updates the sources of every running cell.  Then
+    :func:`_advance` stacks every cell's rows once, re-estimates each A~
+    from them (:func:`update_mixing`) and computes the next targets once,
+    for the objective, the relative changes and the next step.  The
+    arithmetic of a step and an advance runs as stacked passes over every
+    running cell; the decisions stay per cell: prune and re-seed, the
+    once-per-cell DegenerateSourceWarning, the stopping rule and the
+    errors.  Stop: a cell leaves, and frees its record, when the relative
+    changes of A~ and S fall below its eps1/eps2, at its max_iter, or when
+    a :data:`CELL_ERRORS` error stops it (its ``error``); no other cell
+    sees either.  Loadings are least squares on the final rows, for the
+    cells that stop in the same iteration in one pass over the centred
+    data.  Every cell's model is the one :func:`fit` returns for that cell
+    alone, bit for bit.  No random numbers are drawn.
 
     Returns per cell the fitted LocusModel or the error.  The inits are not
     checked against the data; :func:`fit` does that.
@@ -833,22 +1007,22 @@ def _fit_cells(whitened: WhitenedData, cells) -> list:
     while running:
         it += 1
         _step(list(running.values()), it)
+        converged = _advance(whitened, [cell for cell in running.values()
+                                        if cell.error is None], it)
+        loadings = _by_cell(_unmix, [
+            (cell,) for cell in running.values() if cell.error is None
+            and (converged[cell] or it == cell.config.max_iter)], whitened)
         for i, cell in list(running.items()):
-            try:
-                if cell.error is None:
-                    converged = _advance(whitened, cell, it)
-                    if converged or it == cell.config.max_iter:
-                        results[i] = LocusModel(
-                            cell.sources, cell.a_tilde,
-                            unmix_to_subject_space(whitened, cell.rows),
-                            np.asarray(cell.trace), converged=converged,
-                            iterations=it)
-            except CELL_ERRORS as err:
-                cell.error = err
             if cell.error is not None:
                 results[i] = cell.error
-            if results[i] is not None:
-                del running[i]
+            elif cell in loadings:
+                results[i] = LocusModel(
+                    cell.sources, cell.a_tilde, loadings[cell],
+                    np.asarray(cell.trace), converged=converged[cell],
+                    iterations=it)
+            else:
+                continue
+            del running[i]
     return results
 
 

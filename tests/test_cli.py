@@ -149,6 +149,23 @@ class TestDecompose:
         assert (tree_bytes(tmp_path / "quiet")
                 == tree_bytes(tmp_path / "debug"))
 
+    def test_fit_stopped_at_its_cap_warns(self, sim_dir, tmp_path, caplog):
+        # three iterations do not converge; a long enough fit does, and
+        # stays quiet
+        def cap_warnings():
+            return [r for r in caplog.records if r.name == "locus.cli"
+                    and r.levelno == logging.WARNING]
+
+        argv = ["decompose", sim_dir / "dataset.csv", "--q", 3]
+        assert run([*argv, "--max-iter", 3, "--out", tmp_path / "capped"]) == 0
+        assert read_meta(tmp_path / "capped" / "meta")["converged"] == "False"
+        assert [r.getMessage() for r in cap_warnings()] == [
+            "LOCUS fit stopped at its 3-iteration cap without converging"]
+        caplog.clear()
+        assert run([*argv, "--max-iter", 400, "--out", tmp_path / "done"]) == 0
+        assert read_meta(tmp_path / "done" / "meta")["converged"] == "True"
+        assert cap_warnings() == []
+
     def test_log_level_before_subcommand_keeps_config_file(self, sim_dir,
                                                            tmp_path):
         cfg = tmp_path / "solver.cfg"
@@ -356,11 +373,13 @@ class TestTune:
         from locus.errors import DegeneracyError
         real_weigh = solver._weigh
 
-        def flaky_weigh(cell, *args):
-            if cell.config.phi == 0.02:
+        def flaky_weigh(parts, *args):
+            # every weight step that holds the phi=0.02 cell fails; the
+            # cells are then weighed one by one
+            if any(cell.config.phi == 0.02 for cell, *_ in parts):
                 raise DegeneracyError("singular_sources",
                                       "sources 0, 2 are linearly dependent")
-            return real_weigh(cell, *args)
+            return real_weigh(parts, *args)
 
         monkeypatch.setattr(solver, "_weigh", flaky_weigh)
         out = tmp_path / "tune"

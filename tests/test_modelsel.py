@@ -254,10 +254,12 @@ class TestTune:
         import locus.solver as solver
         real_weigh = solver._weigh
 
-        def flaky_weigh(cell, *args):
-            if cell.config.phi == 0.02:
+        def flaky_weigh(parts, *args):
+            # every weight step that holds the phi=0.02 cell fails; the
+            # cells are then weighed one by one
+            if any(cell.config.phi == 0.02 for cell, *_ in parts):
                 raise DegeneracyError("singular_sources", "synthetic failure")
-            return real_weigh(cell, *args)
+            return real_weigh(parts, *args)
 
         monkeypatch.setattr(solver, "_weigh", flaky_weigh)
         result = tune(ds, 3, [0.0, 0.02], [0.9], cfg)
@@ -269,19 +271,33 @@ class TestTune:
     def test_all_cells_failed_raises(self, monkeypatch):
         ds, _ = generate(SyntheticSpec(node_count=12, q=3, n_subjects=20,
                                        sigma=0.5, seed=13))
+        import locus.modelsel as modelsel
         import locus.solver as solver
+        real_fit_cells = modelsel._fit_cells
+        outcomes = []
 
-        def broken_mixing(*args, **kwargs):
-            raise np.linalg.LinAlgError("nope")
+        def recording_fit_cells(whitened, cells):
+            results = real_fit_cells(whitened, cells)
+            outcomes.extend(results)
+            return results
+
+        def broken_mixing(whitened, s):
+            # every update fails, naming how many cells it stacked
+            raise np.linalg.LinAlgError(f"nope for {len(s)} cell(s)")
 
         monkeypatch.setattr(solver, "update_mixing", broken_mixing)
+        monkeypatch.setattr(modelsel, "_fit_cells", recording_fit_cells)
         with pytest.raises(DegeneracyError, match="all_cells_failed"):
-            tune(ds, 3, [0.0], [0.9], SolverConfig(seed=0))
+            tune(ds, 3, [0.0, 0.01], [0.9], SolverConfig(seed=0))
+        # each cell keeps the error of its own one-cell retry, not the
+        # stack's
+        assert [str(err) for err in outcomes] == ["nope for 1 cell(s)"] * 2
 
     def test_programming_error_in_cell_propagates(self, monkeypatch):
         ds, _ = generate(SyntheticSpec(node_count=12, q=3, n_subjects=20,
                                        sigma=0.5, seed=13))
         import locus.solver as solver
+        real_mixing = solver.update_mixing
 
         def buggy_mixing(*args, **kwargs):
             raise TypeError("shape bug")
@@ -289,6 +305,22 @@ class TestTune:
         monkeypatch.setattr(solver, "update_mixing", buggy_mixing)
         with pytest.raises(TypeError):
             tune(ds, 3, [0.0], [0.9], SolverConfig(seed=0))
+
+        # the stack of both cells fails with a cell error, so they are
+        # retried one by one, and the second cell's retry has the bug
+        singles = []
+
+        def buggy_retry(whitened, s):
+            if len(s) > 1:
+                raise DegeneracyError("singular_sources", "synthetic failure")
+            singles.append(s)
+            if len(singles) == 2:
+                raise TypeError("shape bug")
+            return real_mixing(whitened, s)
+
+        monkeypatch.setattr(solver, "update_mixing", buggy_retry)
+        with pytest.raises(TypeError):
+            tune(ds, 3, [0.0, 0.01], [0.9], SolverConfig(seed=0))
 
     def test_cells_equal_standalone_fits(self):
         # one start per rho reproduces, bit for bit, the fit that builds
@@ -355,13 +387,15 @@ class TestTune:
         clean = tune(ds, 3, *grid, cfg)
         import locus.solver as solver
         real_mixing = solver.update_mixing
-        calls = {"n": 0}
+        stacks = []
 
         def flaky_mixing(whitened, s):
-            # iteration 1 updates the cells in grid order, so the third
-            # call is the third cell's, (0.01, 0.8)
-            calls["n"] += 1
-            if calls["n"] == 3:
+            # iteration 1 stacks the cells' rows in grid order, so the
+            # third cell's, (0.01, 0.8), are stacks[0][2]; every update
+            # that holds them fails, and the cells are then updated one
+            # by one
+            stacks.append(s)
+            if any(np.array_equal(rows, stacks[0][2]) for rows in s):
                 raise DegeneracyError("singular_sources", "synthetic failure")
             return real_mixing(whitened, s)
 

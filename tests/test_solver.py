@@ -412,8 +412,9 @@ class TestSweepNodes:
         monkeypatch.setattr(solver, "sweep_nodes", strict_sweep)
         bad_cell = make_cell(SolverConfig(), bad, np.zeros((1, p)))
         good_cell = make_cell(SolverConfig(), good, np.zeros((2, p)))
-        out = solver._sweep_cells([(bad_cell, mats[:1], [0]),
-                                   (good_cell, mats, [0, 1])], 0.0)
+        out = solver._by_cell(solver._sweep_cells,
+                              [(bad_cell, mats[:1], [0]),
+                               (good_cell, mats, [0, 1])], 0.0)
         assert list(out) == [good_cell]
         assert isinstance(bad_cell.error, np.linalg.LinAlgError)
         assert good_cell.error is None
@@ -475,6 +476,90 @@ class TestStep:
         assert str(err) == "[non_finite] node update overflowed at iteration 4"
 
 
+def run_cells(whitened, specs, iterations):
+    """Cells started from the (config, init) ``specs`` and run in lockstep
+    for ``iterations`` full iterations, a step and an advance each, as
+    solver._fit_cells runs them; a cell leaves at its error.  Returns the
+    cells and the warnings' messages."""
+    cells = [solver._start(whitened, config, init) for config, init in specs]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for it in range(1, iterations + 1):
+            running = [cell for cell in cells if cell.error is None]
+            if not running:
+                break
+            solver._step(running, it)
+            solver._advance(whitened, [cell for cell in running
+                                       if cell.error is None], it)
+    return cells, [str(w.message) for w in caught]
+
+
+class TestBatchedTail:
+    @pytest.mark.filterwarnings("ignore:rank cap")
+    def test_mixed_batch_equals_lone_cells_over_three_iterations(
+            self, monkeypatch):
+        # the batch holds sources of ranks 1, 2 and 3 (a rank-1 source in
+        # a wider sweep), all three regularizers, a source re-seeded at
+        # iteration 1 and a cell whose mixing update fails at iteration 1;
+        # three iterations of the batch leave every cell where three lone
+        # iterations leave it, byte for byte
+        ds, _ = generate(SyntheticSpec(node_count=14, q=3, n_subjects=30,
+                                       sigma=0.5, seed=0))
+        w = whiten(ds, 3)
+        specs = []
+        for regularizer, phi, rho in (("uniform_l1", 0.02, 0.9),
+                                      ("vector_l1", 0.01, 0.95),
+                                      ("nuclear", 0.1, 0.8),
+                                      ("uniform_l1", 0.0, 0.99)):
+            config = SolverConfig(phi=phi, rho=rho, r_max=3,
+                                  regularizer=regularizer)
+            specs.append((config, initialize(w, 3, config)))
+        config, start = specs[0]
+        # source 2's target thresholds to zero, so it is re-seeded
+        specs.append((config, dataclasses.replace(
+            start, a_tilde=start.a_tilde * [1.0, 1.0, 1e-3])))
+        # sources 0 and 1 are one source, so the mixing update fails
+        twin = start.a_tilde.copy()
+        twin[:, 1] = twin[:, 0]
+        specs.append((config, LocusModel(
+            sources=[start.sources[0], *start.sources[::2]], a_tilde=twin)))
+
+        sweeps = []
+        real_sweep = solver.sweep_nodes
+
+        def recording_sweep(factors, *args, **kwargs):
+            sweeps.append([x.shape[1] for x, _ in factors])
+            return real_sweep(factors, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "sweep_nodes", recording_sweep)
+        together, caught = run_cells(w, specs, 3)
+        assert {rank for ranks in sweeps for rank in ranks} == {1, 2, 3}
+        assert any(min(ranks) == 1 < max(ranks) for ranks in sweeps)
+        assert together[4].warned == {2}
+        failed = together[5]
+        assert isinstance(failed.error, DegeneracyError)
+        assert "sources 0 and 1 are linearly dependent" in str(failed.error)
+        assert len(failed.trace) == 1
+        assert all(cell.error is None for cell in together[:5])
+
+        lone_warnings = []
+        for spec, cell in zip(specs, together):
+            (lone,), caught_lone = run_cells(w, [spec], 3)
+            lone_warnings += caught_lone
+            assert type(cell.error) is type(lone.error)
+            assert str(cell.error) == str(lone.error)
+            assert cell.warned == lone.warned
+            assert cell.ready.tobytes() == lone.ready.tobytes()
+            assert np.asarray(cell.trace).tobytes() == np.asarray(lone.trace).tobytes()
+            for name in ("a_tilde", "targets"):
+                assert (getattr(cell, name).tobytes()
+                        == getattr(lone, name).tobytes()), name
+            for got, want in zip(cell.sources, lone.sources):
+                assert got.x.tobytes() == want.x.tobytes()
+                assert got.d.tobytes() == want.d.tobytes()
+        assert sorted(caught) == sorted(lone_warnings)
+
+
 def spectrum_target(rng, node_count, eigvals):
     """A symmetric (V, V) target with a zero diagonal, U diag(eigvals) U'
     for a random orthonormal U less its diagonal; exactly symmetric, so it
@@ -489,7 +574,8 @@ def spectrum_target(rng, node_count, eigvals):
 def select(cell):
     """modelsel._select_ranks on the one ``cell``: its live indices and the
     counts of warm, exact and changed checks."""
-    (live,), counts = modelsel._select_ranks([cell], [solver._target_mats(cell)])
+    mats, norm2 = solver._target_mats([cell])
+    (live,), counts = modelsel._select_ranks([cell], [(mats[0], norm2[0])])
     return live, counts
 
 
@@ -818,6 +904,28 @@ class TestLowRankSource:
             assert got.shape == expected.shape
             assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
             assert got is src.edge_vector() and not got.flags.writeable
+
+    def test_stack_builds_each_source_as_the_constructor_does(self):
+        rng = np.random.default_rng(18)
+        x, d = rng.standard_normal((4, 9, 2)), rng.standard_normal((4, 2))
+        x[1, :, 0] = 0.0  # a zero column keeps its zero
+        built = solver._built_sources(x, d)
+        for k, src in enumerate(built):
+            lone = LowRankSource(x[k], d[k])
+            for got, want in ((src.x, lone.x), (src.d, lone.d),
+                              (src.edge_vector(), lone.edge_vector())):
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+        # a replaced factor is normalized and reconstructed afresh
+        moved = dataclasses.replace(built[0], x=2 * x[0])
+        lone = LowRankSource(2 * x[0], built[0].d)
+        for got, want in ((moved.d, lone.d),
+                          (moved.edge_vector(), lone.edge_vector())):
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(DimensionError, match="incompatible"):
+            solver._built_sources(x, d[:, :1])
+        with pytest.raises(DimensionError, match="rank must lie"):
+            solver._built_sources(x[:, :2], d)
 
 
 class TestUpdateMixing:
