@@ -12,11 +12,13 @@ costliest part of its step.  So each source keeps the top-k eigen or Ritz
 vectors of its last check, k = min(r_max + RITZ_EXTRA, V - 1), and one
 warm check (:func:`_select_ranks`) batched over every source of every
 running cell -- a QR of M Z, a Rayleigh-Ritz projection and a batched
-eigh of the k x k projections -- may confirm the current rank.
-Everything else runs the exact rule: a proposed change, a deciding ratio
-within RITZ_MARGIN times the Ritz error estimate of 1 - rho (a heuristic
-margin, not a bound), and a source with no basis yet or whose rank the
-last weight step pruned.
+eigh of the k x k projections -- may confirm the current rank.  It reads
+the step's (cells, q, V, V) stack of target matrices in place, as one
+flat (cells * q, V, V) batch per rank cap, and masks out the sources it
+cannot confirm.  Everything else runs the exact rule: a proposed change,
+a deciding ratio within RITZ_MARGIN times the Ritz error estimate of
+1 - rho (a heuristic margin, not a bound), and a source with no basis yet
+or whose rank the last weight step pruned.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .connmat import ConnectivityDataset
 from .errors import DegeneracyError, DimensionError, ValidationError
 from .preprocess import _centered_blocks, whiten
 from .solver import (CELL_ERRORS, LocusModel, LowRankSource, SolverConfig,
-                     _fit_cells, _mixing_start, _truncated_start)
+                     _fit_cells, _mixing_start, _stack, _truncated_start)
 
 # edges above this fraction of their source's largest edge count toward L0
 ZERO_TOL = 1e-3
@@ -93,11 +95,16 @@ def _cap_warning(r_max: int, rho: float) -> None:
 
 
 def _top_eigen(m: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``keep`` eigenpairs of the symmetric ``m`` largest in |lambda|,
-    in that order: eigenvalues (keep,) and eigenvectors (V, keep)."""
+    """The ``keep`` eigenpairs of the symmetric ``m`` (V, V), or of each of
+    a stack (..., V, V), largest in |lambda|, in that order: eigenvalues
+    (..., keep) and eigenvectors (..., V, keep).  Each (V, keep) block is
+    column-major, as a lone eigh's gathered columns are, so a reduction
+    over it rounds alike in a stack and alone."""
     eigvals, eigvecs = np.linalg.eigh(m)
-    order = np.argsort(-np.abs(eigvals))[:keep]
-    return eigvals[order], eigvecs[:, order]
+    order = np.argsort(-np.abs(eigvals), axis=-1)[..., :keep]
+    rows = np.take_along_axis(np.swapaxes(eigvecs, -1, -2), order[..., None],
+                              axis=-2)
+    return np.take_along_axis(eigvals, order, axis=-1), np.swapaxes(rows, -1, -2)
 
 
 def _truncate(eigvals: np.ndarray, eigvecs: np.ndarray, norm2: float,
@@ -152,27 +159,16 @@ def _basis_width(config: SolverConfig, node_count: int) -> int:
     return min(min(config.r_max, node_count - 1) + RITZ_EXTRA, node_count - 1)
 
 
-def _ritz_pairs(group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One warm subspace step for the sources ``rows`` of every
-    (target matrices, bases, rows) cell in ``group``, batched: Q from the
-    QR of M Z, the eigenpairs (theta, W) of Q' M Q, the Ritz vectors
-    U = Q W and the residual norms |M u - theta u|.  Returns theta (n, k),
-    U (n, V, k) and the residuals (n, k) over the group's rows in order,
-    each source's pairs sorted by decreasing |theta|.  Each cell's target
-    stack is read in place: a source outside ``rows`` multiplies zeros or
-    a stale basis, and its product is dropped."""
-    y = np.concatenate([np.matmul(mats, z)[rows] for mats, z, rows in group])
-    q_mat = np.linalg.qr(y)[0]
-    products, at = [], 0
-    for mats, z, rows in group:
-        part = q_mat[at:at + rows.size]
-        at += rows.size
-        if rows.size < len(mats):
-            full = np.zeros_like(z)
-            full[rows] = part
-            part = full
-        products.append(np.matmul(mats, part)[rows])
-    mq = np.concatenate(products)
+def _ritz_pairs(m: np.ndarray, z: np.ndarray):
+    """One warm subspace step for each of a stack of symmetric matrices
+    ``m`` (n, V, V) from its basis ``z`` (n, V, k): Q from the QR of M Z,
+    the eigenpairs (theta, W) of Q' M Q, the Ritz vectors U = Q W and the
+    residual norms |M u - theta u|.  Returns theta (n, k), U (n, V, k) and
+    the residuals (n, k), each item's pairs sorted by decreasing |theta|.
+    Every item is computed on its own, so no item changes another's
+    bytes."""
+    q_mat = np.linalg.qr(np.matmul(m, z))[0]
+    mq = np.matmul(m, q_mat)
     theta, w = np.linalg.eigh(np.matmul(q_mat.transpose(0, 2, 1), mq))
     order = np.argsort(-np.abs(theta), axis=1)
     theta = np.take_along_axis(theta, order, axis=1)
@@ -199,74 +195,78 @@ def _warm_ranks(theta, u, resid, norm2, gap, ranks, r_max: int):
     return (rank == ranks) & (margin > RITZ_MARGIN * error), found
 
 
-def _select_ranks(cells, targets) -> tuple[list, tuple[int, int, int]]:
+def _select_ranks(cells, mats: np.ndarray,
+                  norm2: np.ndarray) -> tuple[list, tuple[int, int, int]]:
     """The first block of a step for every :class:`~locus.solver._Cell`,
-    given its (target matrices, |s_star|^2): re-select the rank of each
-    source with a nonzero target, updating the cell's sources and
-    rank-check state (``basis``, ``ready``) in place.
+    given the stacks of :func:`~locus.solver._target_mats`: the target
+    matrices (cells, q, V, V) and their |s_star|^2 (cells, q).  Re-selects
+    the rank of each source with a nonzero target, updating the cells'
+    sources and rank-check state (``basis``, ``ready``) in place.
 
-    One warm check (:func:`_ritz_pairs`, :func:`_warm_ranks`), batched
-    over every source with a basis of every cell of the same effective
-    cap, may confirm a rank; the Ritz vectors become the new basis, and a
-    confirmation at the cap warns as the exact rule does (RankCapWarning).
-    Every other source takes the exact rule, :func:`select_rank`, whose
+    One warm check (:func:`_ritz_pairs`, :func:`_warm_ranks`) runs over
+    the flat (cells * q, V, V) view of every cell of the same effective
+    cap that has a ready source with a nonzero target, against the cells'
+    bases stacked once; the sources that are not ready or have a zero
+    target ride along and are masked out.  It may confirm a rank; the
+    Ritz vectors become the new basis, and a confirmation at the cap warns
+    as the exact rule does (RankCapWarning).  Every other source with a
+    nonzero target takes the exact rule, :func:`select_rank`, whose
     eigenvectors become its basis; a changed rank restarts the factors
     from its truncated eigendecomposition.  Returns per cell the indices
     of the sources with nonzero targets, which go to the node sweep, and
     the counts of warm, exact and changed checks.  A :data:`CELL_ERRORS`
     error goes to the cell's ``error``."""
-    warm = [np.zeros(len(cell.sources), dtype=bool) for cell in cells]
-    groups: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for i, (cell, (_, norm2)) in enumerate(zip(cells, targets)):
-        rows = np.flatnonzero(cell.ready & (norm2 > 0))
-        if rows.size:
-            cap = min(cell.config.r_max, cell.sources[0].node_count - 1)
-            groups.setdefault(cap, []).append((i, rows))
+    live = norm2 > 0
+    warm = np.zeros(live.shape, dtype=bool)
+    groups: dict[int, list[int]] = {}
+    for i, cell in enumerate(cells):
+        if (cell.ready & live[i]).any():
+            cap = min(cell.config.r_max, mats.shape[-1] - 1)
+            groups.setdefault(cap, []).append(i)
     for r_max, members in groups.items():
+        group = slice(None) if len(members) == len(cells) else members
+        z = _stack([cells[i].basis for i in members])
         try:
-            theta, u, resid = _ritz_pairs([(targets[i][0], cells[i].basis, rows)
-                                           for i, rows in members])
+            theta, u, resid = _ritz_pairs(
+                mats[group].reshape(-1, *mats.shape[2:]),
+                z.reshape(-1, *z.shape[2:]))
         except np.linalg.LinAlgError:
             continue  # every source of the group takes the exact rule
-        split = np.cumsum([rows.size for _, rows in members])[:-1]
+        candidate = np.array([cells[i].ready for i in members]) & live[group]
+        n2 = norm2[group].reshape(-1)
         confirmed, below = _warm_ranks(
-            theta, u, resid,
-            np.concatenate([targets[i][1][rows] for i, rows in members]),
-            np.concatenate([np.full(rows.size, 1.0 - cells[i].config.rho)
-                            for i, rows in members]),
-            np.array([cells[i].sources[ell].rank for i, rows in members
-                      for ell in rows]), r_max)
-        for (i, rows), ok, found, vecs in zip(members, np.split(confirmed, split),
-                                              np.split(below, split),
-                                              np.split(u, split)):
-            cells[i].basis[rows[ok]] = vecs[ok]
-            warm[i][rows[ok]] = True
-            for _ in range(int(np.count_nonzero(ok & ~found))):
+            theta, u, resid, np.where(n2 > 0, n2, 1.0),
+            np.repeat([1.0 - cells[i].config.rho for i in members], z.shape[1]),
+            np.array([src.rank for i in members for src in cells[i].sources]),
+            r_max)
+        ok = confirmed.reshape(candidate.shape) & candidate
+        capped = ok & ~below.reshape(candidate.shape)
+        u = u.reshape(z.shape)
+        for i, cell_ok, cell_u, cell_capped in zip(members, ok, u, capped):
+            cells[i].basis[cell_ok] = cell_u[cell_ok]
+            warm[i] = cell_ok
+            for _ in range(int(np.count_nonzero(cell_capped))):
                 _cap_warning(r_max, cells[i].config.rho)
 
     lives, exact, changed = [], 0, 0
-    for cell, (mats, norm2), warmed in zip(cells, targets, warm):
-        config, sources, live = cell.config, cell.sources, []
+    for cell, cell_mats, cell_live, warmed in zip(cells, mats, live, warm):
+        config, sources, kept = cell.config, cell.sources, []
         try:
-            for ell in np.flatnonzero(norm2 > 0):
+            for ell in np.flatnonzero(cell_live):
                 if not warmed[ell]:
                     exact += 1
-                    cell.ready[ell] = False
-                    try:
-                        rank, src, vecs = select_rank(
-                            mats[ell], config.rho, config.r_max,
-                            basis=cell.basis.shape[2])
-                    except DegeneracyError:
-                        continue
+                    rank, src, vecs = select_rank(
+                        cell_mats[ell], config.rho, config.r_max,
+                        basis=cell.basis.shape[2])
                     cell.basis[ell], cell.ready[ell] = vecs, True
                     if rank != sources[ell].rank:
                         sources[ell] = src
                         changed += 1
-                live.append(int(ell))
+                kept.append(int(ell))
         except CELL_ERRORS as err:
             cell.error = err
-        lives.append(live)
-    return lives, (sum(int(w.sum()) for w in warm), exact, changed)
+        lives.append(kept)
+    return lives, (int(warm.sum()), exact, changed)
 
 
 def bic(dataset: ConnectivityDataset, model: LocusModel) -> float:
@@ -329,7 +329,7 @@ def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
     iteration runs its arithmetic as stacked passes over every running
     cell, with one node sweep per batch of cells of equal width, while
     every decision stays per cell; every cell's model is bit for bit the
-    one :func:`~locus.solver.fit` returns from the same start.  The data
+    one :func:`~locus.solver.fit` returns for that cell's settings.  The data
     is centred once, block by block, for the loadings of the cells that
     stop in the same iteration, and once for every cell's BIC
     (:func:`_bics`), against the column means the whitening computed.

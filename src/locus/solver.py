@@ -29,12 +29,14 @@ A step first re-selects each source's rank by the paper's rule, the
 smallest eigen-truncation of its target within rho
 (:func:`~locus.modelsel.select_rank`), whose full V x V eigh per source
 per iteration is the costliest part of a step.  So each cell keeps, per
-source, the top-k eigen or Ritz vectors of its last check, and one warm
-check batched over every source of every running cell
-(:func:`~locus.modelsel._select_ranks`) may confirm the current rank;
-everything else runs the exact rule.  A step uses the exact rule's
-factor only when the rank changes, so fits equal those of the exact rule
-bit for bit wherever the two decisions agree.
+source, the top-k eigen or Ritz vectors of its last check, one (q, V, k)
+``basis`` from the start (:class:`_Start`) on, and one warm check
+batched over every source of every running cell
+(:func:`~locus.modelsel._select_ranks`), which reads the step's stack of
+target matrices in place, may confirm the current rank; everything else
+runs the exact rule.  A step uses the exact rule's factor only when the
+rank changes, so fits equal those of the exact rule bit for bit wherever
+the two decisions agree.
 
 Each node block is a least-squares solve against X(-v)' X(-v), X'X less
 one rank-1 downdate.  The sweep's certified path solves it from a tracked
@@ -68,6 +70,7 @@ a plain threshold (0 where the variant puts none):
 from __future__ import annotations
 
 import logging
+import numbers
 import os
 import warnings
 from dataclasses import InitVar, dataclass, field
@@ -211,6 +214,9 @@ class SolverConfig:
     regularizer : "uniform_l1" (edge-wise), "vector_l1" or "nuclear"
     seed : seeds the start (:func:`initialize`) only; the iterations of
         :func:`fit` draw no random numbers
+
+    ``max_iter``, ``r_max`` and ``seed`` must be integers (numpy integers
+    included); anything else raises ValidationError("bad_config").
     """
 
     phi: float = 0.0
@@ -223,6 +229,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_iter", "r_max", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValidationError("bad_config",
+                                      f"{name} must be an integer, got {value!r}")
         _check_penalty(self.phi, self.regularizer)
         if not 0 < self.rho < 1:
             raise ValidationError("bad_config", f"rho must lie in (0, 1), got {self.rho}")
@@ -564,24 +575,28 @@ def _reseed_source(y_src: np.ndarray, node_count: int) -> LowRankSource:
     return LowRankSource(eigvecs[:, [k]], eigvals[[k]])
 
 
-@dataclass
+@dataclass(kw_only=True)
 class _Start(LocusModel):
     """A start from :func:`initialize`, which also keeps the top-k
-    eigenvectors (V, k) of each unstructured source it truncated (None for
-    a re-seeded one): they seed the first warm rank check of
-    :func:`_fit_cells`."""
+    eigenvectors of the unstructured sources it truncated, ``basis``
+    (q, V, k), and the (q,) mask of the sources whose basis is ``ready``
+    (False for a re-seeded zero source): they seed the first warm rank
+    checks of :func:`_fit_cells`."""
 
-    basis: list = field(default_factory=list)
+    basis: np.ndarray
+    ready: np.ndarray
 
 
 def _mixing_start(whitened: WhitenedData, q: int, config: SolverConfig) -> tuple:
     """The rank-free half of :func:`initialize`: FastICA's orthogonalized
-    mixing matrix and, per unstructured source, its top-k eigenpairs by
-    |lambda| and its |s|^2 (k from :func:`~locus.modelsel._basis_width`),
-    or, if the baseline fails with a package error or a LinAlgError, a random
-    orthogonal mixing matrix seeded by ``config.seed`` and the projected
-    sources it implies.  A FastICA start that stops at its iteration cap
-    is logged as a warning.  Reads ``seed`` and ``r_max`` of ``config``."""
+    mixing matrix and, for the q unstructured sources, their top-k
+    eigenvalues (q, k) and eigenvectors (q, V, k) by |lambda|, from one
+    stacked decomposition, and their |s|^2 (q,) (k from
+    :func:`~locus.modelsel._basis_width`), or, if the baseline fails with a
+    package error or a LinAlgError, a random orthogonal mixing matrix
+    seeded by ``config.seed`` and the projected sources it implies.  A
+    FastICA start that stops at its iteration cap is logged as a warning.
+    Reads ``seed`` and ``r_max`` of ``config``."""
     from .modelsel import _basis_width, _top_eigen
 
     try:
@@ -599,41 +614,39 @@ def _mixing_start(whitened: WhitenedData, q: int, config: SolverConfig) -> tuple
             logger.warning("FastICA start stopped at its %d-iteration cap "
                            "without converging", ica.iterations)
     node_count = nodes_from_edge_count(whitened.n_edges)
-    keep = _basis_width(config, node_count)
-    rows = []
-    for row in raw:
-        m = unvectorize(row, node_count)
-        rows.append((*_top_eigen(m, keep), 0.5 * float(np.vdot(m, m))))
-    return a_tilde, rows
+    m = unvectorize(raw, node_count)
+    norm2 = np.array([0.5 * float(np.vdot(m_l, m_l)) for m_l in m])
+    return a_tilde, *_top_eigen(m, _basis_width(config, node_count)), norm2
 
 
 def _truncated_start(whitened: WhitenedData, a_tilde: np.ndarray,
-                     rows: list, config: SolverConfig) -> _Start:
+                     eigvals: np.ndarray, eigvecs: np.ndarray,
+                     norm2: np.ndarray, config: SolverConfig) -> _Start:
     """The per-rho half of :func:`initialize`: each unstructured source,
-    given by the eigenpairs of :func:`_mixing_start`, truncated to the rank
-    that :func:`~locus.modelsel.select_rank`'s rule picks under
-    ``config.rho`` and ``config.r_max``, bit for bit.  A zero source is
-    re-seeded from its projected target (:func:`_reseed_source`)."""
+    given by the eigenpairs and |s|^2 of :func:`_mixing_start`, truncated
+    to the rank that :func:`~locus.modelsel.select_rank`'s rule picks
+    under ``config.rho`` and ``config.r_max``, bit for bit.  A zero source
+    is re-seeded from its projected target (:func:`_reseed_source`) and
+    its basis is not ready."""
     from .modelsel import _truncate
 
-    node_count = nodes_from_edge_count(whitened.n_edges)
+    node_count = eigvecs.shape[1]
     r_max = min(config.r_max, node_count - 1)
-    sources, basis = [], []
-    for ell, (eigvals, eigvecs, norm2) in enumerate(rows):
-        if norm2 == 0:
+    sources = []
+    for ell, source_norm2 in enumerate(norm2):
+        if source_norm2 == 0:
             warnings.warn(f"initial source {ell} is zero; re-seeding",
                           DegenerateSourceWarning)
             sources.append(_reseed_source((a_tilde.T @ whitened.y_tilde)[ell],
                                           node_count))
-            basis.append(None)
         else:
-            sources.append(_truncate(eigvals, eigvecs, norm2, config.rho,
-                                     r_max)[1])
-            basis.append(eigvecs)
-    return _Start(sources=sources, a_tilde=a_tilde, basis=basis)
+            sources.append(_truncate(eigvals[ell], eigvecs[ell], source_norm2,
+                                     config.rho, r_max)[1])
+    return _Start(sources=sources, a_tilde=a_tilde, basis=eigvecs,
+                  ready=norm2 > 0)
 
 
-def initialize(whitened: WhitenedData, q: int, config: SolverConfig) -> LocusModel:
+def initialize(whitened: WhitenedData, q: int, config: SolverConfig) -> _Start:
     """Starting point for :func:`fit`.
 
     Runs the FastICA baseline on the whitened data, takes its orthogonalized
@@ -645,9 +658,10 @@ def initialize(whitened: WhitenedData, q: int, config: SolverConfig) -> LocusMod
     re-seeded from its projected target (:func:`_reseed_source`).  Reads
     ``seed``, ``rho`` and ``r_max`` of ``config``, not ``phi``; ``seed``
     seeds FastICA and the random fallback, which do not read ``rho``, so
-    :func:`~locus.modelsel.tune` runs them, and decomposes each source,
-    once for every rho.  The returned start also carries those
-    eigenvectors, which seed :func:`fit`'s first warm rank check.
+    :func:`~locus.modelsel.tune` runs them, and decomposes the sources in
+    one stacked call, once for every rho.  The returned start also carries
+    those eigenvectors as one (q, V, k) basis with its ready mask, which
+    seed :func:`fit`'s first warm rank checks.
     """
     if q != whitened.q:
         raise DimensionError("dimension_mismatch",
@@ -874,7 +888,7 @@ def _step(cells: list[_Cell], it: int) -> None:
     from . import modelsel
 
     mats, norm2 = _target_mats(cells)
-    lives, counts = modelsel._select_ranks(cells, list(zip(mats, norm2)))
+    lives, counts = modelsel._select_ranks(cells, mats, norm2)
     logger.debug("rank checks: %d warm, %d exact, %d changed", *counts)
     batches: dict[tuple[int, float], list] = {}
     for cell, cell_mats, live in zip(cells, mats, lives):
@@ -892,26 +906,17 @@ def _step(cells: list[_Cell], it: int) -> None:
 
 
 def _start(whitened: WhitenedData, config: SolverConfig,
-           init: LocusModel) -> _Cell:
+           init: _Start) -> _Cell:
     """A cell at the start.  Its targets and rows give
-    ``objective_trace[0]`` and feed step 1.  Its sources list is its own,
-    since a step replaces items of it and a start may be shared, and its
-    rank-check state is its own copy of the eigenvectors an
-    :func:`initialize` start keeps, where their width suits ``config``."""
-    from .modelsel import _basis_width
-
+    ``objective_trace[0]`` and feed step 1.  Its sources list, mixing
+    matrix and rank-check state are its own copies of ``init``'s, since a
+    step replaces items of them and a start may be shared."""
     sources = list(init.sources)
-    a_tilde = np.asarray(init.a_tilde, dtype=float).copy()
+    a_tilde = init.a_tilde.copy()
     targets = a_tilde.T @ whitened.y_tilde
     rows = np.vstack([s.edge_vector() for s in sources])
-    node_count = sources[0].node_count
-    basis = np.zeros((len(sources), node_count, _basis_width(config, node_count)))
-    ready = np.zeros(len(sources), dtype=bool)
-    for ell, vecs in enumerate(init.basis if isinstance(init, _Start) else []):
-        if vecs is not None and vecs.shape == basis.shape[1:]:
-            basis[ell], ready[ell] = vecs, True
-    cell = _Cell(config, sources, a_tilde, targets, rows, [], set(), basis,
-                 ready)
+    cell = _Cell(config, sources, a_tilde, targets, rows, [], set(),
+                 init.basis.copy(), init.ready.copy())
     cell.trace.append(float(_objectives(targets[None], rows[None], [cell])[0]))
     return cell
 
@@ -970,13 +975,14 @@ def _unmix(parts, whitened: WhitenedData) -> dict:
 
 
 def _fit_cells(whitened: WhitenedData, cells) -> list:
-    """Fit every (config, init) cell on the same whitened data in lockstep.
+    """Fit every (config, start) cell on the same whitened data in
+    lockstep, each start a :class:`_Start` of that data.
 
     Each cell is a start, one step per outer iteration and a stopping rule,
     and its state is one :class:`_Cell` record.  Start (:func:`_start`):
-    the targets A~' Y~ and stacked (q, p) source rows of ``init`` give
-    ``objective_trace[0]`` and feed step 1, and the eigenvectors an
-    :func:`initialize` start keeps seed the warm rank checks.  Step: one
+    the targets A~' Y~ and stacked (q, p) source rows of the start give
+    ``objective_trace[0]`` and feed step 1, and the eigenvectors it keeps
+    seed the warm rank checks.  Step: one
     :func:`_step` updates the sources of every running cell.  Then
     :func:`_advance` stacks every cell's rows once, re-estimates each A~
     from them (:func:`update_mixing`) and computes the next targets once,
@@ -992,14 +998,13 @@ def _fit_cells(whitened: WhitenedData, cells) -> list:
     data.  Every cell's model is the one :func:`fit` returns for that cell
     alone, bit for bit.  No random numbers are drawn.
 
-    Returns per cell the fitted LocusModel or the error.  The inits are not
-    checked against the data; :func:`fit` does that.
+    Returns per cell the fitted LocusModel or the error.
     """
     results: list = [None] * len(cells)
     running = {}  # per running cell, in cell order
-    for i, (config, init) in enumerate(cells):
+    for i, (config, start) in enumerate(cells):
         try:
-            running[i] = _start(whitened, config, init)
+            running[i] = _start(whitened, config, start)
         except CELL_ERRORS as err:
             results[i] = err
 
@@ -1026,34 +1031,19 @@ def _fit_cells(whitened: WhitenedData, cells) -> list:
     return results
 
 
-def fit(whitened: WhitenedData, q: int, config: SolverConfig,
-        init: LocusModel | None = None) -> LocusModel:
+def fit(whitened: WhitenedData, q: int, config: SolverConfig) -> LocusModel:
     """Run the node-rotation algorithm on whitened data: start, step, stop.
 
-    Checks ``q`` and ``init`` (default: :func:`initialize`) against the
-    data, then fits the one cell (config, init) with :func:`_fit_cells`,
-    the loop :func:`~locus.modelsel.tune` runs every grid cell through, and
-    raises the error that stopped it, if any.  Each step re-selects every
+    Starts from :func:`initialize` (which checks ``q`` against the data),
+    then fits that one cell with :func:`_fit_cells`, the loop
+    :func:`~locus.modelsel.tune` runs every grid cell through, and raises
+    the error that stopped it, if any.  Each step re-selects every
     rank by :func:`~locus.modelsel.select_rank`'s rule, confirmed by a warm
     Ritz check where it can be (see the module docstring); the model is
     the exact rule's wherever their decisions agree.  No random numbers
     are drawn after the start.
     """
-    if q != whitened.q:
-        raise DimensionError("dimension_mismatch",
-                             f"q={q} does not match whitened data (q={whitened.q})")
-    node_count = nodes_from_edge_count(whitened.n_edges)
-    if init is None:
-        init = initialize(whitened, q, config)
-    if init.q != q or init.a_tilde.shape != (q, q):
-        raise DimensionError("dimension_mismatch",
-                             "init model does not match q")
-    for ell, src in enumerate(init.sources):
-        if src.node_count != node_count:
-            raise DimensionError("dimension_mismatch",
-                                 f"init source {ell} has V={src.node_count}, "
-                                 f"the data has V={node_count}")
-    (result,) = _fit_cells(whitened, [(config, init)])
+    (result,) = _fit_cells(whitened, [(config, initialize(whitened, q, config))])
     if isinstance(result, Exception):
         raise result
     return result

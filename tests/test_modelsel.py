@@ -369,7 +369,7 @@ class TestTune:
                 assert start.a_tilde.tobytes() == fresh.a_tilde.tobytes()
                 assert (start.source_matrix().tobytes()
                         == fresh.source_matrix().tobytes())
-                alone = fit(whitened, 3, cfg, init=start)
+                alone = fit(whitened, 3, cfg)
                 assert model.iterations == alone.iterations
                 assert model.converged == alone.converged
                 for got, want in zip(model.sources, alone.sources):
@@ -448,11 +448,12 @@ class TestTune:
         import locus.modelsel as modelsel
         ds, _ = generate(SyntheticSpec(node_count=12, q=3, n_subjects=20,
                                        sigma=0.5, seed=12))
-        calls = []
+        decomposed = []
         real_top_eigen = modelsel._top_eigen
 
         def counting(m, keep):
-            calls.append(keep)
+            # one entry per matrix of a (..., V, V) stack
+            decomposed.extend([keep] * (m.size // m.shape[-1] ** 2))
             return real_top_eigen(m, keep)
 
         monkeypatch.setattr(modelsel, "_top_eigen", counting)
@@ -461,7 +462,7 @@ class TestTune:
                             lambda whitened, cells: [skipped] * len(cells))
         with pytest.raises(DegeneracyError, match="all_cells_failed"):
             tune(ds, 3, [0.0], [0.7, 0.8, 0.9], SolverConfig(seed=0, r_max=4))
-        assert calls == [8, 8, 8]
+        assert decomposed == [8, 8, 8]
 
     def test_one_baseline_call_per_tune(self, monkeypatch):
         # FastICA reads neither phi nor rho: a failing FastICA is called
@@ -488,11 +489,12 @@ class TestTune:
         real_truncate = modelsel._truncated_start
         built = []
 
-        def flaky_truncate(whitened, a_tilde, raw, config):
+        def flaky_truncate(whitened, a_tilde, eigvals, eigvecs, norm2, config):
             built.append(config.rho)
             if config.rho == 0.8:
                 raise DegeneracyError("zero_source", "synthetic start failure")
-            return real_truncate(whitened, a_tilde, raw, config)
+            return real_truncate(whitened, a_tilde, eigvals, eigvecs, norm2,
+                                 config)
 
         monkeypatch.setattr(modelsel, "_truncated_start", flaky_truncate)
         result = tune(ds, 3, [0.0, 0.01], [0.8, 0.9],

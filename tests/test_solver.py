@@ -118,6 +118,21 @@ class TestSolverConfig:
         with pytest.raises(ValidationError, match="bad_config"):
             SolverConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_iter", 2.5), ("r_max", 2.5), ("seed", 1.5), ("max_iter", 3.0),
+        ("r_max", np.float64(4.0)), ("seed", "1")])
+    def test_non_integral_count_rejected(self, field, value):
+        # a fractional max_iter never meets the stop test it == max_iter,
+        # and a fractional r_max or seed fails inside numpy
+        with pytest.raises(ValidationError,
+                           match=f"bad_config.*{field} must be an integer"):
+            SolverConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = SolverConfig(max_iter=np.int64(5), r_max=np.int32(3),
+                              seed=np.uint8(2))
+        assert (config.max_iter, config.r_max, config.seed) == (5, 3, 2)
+
 
 def node_objective(x, d, v, y_proj, phi, row):
     """Eq-style node subproblem value at a candidate row."""
@@ -477,11 +492,11 @@ class TestStep:
 
 
 def run_cells(whitened, specs, iterations):
-    """Cells started from the (config, init) ``specs`` and run in lockstep
+    """Cells started from the (config, start) ``specs`` and run in lockstep
     for ``iterations`` full iterations, a step and an advance each, as
     solver._fit_cells runs them; a cell leaves at its error.  Returns the
     cells and the warnings' messages."""
-    cells = [solver._start(whitened, config, init) for config, init in specs]
+    cells = [solver._start(whitened, config, start) for config, start in specs]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for it in range(1, iterations + 1):
@@ -521,8 +536,9 @@ class TestBatchedTail:
         # sources 0 and 1 are one source, so the mixing update fails
         twin = start.a_tilde.copy()
         twin[:, 1] = twin[:, 0]
-        specs.append((config, LocusModel(
-            sources=[start.sources[0], *start.sources[::2]], a_tilde=twin)))
+        specs.append((config, dataclasses.replace(
+            start, sources=[start.sources[0], *start.sources[::2]],
+            a_tilde=twin, ready=np.zeros(3, dtype=bool))))
 
         sweeps = []
         real_sweep = solver.sweep_nodes
@@ -574,8 +590,7 @@ def spectrum_target(rng, node_count, eigvals):
 def select(cell):
     """modelsel._select_ranks on the one ``cell``: its live indices and the
     counts of warm, exact and changed checks."""
-    mats, norm2 = solver._target_mats([cell])
-    (live,), counts = modelsel._select_ranks([cell], [(mats[0], norm2[0])])
+    (live,), counts = modelsel._select_ranks([cell], *solver._target_mats([cell]))
     return live, counts
 
 
@@ -708,6 +723,72 @@ class TestRankChecks:
         assert counts == (1, 0, 0) and exact_calls == []
         assert cell.sources[0] is src
 
+    def test_cap_groups_in_one_call_equal_lone_calls(self, exact_calls):
+        # three cells at V=16, q=3 with caps 2, 6 and 2: one call makes two
+        # warm groups, neither of them every cell.  Cell 0 holds a source
+        # the warm check confirms at its cap (it warns), a source that is
+        # not ready and a zero target whose basis is ready; cell 2 holds a
+        # rank the rule changes.  One call over all three cells gives each
+        # cell what its lone call gives it, byte for byte.
+        rng = np.random.default_rng(66)
+        node_count = 16
+        mats = [spectrum_target(rng, node_count, eigvals) for eigvals in (
+            [6.0, -5.0, 4.0, 3.0, 2.0], [9.0, -4.0, 1.0, 0.3],
+            [7.0, 3.0, -2.0, 0.5], [5.0, -4.5, 0.2])]
+        specs = []
+        for r_max, rho, picks in ((2, 0.999, (0, 1, None)), (6, 0.9, (1, 2, 3)),
+                                  (2, 0.8, (2, 3, 0))):
+            config = SolverConfig(rho=rho, r_max=r_max)
+            k = modelsel._basis_width(config, node_count)
+            sources, targets, bases = [], [], []
+            for ell, pick in enumerate(picks):
+                m = mats[0] if pick is None else mats[pick]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RankCapWarning)
+                    rank, src, basis = modelsel.select_rank(m, rho, r_max,
+                                                            basis=k)
+                if r_max == 2 and ell == 1:
+                    # cell 0: no basis yet; cell 2: the rule's rank changes
+                    src = random_source(rng, node_count, 3 - rank)
+                    basis = None if rho == 0.999 else basis
+                sources.append(src)
+                targets.append(np.zeros(vectorize(m).shape) if pick is None
+                               else vectorize(m))
+                bases.append(basis)
+            specs.append((config, sources, np.vstack(targets), bases))
+
+        def run(cells, calls):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                warnings.simplefilter("error", RuntimeWarning)
+                out = calls(cells)
+            return out, sorted(str(w.message) for w in caught)
+
+        lone_cells = [make_cell(*spec) for spec in specs]
+        exact_calls.clear()
+        lone, lone_warnings = run(lone_cells, lambda cells: [select(cell)
+                                                             for cell in cells])
+        lone_exact = len(exact_calls)
+        exact_calls.clear()
+        batch_cells = [make_cell(*spec) for spec in specs]
+        (lives, counts), warned = run(batch_cells, lambda cells: (
+            modelsel._select_ranks(cells, *solver._target_mats(cells))))
+
+        assert warned == lone_warnings
+        assert "rank cap 2 hit before reaching closeness 0.999" in warned
+        assert lives == [live for live, _ in lone] and 2 not in lives[0]
+        assert counts == tuple(map(sum, zip(*(c for _, c in lone))))
+        assert counts[0] > 0 and counts[2] > 0
+        assert len(exact_calls) == lone_exact == counts[1]
+        assert batch_cells[0].ready.tolist() == [True, True, True]
+        assert batch_cells[0].basis[2].tobytes() == specs[0][3][2].tobytes()
+        for got, want in zip(batch_cells, lone_cells):
+            assert got.ready.tolist() == want.ready.tolist()
+            assert got.basis.tobytes() == want.basis.tobytes()
+            for got_src, want_src in zip(got.sources, want.sources):
+                assert got_src.x.tobytes() == want_src.x.tobytes()
+                assert got_src.d.tobytes() == want_src.d.tobytes()
+
 
 def acceptance_loadings(rng, size):
     return rng.uniform(1.5, 6.0, size=size) * rng.choice([-1.0, 1.0], size=size)
@@ -722,20 +803,21 @@ def exact_beside_warm(monkeypatch):
     exact_rule = modelsel.select_rank
     seen = {"warm": 0, "compared": 0}
 
-    def side_by_side(cells, targets):
+    def side_by_side(cells, mats, norm2):
         # the cells' lists are updated in place: snapshot them first
         before = [list(cell.sources) for cell in cells]
-        lives, counts = real(cells, targets)
+        lives, counts = real(cells, mats, norm2)
         seen["warm"] += counts[0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankCapWarning)
-            for cell, old, (mats, _), live in zip(cells, before, targets, lives):
+            for cell, old, cell_mats, live in zip(cells, before, mats, lives):
                 if cell.error is not None:
                     continue
                 config = cell.config
                 for ell in live:
                     if cell.sources[ell] is old[ell]:
-                        rank, _ = exact_rule(mats[ell], config.rho, config.r_max)
+                        rank, _ = exact_rule(cell_mats[ell], config.rho,
+                                             config.r_max)
                         assert rank == old[ell].rank
                         seen["compared"] += 1
         return lives, counts
@@ -1068,6 +1150,15 @@ def scenario_whitened(sigma, seed, node_count=20, n=40, loading=None):
     return ds, gt, whiten(ds, 3)
 
 
+def fit_from(whitened, config, start):
+    """:func:`fit` from a given :class:`solver._Start`: the one-cell run of
+    ``solver._fit_cells``, raising the error that stopped it."""
+    (result,) = solver._fit_cells(whitened, [(config, start)])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 class TestFit:
     def test_noise_free_exact_recovery(self):
         ds, gt, w = scenario_whitened(0.0, 21)
@@ -1086,7 +1177,7 @@ class TestFit:
         config = SolverConfig(phi=0.05, rho=0.9, seed=0, max_iter=1,
                               regularizer=regularizer)
         init = initialize(w, 3, config)
-        model = fit(w, 3, config, init=init)
+        model = fit(w, 3, config)
         targets = init.a_tilde.T @ w.y_tilde
         if regularizer == "uniform_l1":
             targets = soft_threshold(targets, config.phi / 2.0)
@@ -1104,8 +1195,8 @@ class TestFit:
         start = initialize(w, 3, SolverConfig(rho=0.9, seed=0))
         sources = list(start.sources)
         factors = [(src.x.tobytes(), src.d.tobytes()) for src in sources]
-        bases = [None if b is None else b.tobytes() for b in start.basis]
-        assert any(b is not None for b in bases)
+        basis, ready = start.basis.tobytes(), start.ready.tobytes()
+        assert start.ready.any()
         models = solver._fit_cells(w, [(SolverConfig(phi=phi, rho=0.9, max_iter=5),
                                         start) for phi in (0.0, 0.01, 0.05)])
         assert all(isinstance(model, LocusModel) for model in models)
@@ -1113,7 +1204,8 @@ class TestFit:
         assert all(got is want for got, want in zip(start.sources, sources))
         assert [(src.x.tobytes(), src.d.tobytes())
                 for src in start.sources] == factors
-        assert [None if b is None else b.tobytes() for b in start.basis] == bases
+        assert start.basis.tobytes() == basis
+        assert start.ready.tobytes() == ready
 
     def test_phi_zero_objective_descends(self):
         ds, gt, w = scenario_whitened(1.0, 22)
@@ -1183,7 +1275,7 @@ class TestFit:
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         with pytest.warns(DegenerateSourceWarning):
-            model = fit(w, 3, config, init=start)
+            model = fit_from(w, config, start)
         assert model.iterations <= 10
 
     def test_zero_reduced_row_names_the_source(self):
@@ -1195,29 +1287,20 @@ class TestFit:
         y_tilde = w.y_tilde.copy()
         y_tilde[0] = 0.0
         w = dataclasses.replace(w, y_tilde=y_tilde)
-        start = LocusModel(sources=[random_source(rng, node_count, 1)
-                                    for _ in range(q)], a_tilde=np.eye(q))
+        config = SolverConfig(max_iter=5)
+        k = modelsel._basis_width(config, node_count)
+        start = solver._Start(sources=[random_source(rng, node_count, 1)
+                                       for _ in range(q)], a_tilde=np.eye(q),
+                              basis=np.zeros((q, node_count, k)),
+                              ready=np.zeros(q, dtype=bool))
         with pytest.warns(DegenerateSourceWarning), \
                 pytest.raises(DegeneracyError, match=r"sources \[0\]"):
-            fit(w, q, SolverConfig(max_iter=5), init=start)
+            fit_from(w, config, start)
 
     def test_init_dimension_validated(self):
         ds, gt, w = scenario_whitened(1.0, 30)
         with pytest.raises(DimensionError):
             fit(w, 2, SolverConfig())
-
-    @pytest.mark.parametrize("wrong", [[1], [0, 1, 2]])
-    def test_init_node_count_validated(self, wrong):
-        # a start fitted at another V is named, not left to numpy
-        _, _, w = scenario_whitened(1.0, 30)
-        config = SolverConfig(max_iter=2)
-        start = initialize(w, 3, config)
-        rng = np.random.default_rng(38)
-        sources = [random_source(rng, 12, 2) if ell in wrong else src
-                   for ell, src in enumerate(start.sources)]
-        with pytest.raises(DimensionError,
-                           match=f"init source {wrong[0]} has V=12, the data has V=20"):
-            fit(w, 3, config, init=LocusModel(sources, start.a_tilde))
 
     @pytest.mark.parametrize("regularizer", REGULARIZERS)
     @pytest.mark.parametrize("max_iter", [1, 2, 7])
@@ -1228,7 +1311,7 @@ class TestFit:
         config = SolverConfig(phi=0.05, rho=0.9, seed=0, max_iter=max_iter,
                               regularizer=regularizer)
         start = initialize(w, 3, config)
-        model = fit(w, 3, config, init=start)
+        model = fit(w, 3, config)
         assert model.objective_trace[0] == objective(w, start, config.phi,
                                                      regularizer)
         assert model.objective_trace[-1] == objective(w, model, config.phi,
