@@ -2,10 +2,11 @@
 
 Estimated sources come back in arbitrary order and sign, so scoring starts
 with an optimal assignment (maximizing total |Pearson|) between truth and
-estimates; signs are taken from the matched correlations.  Replicated fits
-are summarized with a chance-corrected reliability index: the average
-matched similarity, shifted and scaled by the average similarity against
-*all* extracted components,
+estimates, found exactly by the shortest augmenting path method (see
+:func:`_assign`); signs are taken from the matched correlations.
+Replicated fits are summarized with a chance-corrected reliability index:
+the average matched similarity, shifted and scaled by the average
+similarity against *all* extracted components,
 
     RI_l = (mean_b h(S_l, S_hat[b, l]) - mean_{b,j} h(S_l, S_hat[b, j]))
            / (1 - mean_{b,j} h(S_l, S_hat[b, j])),
@@ -17,10 +18,10 @@ reproducible and 0 means no better than chance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .connmat import ConnectivityDataset
 from .errors import DimensionError, LocusError, ValidationError
@@ -76,13 +77,66 @@ def correlation_matrix(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
 
 
 def _assign(corr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hungarian matching of the rows of a (q, q') correlation matrix,
-    q <= q', to distinct columns by total |corr|: the matched column of
-    each row, and the sign of each matched correlation."""
-    row_ind, col_ind = linear_sum_assignment(-np.abs(corr))
-    perm = np.empty(corr.shape[0], dtype=int)
-    perm[row_ind] = col_ind
-    matched = corr[np.arange(corr.shape[0]), perm]
+    """Match the rows of a (q, q') correlation matrix, q <= q', to distinct
+    columns so that the total |corr| is as large as possible: the matched
+    column of each row, and the sign of each matched correlation.
+
+    This is the shortest augmenting path method with dual potentials
+    (Jonker and Volgenant; Crouse 2016, IEEE TAES 52:1679), on costs
+    -|corr|.  Rows are added in index order, each by one augmentation
+    along a shortest alternating path, found by Dijkstra's search over the
+    columns with reduced costs, so the result is an exact optimum.  Tie
+    rule: among columns tied for the shortest path, the search takes a
+    free column first, then the lowest index, and of equally short paths
+    to a column it keeps the one found first; so an all-zero matrix, as
+    constant estimates give, matches row l to column l.  Non-finite
+    entries raise ValueError.
+    """
+    if not np.isfinite(corr).all():
+        raise ValueError("correlation matrix contains non-finite entries")
+    cost = (-np.abs(corr)).tolist()
+    q, n_cols = corr.shape
+    u, v = [0.0] * q, [0.0] * n_cols
+    row_of, col_of = [-1] * n_cols, [-1] * q
+    for start in range(q):
+        # Dijkstra from row `start`: dist[j] is the shortest alternating
+        # path to column j in reduced costs, via[j] the row it enters from
+        dist, via = [math.inf] * n_cols, [start] * n_cols
+        todo, rows, cols = list(range(n_cols)), [], []
+        row, reach = start, 0.0
+        while True:
+            rows.append(row)
+            c, ur = cost[row], u[row]
+            best, sink = math.inf, -1
+            for j in todo:
+                d = reach + c[j] - ur - v[j]
+                if d < dist[j]:
+                    dist[j], via[j] = d, row
+                d = dist[j]
+                if d < best or (d == best and row_of[j] < 0 <= row_of[sink]):
+                    best, sink = d, j
+            reach = best
+            todo.remove(sink)
+            cols.append(sink)
+            if row_of[sink] < 0:
+                break
+            row = row_of[sink]
+        # keep the reduced costs nonnegative and tight on the matching
+        u[start] += reach
+        for row in rows[1:]:
+            u[row] += reach - dist[col_of[row]]
+        for j in cols:
+            v[j] -= reach - dist[j]
+        # flip the path: each row on it takes the column it was reached by
+        j = sink
+        while True:
+            row = via[j]
+            row_of[j] = row
+            col_of[row], j = j, col_of[row]
+            if row == start:
+                break
+    perm = np.array(col_of, dtype=int)
+    matched = corr[np.arange(q), perm]
     return perm, np.where(matched >= 0, 1.0, -1.0)
 
 
@@ -91,14 +145,15 @@ def match_sources(truth: np.ndarray, est: np.ndarray,
                   est_loadings: np.ndarray | None = None) -> MatchResult:
     """Optimal assignment between true and estimated sources.
 
-    Maximizes the total |Pearson| over one-to-one matchings (Hungarian
-    method); the sign of each matched correlation becomes the alignment
-    sign.  Constant sources correlate 0 with everything.  The (q, p)
-    ``truth`` may have fewer rows than the (q', p) estimates, as when a fit
-    has more components than there are true sources: each true source is
-    matched to a distinct estimate and the other q' - q estimates stay
-    unmatched.  Fewer estimates than true sources, or another shape
-    mismatch, raise DimensionError.
+    Maximizes the total |Pearson| over one-to-one matchings, exactly, by
+    the shortest augmenting path method of :func:`_assign`; among tied
+    matchings its tie rule decides.  The sign of each matched correlation
+    becomes the alignment sign.  Constant sources correlate 0 with
+    everything.  The (q, p) ``truth`` may have fewer rows than the (q', p)
+    estimates, as when a fit has more components than there are true
+    sources: each true source is matched to a distinct estimate and the
+    other q' - q estimates stay unmatched.  Fewer estimates than true
+    sources, or another shape mismatch, raise DimensionError.
     """
     truth = np.asarray(truth, dtype=float)
     est = np.asarray(est, dtype=float)

@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
+# scipy is a test-only oracle: the library matches sources without it
 from scipy.optimize import linear_sum_assignment
 
 from locus.connmat import ConnectivityDataset
 from locus.errors import DegeneracyError, DimensionError, ValidationError
-from locus.evaluate import (bootstrap_indices, bootstrap_replicates,
+from locus.evaluate import (_assign, bootstrap_indices, bootstrap_replicates,
                             correlation_matrix, match_sources,
                             reliability_report, top_edge_support)
 
@@ -57,6 +60,24 @@ def reliability_reference(truth, replicates, similarity, top_fraction=0.01):
     return ri
 
 
+def best_total_reference(gain):
+    """Largest total gain over every injective map of rows to columns."""
+    q, n_cols = gain.shape
+    maps = np.array(list(itertools.permutations(range(n_cols), q)), dtype=int)
+    return gain[np.arange(q), maps].sum(axis=1).max()
+
+
+def check_optimal(corr, perm, signs):
+    q = corr.shape[0]
+    assert perm.shape == (q,) and len(set(perm.tolist())) == q
+    assert 0 <= perm.min() and perm.max() < corr.shape[1]
+    matched = corr[np.arange(q), perm]
+    assert np.array_equal(signs, np.where(matched >= 0, 1.0, -1.0))
+    gain = np.abs(corr)
+    assert abs(gain[np.arange(q), perm].sum()
+               - best_total_reference(gain)) <= 1e-12
+
+
 class TestMatchSources:
     def test_permutation_and_signs_recovered_exactly(self):
         rng = np.random.default_rng(0)
@@ -90,23 +111,83 @@ class TestMatchSources:
             vals.append(match_sources(truth, est).per_source_corr.mean())
         assert np.mean(vals) < 0.2
 
-    def test_assignment_at_least_as_good_as_greedy(self):
+    def test_assignment_optimal_against_brute_force(self):
+        # square and rectangular, real and integer-valued (many ties),
+        # with all-zero columns as constant estimates give
         rng = np.random.default_rng(3)
-        p = 50
-        for _ in range(1000):
-            q = int(rng.integers(2, 5))
-            corr = rng.uniform(-1, 1, size=(q, q))
-            # greedy matching oracle on |corr|
-            remaining = set(range(q))
-            greedy_total = 0.0
-            for i in range(q):
-                j = max(remaining, key=lambda c: abs(corr[i, c]))
-                greedy_total += abs(corr[i, j])
-                remaining.discard(j)
-            from scipy.optimize import linear_sum_assignment
+        for case in range(1500):
+            q = int(rng.integers(1, 7))
+            n_cols = int(rng.integers(q, 8))
+            if case % 2:
+                corr = rng.integers(-3, 4, size=(q, n_cols)).astype(float)
+            else:
+                corr = rng.uniform(-1, 1, size=(q, n_cols))
+            if case % 3 == 0:
+                corr[:, rng.random(n_cols) < 0.4] = 0.0
+            check_optimal(corr, *_assign(corr))
+        # the same through match_sources, from sources with duplicated
+        # and constant estimates
+        for case in range(200):
+            q = int(rng.integers(1, 6))
+            n_cols = int(rng.integers(q, 8))
+            truth = rng.standard_normal((q, 40))
+            est = rng.standard_normal((n_cols, 40))
+            est[rng.random(n_cols) < 0.3] = 2.0
+            est[rng.integers(n_cols)] = est[rng.integers(n_cols)]
+            corr = correlation_matrix(truth, est)
+            match = match_sources(truth, est)
+            check_optimal(corr, match.permutation, match.signs)
+            matched = corr[np.arange(q), match.permutation]
+            assert np.array_equal(match.per_source_corr, np.abs(matched))
+
+    def test_assignment_tie_rule(self):
+        # _assign's tie rule: among columns tied for the shortest path, a
+        # free column first, then the lowest index; of equally short paths
+        # to a column, the first found
+        for q, n_cols in [(1, 1), (2, 5), (3, 3), (4, 7), (7, 7)]:
+            for value in (0.0, 0.5, -1.0):
+                perm, signs = _assign(np.full((q, n_cols), value))
+                assert perm.tolist() == list(range(q))
+                assert signs.tolist() == [1.0 if value >= 0 else -1.0] * q
+        perm, signs = _assign(np.array([[0.5, -0.9, 0.9, 0.9]]))
+        assert perm.tolist() == [1] and signs.tolist() == [-1.0]
+        # row 1 ties between column 0, held by row 0, and free column 2:
+        # it takes the free one, where the lowest index would go on from
+        # column 0 and move row 0 to column 1
+        assert _assign(np.array([[1.0, 1.0, 0.0],
+                                 [2.0, 0.0, 2.0]]))[0].tolist() == [0, 2]
+        # the search from row 2 reaches column 0 by equally short paths
+        # from row 2 itself and, later, from rows 1 and 0: the first found
+        # stands, so no other row moves
+        assert _assign(np.array([[0.0, 0.0, 1.0],
+                                 [0.0, 1.0, 1.0],
+                                 [1.0, 2.0, 2.0]]))[0].tolist() == [2, 1, 0]
+        # constant estimates 0, 2 and 3 correlate 0 with every source:
+        # the source left over takes the lowest-index one
+        rng = np.random.default_rng(17)
+        truth = rng.standard_normal((3, 50))
+        est = np.ones((5, 50))
+        est[4], est[1] = truth[0], -truth[1]
+        match = match_sources(truth, est)
+        assert match.permutation.tolist() == [4, 1, 0]
+        assert match.signs.tolist() == [1.0, -1.0, 1.0]
+
+    def test_assignment_equals_scipy_without_ties(self):
+        rng = np.random.default_rng(18)
+        for case in range(500):
+            q = int(rng.integers(1, 21))
+            n_cols = q + int(rng.integers(0, 6))
+            corr = rng.uniform(-1, 1, size=(q, n_cols))
             rows, cols = linear_sum_assignment(-np.abs(corr))
-            optimal_total = float(np.abs(corr)[rows, cols].sum())
-            assert optimal_total >= greedy_total - 1e-12
+            assert rows.tolist() == list(range(q))
+            assert _assign(corr)[0].tolist() == cols.tolist()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_correlation_rejected(self, bad):
+        corr = np.eye(3)
+        corr[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            _assign(corr)
 
     def test_constant_source_correlates_zero(self):
         truth = np.vstack([np.ones(30), np.arange(30.0)])

@@ -499,6 +499,7 @@ def run_cells(whitened, specs, iterations):
     cells = [solver._start(whitened, config, start) for config, start in specs]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
         for it in range(1, iterations + 1):
             running = [cell for cell in cells if cell.error is None]
             if not running:
