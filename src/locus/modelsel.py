@@ -322,9 +322,10 @@ def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
     """Full factorial fit over (phi, rho), sharing one whitening and one
     FastICA run; returns all BICs and the argmin cell.
 
-    FastICA (or its seeded random fallback) runs once, since it reads
-    neither phi nor rho, and each rho truncates it to one start, built
-    before any cell is fitted and shared by every phi.  The cells are then
+    FastICA (or its seeded random fallback) and the projection A~' Y~ it
+    gives run once, since they read neither phi nor rho, and each rho
+    truncates that projection to one start, built before any cell is
+    fitted and shared by every phi.  The cells are then
     fitted in lockstep (:func:`~locus.solver._fit_cells`): each outer
     iteration runs its arithmetic as stacked passes over every running
     cell, with one node sweep per batch of cells of equal width, while
@@ -360,7 +361,7 @@ def tune(dataset: ConnectivityDataset, q: int, phi_grid, rho_grid,
             try:
                 if isinstance(mixing, Exception):
                     raise mixing
-                starts[cfg.rho] = _truncated_start(whitened, *mixing, cfg)
+                starts[cfg.rho] = _truncated_start(mixing, cfg)
             except CELL_ERRORS as err:
                 starts[cfg.rho] = err
 

@@ -74,6 +74,7 @@ import numbers
 import os
 import warnings
 from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -250,7 +251,10 @@ class SolverConfig:
 @dataclass
 class LocusModel:
     """Fitted decomposition: q low-rank sources, the orthogonal reduced
-    mixing matrix, subject loadings and fit diagnostics."""
+    mixing matrix, subject loadings and fit diagnostics.  ``start`` records
+    the start as the meta items :func:`save_model` writes:
+    ``start="fastica"`` with FastICA's ``start_iterations`` and
+    ``start_converged``, or ``start="random"`` for the random fallback."""
 
     sources: list[LowRankSource]
     a_tilde: np.ndarray
@@ -258,6 +262,7 @@ class LocusModel:
     objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     converged: bool = False
     iterations: int = 0
+    start: dict = field(default_factory=dict)
 
     @property
     def q(self) -> int:
@@ -375,6 +380,9 @@ def sweep_nodes(factors, targets: np.ndarray,
         raise DimensionError("dimension_mismatch",
                              f"targets of shape {targets.shape}, expected "
                              f"{(q, node_count, node_count)}")
+    if not shrink >= 0:
+        raise ValidationError("bad_threshold",
+                              f"threshold must be >= 0, got {shrink}")
     ranks = [np.shape(x)[1] for x, _ in factors]
     width = max(ranks)
     x = np.zeros((q, node_count, width))
@@ -439,7 +447,8 @@ def sweep_nodes(factors, targets: np.ndarray,
                 row[es] = row_e
                 h[es], cap[es], hi[es] = _restart(eigvals, eigvecs, inv, restart)
         if shrink:
-            row = soft_threshold(row, shrink)
+            # soft_threshold's arithmetic, its check done once above
+            row = np.sign(row) * np.maximum(np.abs(row) - shrink, 0.0)
         x[:, v, None, :] = row
         if h is not None:
             # update by the new row
@@ -587,87 +596,105 @@ class _Start(LocusModel):
     ready: np.ndarray
 
 
-def _mixing_start(whitened: WhitenedData, q: int, config: SolverConfig) -> tuple:
-    """The rank-free half of :func:`initialize`: FastICA's orthogonalized
-    mixing matrix and, for the q unstructured sources, their top-k
-    eigenvalues (q, k) and eigenvectors (q, V, k) by |lambda|, from one
-    stacked decomposition, and their |s|^2 (q,) (k from
-    :func:`~locus.modelsel._basis_width`), or, if the baseline fails with a
-    package error or a LinAlgError, a random orthogonal mixing matrix
-    seeded by ``config.seed`` and the projected sources it implies.  A
-    FastICA start that stops at its iteration cap is logged as a warning.
-    Reads ``seed`` and ``r_max`` of ``config``."""
+class _Mixing(NamedTuple):
+    """The rank-free half of a start (:func:`_mixing_start`): the
+    orthogonal mixing matrix A~, the unstructured sources A~' Y~ (q, p),
+    their top-k eigenvalues (q, k) and eigenvectors (q, V, k) by |lambda|,
+    their |s|^2 (q,) and the start's record (:attr:`LocusModel.start`)."""
+
+    a_tilde: np.ndarray
+    raw: np.ndarray
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
+    norm2: np.ndarray
+    start: dict
+
+
+def _mixing_start(whitened: WhitenedData, q: int, config: SolverConfig) -> _Mixing:
+    """The rank-free half of :func:`initialize`.  A~ is FastICA's
+    orthogonalized mixing matrix or, if the baseline fails with a package
+    error or a LinAlgError, a random orthogonal matrix seeded by
+    ``config.seed``; either way the unstructured sources are the
+    projection A~' Y~, the target of the first step, and not FastICA's own
+    rows, which it centres and rescales over the edges.  Their top-k
+    eigenpairs (k from :func:`~locus.modelsel._basis_width`) come from one
+    stacked decomposition.  A FastICA start that stops at its iteration cap
+    is logged as a warning.  Reads ``seed`` and ``r_max`` of ``config``."""
     from .modelsel import _basis_width, _top_eigen
 
     try:
         ica = baselines.fastica(whitened, q, seed=config.seed)
-        a_tilde, raw = _polar_orthogonalize(ica.mixing), ica.sources
+        a_tilde = _polar_orthogonalize(ica.mixing)
+        start = {"start": "fastica", "start_iterations": ica.iterations,
+                 "start_converged": ica.converged}
     except (LocusError, np.linalg.LinAlgError) as err:
         # fall back to a seeded random start
         logger.warning("baseline initialization failed (%s); using random "
                        "orthogonal start", err)
         a_tilde = _polar_orthogonalize(
             np.random.default_rng(config.seed).standard_normal((q, q)))
-        raw = a_tilde.T @ whitened.y_tilde
+        start = {"start": "random"}
     else:
         if not ica.converged:
             logger.warning("FastICA start stopped at its %d-iteration cap "
                            "without converging", ica.iterations)
+    raw = a_tilde.T @ whitened.y_tilde
     node_count = nodes_from_edge_count(whitened.n_edges)
     m = unvectorize(raw, node_count)
     norm2 = np.array([0.5 * float(np.vdot(m_l, m_l)) for m_l in m])
-    return a_tilde, *_top_eigen(m, _basis_width(config, node_count)), norm2
+    return _Mixing(a_tilde, raw,
+                   *_top_eigen(m, _basis_width(config, node_count)), norm2,
+                   start)
 
 
-def _truncated_start(whitened: WhitenedData, a_tilde: np.ndarray,
-                     eigvals: np.ndarray, eigvecs: np.ndarray,
-                     norm2: np.ndarray, config: SolverConfig) -> _Start:
-    """The per-rho half of :func:`initialize`: each unstructured source,
-    given by the eigenpairs and |s|^2 of :func:`_mixing_start`, truncated
-    to the rank that :func:`~locus.modelsel.select_rank`'s rule picks
-    under ``config.rho`` and ``config.r_max``, bit for bit.  A zero source
-    is re-seeded from its projected target (:func:`_reseed_source`) and
-    its basis is not ready."""
+def _truncated_start(mixing: _Mixing, config: SolverConfig) -> _Start:
+    """The per-rho half of :func:`initialize`: each unstructured source of
+    ``mixing`` (:func:`_mixing_start`) truncated to the rank that
+    :func:`~locus.modelsel.select_rank`'s rule picks under ``config.rho``
+    and ``config.r_max``, bit for bit, from the eigenpairs and |s|^2 that
+    ``mixing`` holds.  A zero source is re-seeded from its row of the same
+    projection (:func:`_reseed_source`) and its basis is not ready."""
     from .modelsel import _truncate
 
-    node_count = eigvecs.shape[1]
+    node_count = mixing.eigvecs.shape[1]
     r_max = min(config.r_max, node_count - 1)
     sources = []
-    for ell, source_norm2 in enumerate(norm2):
+    for ell, source_norm2 in enumerate(mixing.norm2):
         if source_norm2 == 0:
             warnings.warn(f"initial source {ell} is zero; re-seeding",
                           DegenerateSourceWarning)
-            sources.append(_reseed_source((a_tilde.T @ whitened.y_tilde)[ell],
-                                          node_count))
+            sources.append(_reseed_source(mixing.raw[ell], node_count))
         else:
-            sources.append(_truncate(eigvals[ell], eigvecs[ell], source_norm2,
-                                     config.rho, r_max)[1])
-    return _Start(sources=sources, a_tilde=a_tilde, basis=eigvecs,
-                  ready=norm2 > 0)
+            sources.append(_truncate(mixing.eigvals[ell], mixing.eigvecs[ell],
+                                     source_norm2, config.rho, r_max)[1])
+    return _Start(sources=sources, a_tilde=mixing.a_tilde,
+                  start=mixing.start, basis=mixing.eigvecs,
+                  ready=mixing.norm2 > 0)
 
 
 def initialize(whitened: WhitenedData, q: int, config: SolverConfig) -> _Start:
-    """Starting point for :func:`fit`.
+    """Starting point for :func:`fit`: the paper's ICA start, in the
+    solver's own units.
 
-    Runs the FastICA baseline on the whitened data, takes its orthogonalized
-    mixing matrix, and truncates each unstructured source to the adaptively
-    selected rank via its symmetric eigendecomposition.  If the baseline
-    fails with a package error or a LinAlgError, falls back to a seeded
-    random orthogonal mixing matrix and truncates the implied projected
-    sources instead; any other exception propagates.  A zero source is
-    re-seeded from its projected target (:func:`_reseed_source`).  Reads
-    ``seed``, ``rho`` and ``r_max`` of ``config``, not ``phi``; ``seed``
-    seeds FastICA and the random fallback, which do not read ``rho``, so
-    :func:`~locus.modelsel.tune` runs them, and decomposes the sources in
-    one stacked call, once for every rho.  The returned start also carries
-    those eigenvectors as one (q, V, k) basis with its ready mask, which
-    seed :func:`fit`'s first warm rank checks.
+    Takes the orthogonalized mixing matrix A~ of the FastICA baseline on
+    the whitened data, or, if the baseline fails with a package error or a
+    LinAlgError, a seeded random orthogonal matrix; any other exception
+    propagates.  Under the model Y~ = A~ S with orthogonal A~ the sources
+    are A~' Y~, so each row of that projection, the target of the first
+    step, is truncated to the adaptively selected rank via its symmetric
+    eigendecomposition.  A zero source is re-seeded from its row
+    (:func:`_reseed_source`).  Reads ``seed``, ``rho`` and ``r_max`` of
+    ``config``, not ``phi``; ``seed`` seeds FastICA and the random
+    fallback, which do not read ``rho``, so :func:`~locus.modelsel.tune`
+    runs them, and decomposes the sources in one stacked call, once for
+    every rho.  The returned start also carries those eigenvectors as one
+    (q, V, k) basis with its ready mask, which seed :func:`fit`'s first
+    warm rank checks, and its record (:attr:`LocusModel.start`).
     """
     if q != whitened.q:
         raise DimensionError("dimension_mismatch",
                              f"q={q} does not match whitened data (q={whitened.q})")
-    return _truncated_start(whitened, *_mixing_start(whitened, q, config),
-                            config)
+    return _truncated_start(_mixing_start(whitened, q, config), config)
 
 
 def _norms(stack: np.ndarray) -> np.ndarray:
@@ -1024,7 +1051,7 @@ def _fit_cells(whitened: WhitenedData, cells) -> list:
                 results[i] = LocusModel(
                     cell.sources, cell.a_tilde, loadings[cell],
                     np.asarray(cell.trace), converged=converged[cell],
-                    iterations=it)
+                    iterations=it, start=cells[i][1].start)
             else:
                 continue
             del running[i]
@@ -1144,6 +1171,7 @@ def save_model(model: LocusModel, path: str, config: SolverConfig) -> None:
         "rho": config.rho,
         "seed": config.seed,
         "regularizer": config.regularizer,
+        **model.start,
     }
     save_decomposition(path, model.source_matrix(),
                        model.sources[0].node_count, model.a, model.a_tilde,

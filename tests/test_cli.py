@@ -9,6 +9,7 @@ import pytest
 
 from locus.cli import (_command_options, _solver_config, build_parser, main,
                        write_pgm)
+from locus.errors import DegeneracyError
 from locus.solver import SolverConfig, read_meta
 
 
@@ -102,6 +103,31 @@ class TestDecompose:
         assert "ranks" in meta
         a = np.loadtxt(out / "A.csv", delimiter=",", ndmin=2)
         assert a.shape == (24, 3)
+
+    def test_start_recorded_in_meta(self, sim_dir, tmp_path, monkeypatch):
+        # a FastICA start records its iterations and convergence next to
+        # the fit's own, and a rerun writes the same bytes; the random
+        # fallback records only that it was used
+        argv = ["decompose", sim_dir / "dataset.csv", "--q", 3,
+                "--max-iter", 5, "--out"]
+        assert run([*argv, tmp_path / "fit"]) == 0
+        meta = read_meta(tmp_path / "fit" / "meta")
+        assert meta["start"] == "fastica"
+        assert int(meta["start_iterations"]) >= 1
+        assert meta["start_converged"] == "True"
+        assert run([*argv, tmp_path / "again"]) == 0
+        assert tree_bytes(tmp_path / "fit") == tree_bytes(tmp_path / "again")
+
+        def broken(*args, **kwargs):
+            raise DegeneracyError("singular_mixing", "no convergence")
+
+        import locus.baselines
+        monkeypatch.setattr(locus.baselines, "fastica", broken)
+        assert run([*argv, tmp_path / "random"]) == 0
+        meta = read_meta(tmp_path / "random" / "meta")
+        assert meta["start"] == "random"
+        assert "start_iterations" not in meta
+        assert "start_converged" not in meta
 
     def test_fastica_same_layout_without_ranks(self, sim_dir, tmp_path):
         out = tmp_path / "fit_ica"

@@ -489,12 +489,11 @@ class TestTune:
         real_truncate = modelsel._truncated_start
         built = []
 
-        def flaky_truncate(whitened, a_tilde, eigvals, eigvecs, norm2, config):
+        def flaky_truncate(mixing, config):
             built.append(config.rho)
             if config.rho == 0.8:
                 raise DegeneracyError("zero_source", "synthetic start failure")
-            return real_truncate(whitened, a_tilde, eigvals, eigvecs, norm2,
-                                 config)
+            return real_truncate(mixing, config)
 
         monkeypatch.setattr(modelsel, "_truncated_start", flaky_truncate)
         result = tune(ds, 3, [0.0, 0.01], [0.8, 0.9],

@@ -1363,6 +1363,43 @@ class TestInitialize:
         again = initialize(w, 3, SolverConfig(seed=2))
         assert np.array_equal(model.a_tilde, again.a_tilde)
 
+    @pytest.mark.parametrize("baseline", ["fastica", "random"])
+    def test_sources_truncate_the_projection(self, monkeypatch, baseline):
+        # under Y~ = A~ S with orthogonal A~ the sources are A~' Y~, the
+        # first step's target: the start is select_rank's truncation of
+        # each of its rows, byte for byte, whichever A~ it took
+        _, _, w = scenario_whitened(1.0, 35)
+        if baseline == "random":
+            def broken(*args, **kwargs):
+                raise DegeneracyError("singular_unmixing", "no convergence")
+
+            monkeypatch.setattr(locus.baselines, "fastica", broken)
+        config = SolverConfig(rho=0.9, r_max=6, seed=2)
+        start = initialize(w, 3, config)
+        assert start.start["start"] == baseline
+        m = unvectorize(start.a_tilde.T @ w.y_tilde, 20)
+        for got, m_l in zip(start.sources, m):
+            _, want = locus.select_rank(m_l, config.rho, config.r_max)
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.d.tobytes() == want.d.tobytes()
+
+    @pytest.mark.parametrize("sigma", [1.0, 3.0, 6.0])
+    def test_first_rank_checks_confirm_the_start(self, sigma, caplog):
+        # at phi=0 the first step's targets are the start's projection, so
+        # the basis the start kept confirms every rank warm (acceptance
+        # shape: V=50, q=3, N=100, loadings uniform on +-[1.5, 6])
+        ds, _ = generate(SyntheticSpec(
+            node_count=50, q=3, n_subjects=100, sigma=sigma, seed=0,
+            loading_dist=lambda rng, size: (
+                rng.uniform(1.5, 6.0, size=size)
+                * rng.choice([-1.0, 1.0], size=size))))
+        with caplog.at_level(logging.DEBUG, logger="locus.solver"):
+            fit(whiten(ds, 3), 3, SolverConfig(phi=0.0, rho=0.9, seed=0,
+                                                max_iter=1))
+        checks = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("rank checks: ")]
+        assert checks == ["rank checks: 3 warm, 0 exact, 0 changed"]
+
     def test_baseline_programming_error_propagates(self, monkeypatch):
         ds, gt, w = scenario_whitened(1.0, 35)
 
